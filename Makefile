@@ -11,8 +11,8 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 test: lint
 	$(PYTEST) -x -q
 
-# The exhaustive matrix: every registered workload through the
-# serial-vs-parallel equivalence harness (and any other slow tests).
+# The exhaustive matrix: every registered workload at every budget/cap
+# through the batch-vs-scalar kernel harness (and any other slow tests).
 test-slow:
 	$(PYTEST) -x -q -m slow
 
@@ -38,12 +38,11 @@ typecheck:
 check: lint typecheck test
 
 # Artifact benchmarks (pytest-benchmark) + the engine wall-clock reports
-# (scalar-vs-batch kernel, serial-vs-pool fan-out, adaptive planner
-# point accounting + disk cold/warm).
+# (scalar-vs-batch kernel, adaptive planner point accounting + disk
+# cold/warm).
 bench:
 	$(PYTEST) -q benchmarks/ --benchmark-only
 	$(PYTEST) -q -s benchmarks/bench_batch.py
-	$(PYTEST) -q -s benchmarks/bench_parallel.py
 	$(PYTEST) -q -s benchmarks/bench_planner.py
 
 # CI smoke: the batch-vs-scalar comparison on the full fig9 grid and

@@ -4,8 +4,8 @@ Runs the Figure-9-scale CPU grid (every registered CPU workload at four
 budgets, 4 W steps — 1892 allocation points) three ways in a single cold
 process:
 
-* **scalar cold** — the oracle configuration: ``batch=False``,
-  ``n_jobs=1``, a cache too small to ever hit;
+* **scalar cold** — the oracle configuration: ``batch=False``, a cache
+  too small to ever hit;
 * **batch cold** — the default vectorized path, empty cache, whole
   grids resolved per NumPy call;
 * **batch warm** — the same engine re-running the identical grid,
@@ -57,7 +57,7 @@ def test_batch_kernel_bench(bench_quick):
     workloads = [cpu_workload(name) for name in list_cpu_workloads()]
     repeats = 1 if bench_quick else 3
 
-    scalar = SweepEngine(n_jobs=1, cache_size=1, batch=False)
+    scalar = SweepEngine(cache_size=1, batch=False)
     t_scalar, n_points, scalar_sweeps = _run_grid(node, workloads, scalar)
 
     # Best-of-N for the batch passes: they are fast enough that timer
@@ -65,7 +65,7 @@ def test_batch_kernel_bench(bench_quick):
     t_cold = float("inf")
     batch_sweeps = []
     for _ in range(repeats):
-        batch = SweepEngine(n_jobs=1, batch=True)
+        batch = SweepEngine(batch=True)
         t, _, batch_sweeps = _run_grid(node, workloads, batch)
         t_cold = min(t_cold, t)
     t_warm, _, _ = _run_grid(node, workloads, batch)
@@ -96,8 +96,8 @@ def test_batch_kernel_bench(bench_quick):
         f"cache hit ratio: {stats.hit_ratio:.1%}",
         "",
         "note: batch cold resolves whole allocation grids per NumPy call",
-        "in one process — no pool, no pickling — and still fills the memo",
-        "cache point-by-point, so warm passes are identical to the scalar",
+        "in the calling thread and still fills the memo cache",
+        "point-by-point, so warm passes are identical to the scalar",
         "engine's.",
     ]
     rendered = "\n".join(lines)

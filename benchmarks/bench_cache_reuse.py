@@ -36,7 +36,7 @@ import json, sys
 from repro.core.parallel import SweepEngine, resolve_cache_dir, resolve_mode
 from repro.experiments.registry import run_experiment
 
-engine = SweepEngine(n_jobs=1)
+engine = SweepEngine()
 run_experiment("fig2", fast=True, engine=engine)
 engine.flush()
 stats = engine.stats

@@ -157,7 +157,7 @@ def _native_points_fig9() -> int:
         total += len(
             sweep_cpu_allocations(
                 node.cpu, node.dram, wl, budget, step_w=FIG9_STEP_W,
-                engine=SweepEngine(n_jobs=1, mode="full"),
+                engine=SweepEngine(mode="full"),
             ).points
         ) * len(list_cpu_workloads())
     for card in (titan_xp_card(), titan_v_card()):
@@ -165,7 +165,7 @@ def _native_points_fig9() -> int:
         grid = len(
             sweep_gpu_allocations(
                 card, gpu_workload("sgemm"), caps[0], freq_stride=1,
-                engine=SweepEngine(n_jobs=1, mode="full"),
+                engine=SweepEngine(mode="full"),
             ).points
         )
         total += grid * len(caps) * len(list_gpu_workloads())
@@ -205,10 +205,10 @@ def _bench_config(runner, reps: int):
          ("full_cold", "adaptive_cold", "full_warm", "adaptive_warm")}
     full_engine = adaptive_engine = full_out = adaptive_out = None
     for _ in range(reps):
-        full_engine = SweepEngine(n_jobs=1, mode="full")
+        full_engine = SweepEngine(mode="full")
         full_out, dt = _timed_pass(runner, full_engine, False)
         t["full_cold"] = min(t["full_cold"], dt)
-        adaptive_engine = SweepEngine(n_jobs=1, mode="adaptive")
+        adaptive_engine = SweepEngine(mode="adaptive")
         adaptive_out, dt = _timed_pass(runner, adaptive_engine, True)
         t["adaptive_cold"] = min(t["adaptive_cold"], dt)
     stats = adaptive_engine.planner.stats
@@ -271,12 +271,12 @@ def test_planner_bench(bench_quick, tmp_path):
     # is served from disk, none from a prior repeat's memory tier) — the
     # pass is fast enough that timer noise would otherwise dominate.
     cold_dir = tmp_path / "cache"
-    cold_engine = SweepEngine(n_jobs=1, mode="adaptive", cache_dir=cold_dir)
+    cold_engine = SweepEngine(mode="adaptive", cache_dir=cold_dir)
     cold_bests, t_cold = _timed_pass(_fig9_bests, cold_engine, True)
     cold_engine.flush()
     t_warm = float("inf")
     for _ in range(1 if bench_quick else 3):
-        warm_engine = SweepEngine(n_jobs=1, mode="adaptive", cache_dir=cold_dir)
+        warm_engine = SweepEngine(mode="adaptive", cache_dir=cold_dir)
         warm_bests, t = _timed_pass(_fig9_bests, warm_engine, True)
         t_warm = min(t_warm, t)
         assert warm_bests == cold_bests == planned_bests

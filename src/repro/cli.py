@@ -77,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("budget", type=float)
     p.add_argument("--platform", default=None)
     p.add_argument("--step", type=float, default=8.0)
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel sweep workers (default: $REPRO_JOBS, else auto)",
-    )
     _add_engine_arguments(p)
 
     p = sub.add_parser(
@@ -93,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper artifact")
     p.add_argument("artifact", help="fig1..fig9, table1, ablation, or 'all'")
     p.add_argument("--fast", action="store_true", help="coarser sweeps")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel sweep workers (default: $REPRO_JOBS, else auto)",
-    )
     _add_engine_arguments(p)
 
     p = sub.add_parser(
@@ -151,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthetic trace arrival rate in jobs/s (default: 2.0)",
     )
     p.add_argument("--seed", type=int, default=42, help="synthetic trace seed")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel sweep workers (default: $REPRO_JOBS, else auto)",
-    )
     _add_engine_arguments(p)
 
     p = sub.add_parser(
@@ -192,15 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="start, drive a concurrent TCP burst, assert clean shutdown",
     )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel sweep workers (default: $REPRO_JOBS, else auto)",
-    )
     _add_engine_arguments(p)
     return parser
 
 
 def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="sweep workers; only 1 is accepted (sweeps run in the calling thread)",
+    )
     p.add_argument(
         "--sweep-mode", choices=("full", "adaptive"), default=None,
         help="sweep strategy: 'full' grids or the adaptive planner "

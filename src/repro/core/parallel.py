@@ -1,30 +1,16 @@
-"""Parallel sweep execution with bounded, thread-safe memoization.
+"""Memoized sweep execution in the calling thread.
 
 Every figure and experiment walks the allocation grid through
 :func:`~repro.perfmodel.executor.execute_on_host` /
 :func:`~repro.perfmodel.executor.execute_on_gpu`, one point at a time.
 The points are independent — the model is a pure function of
-``(platform, phases, caps)`` — so three orthogonal speedups apply:
+``(platform, phases, caps)`` — so two orthogonal speedups apply:
 
-* **vectorization** (the default) — cache misses of a sweep are resolved
-  in one NumPy pass by the batch kernel
+* **vectorization** (the default) — the cache misses of a request are
+  resolved in one NumPy pass by the batch kernel
   (:mod:`repro.perfmodel.batch`), which is bit-for-bit equivalent to the
   scalar oracle and an order of magnitude faster on a single core;
-  disable with ``REPRO_BATCH=0`` or ``SweepEngine(batch=False)``.  The
-  adaptive planner gets the same treatment through
-  :meth:`SweepEngine.host_subgrid` / :meth:`SweepEngine.gpu_subgrid`: a
-  :class:`SubgridExecutor` prepares the axis (keys + gather kernel) once
-  and resolves each planner stage's point subset in one gathered pass,
-  still populating the memo/disk caches point-by-point;
-* **fan-out** — with the batch path disabled, a sweep's points dispatch
-  onto a ``concurrent.futures`` pool (thread- or process-backed), sized
-  from ``REPRO_JOBS`` or the host core count.  Grids below
-  ``serial_crossover`` points stay serial: the model is GIL-bound, so
-  thread fan-out on small grids costs more than it saves (PR 1 measured
-  0.85x cold at fig9 scale).  With the batch path *enabled*, a process
-  backend past the crossover splits the missing points into one
-  contiguous chunk per worker and runs the vectorized kernel inside each
-  worker, so cold fan-out beats serial instead of losing to pickling;
+  disable with ``REPRO_BATCH=0`` or ``SweepEngine(batch=False)``;
 * **memoization** — ``(platform, phases, allocation) → ExecutionResult``
   is cached in a bounded LRU shared by sweeps, budget curves, COORD
   probing, and the cluster scheduler, so the repeated budgets in budget
@@ -33,10 +19,19 @@ The points are independent — the model is a pure function of
   from its array results, so warm-cache behaviour and key reuse are
   unchanged.
 
-Determinism is unconditional: results are assembled by *input* order and
-cache key, never by completion order, so the parallel engine is
-bit-for-bit equivalent to the serial oracle
-(``tests/test_parallel_equivalence.py`` locks this down differentially).
+Every request — a whole grid from :meth:`SweepEngine.map_host` /
+:meth:`SweepEngine.map_gpu`, or a planner stage, fleet round or server
+prefetch from :meth:`SweepEngine.host_subgrid` /
+:meth:`SweepEngine.gpu_subgrid` — resolves through one loop,
+:meth:`SubgridExecutor.run`, in the calling thread.  There is no worker
+pool: every pool fan-out measured slower than the in-thread batch kernel
+(``docs/modeling.md`` §9).  The caches and planner state are locked
+because the coordination server's resolver threads share one engine.
+
+Determinism is unconditional: results are assembled by *input* order
+and cache key, so the engine is bit-for-bit equivalent to the serial
+oracle (``tests/test_parallel_equivalence.py`` and
+``tests/test_batch_equivalence.py`` lock this down differentially).
 
 Cache keys are *content fingerprints*, not object identities: a workload
 whose characterization changes (e.g. via :meth:`Workload.scaled`) can
@@ -54,8 +49,8 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
 from contextlib import contextmanager
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 
@@ -80,8 +75,6 @@ from repro.perfmodel.batch import (
     GpuBatchKernel,
     HostBatchKernel,
     batch_execute_indices,
-    execute_gpu_batch,
-    execute_host_batch,
 )
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.metrics import ExecutionResult
@@ -91,11 +84,9 @@ __all__ = [
     "BATCH_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "CacheStats",
-    "JOBS_ENV_VAR",
     "MemoCache",
     "PlannerState",
     "PlannerStats",
-    "SERIAL_CROSSOVER",
     "SWEEP_MODE_ENV_VAR",
     "SubgridExecutor",
     "SweepEngine",
@@ -104,14 +95,10 @@ __all__ = [
     "freeze",
     "resolve_batch",
     "resolve_cache_dir",
-    "resolve_jobs",
     "resolve_mode",
     "set_default_engine",
     "use_engine",
 ]
-
-#: Environment override for the pool size (``1`` forces the serial path).
-JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Environment escape hatch for the vectorized kernel (``0``/``false``/
 #: ``no``/``off`` force every point through the scalar executor).
@@ -128,16 +115,6 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: Recognized sweep planning modes.
 SWEEP_MODES = ("full", "adaptive")
-
-#: Auto-sizing never exceeds this many workers — sweeps have a few dozen
-#: points, so wider pools only add dispatch overhead.
-_MAX_AUTO_JOBS = 8
-
-#: Grids smaller than this stay serial even when fan-out is enabled.  PR 1's
-#: bench report showed cold thread fan-out at 0.85x on a 1892-point pass —
-#: the GIL-bound model gains nothing from threads until the per-pool fixed
-#: cost amortizes, which figure-scale sweeps (tens of points) never reach.
-SERIAL_CROSSOVER = 256
 
 #: Default bound on the shared execution cache (entries, LRU-evicted).
 DEFAULT_CACHE_SIZE = 4096
@@ -288,8 +265,9 @@ class CacheStats:
 class MemoCache:
     """A bounded, thread-safe LRU map from hashable keys to results.
 
-    All mutation happens under one re-entrant lock, so concurrent sweep
-    workers (and parallel scheduler callers) never race on dict writes.
+    All mutation happens under one re-entrant lock, so threads sharing
+    one engine (the coordination server's resolvers) never race on dict
+    writes.
     Values are expected to be immutable (frozen dataclasses), which makes
     sharing a cached :class:`ExecutionResult` across callers safe.
 
@@ -400,56 +378,8 @@ class MemoCache:
 
 
 # ---------------------------------------------------------------------------
-# pool workers (top level so the process backend can pickle them)
+# environment resolution
 # ---------------------------------------------------------------------------
-
-_HostTaskArgs = "tuple[CpuDomain, DramDomain, tuple[Phase, ...], float, float]"
-_GpuTaskArgs = "tuple[GpuCard, tuple[Phase, ...], float, float | None]"
-
-
-def _host_task(
-    args: tuple[CpuDomain, DramDomain, tuple[Phase, ...], float, float],
-) -> ExecutionResult:
-    cpu, dram, phases, proc_w, mem_w = args
-    return execute_on_host(cpu, dram, phases, proc_w, mem_w)
-
-
-def _gpu_task(
-    args: tuple[GpuCard, tuple[Phase, ...], float, float | None],
-) -> ExecutionResult:
-    card, phases, cap_w, mem_freq_mhz = args
-    return execute_on_gpu(card, phases, cap_w, mem_freq_mhz)
-
-
-def _host_chunk_task(
-    args: tuple[
-        CpuDomain, DramDomain, tuple[Phase, ...], list[float], list[float]
-    ],
-) -> list[ExecutionResult]:
-    """One worker's contiguous slice of a host grid, in one kernel pass."""
-    return execute_host_batch(*args)
-
-
-def _gpu_chunk_task(
-    args: tuple[GpuCard, tuple[Phase, ...], float, list[float]],
-) -> list[ExecutionResult]:
-    """One worker's contiguous slice of a GPU clock axis, in one kernel pass."""
-    return execute_gpu_batch(*args)
-
-
-def _chunk_indices(n: int, chunks: int) -> list[list[int]]:
-    """Partition ``range(n)`` into at most ``chunks`` contiguous, balanced,
-    non-empty runs covering every index exactly once."""
-    chunks = max(1, min(int(chunks), int(n)))
-    base, extra = divmod(n, chunks)
-    out: list[list[int]] = []
-    start = 0
-    for c in range(chunks):
-        size = base + (1 if c < extra else 0)
-        out.append(list(range(start, start + size)))
-        start += size
-    return out
-
 
 #: ``REPRO_BATCH`` values that disable the vectorized kernel.
 _BATCH_OFF = frozenset({"0", "false", "no", "off"})
@@ -489,25 +419,6 @@ def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path | None:
     return Path(cache_dir).expanduser()
 
 
-def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Resolve a worker count: explicit > ``REPRO_JOBS`` > host auto-size."""
-    if n_jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None and env.strip():
-            try:
-                n_jobs = int(env)
-            except ValueError:
-                raise SweepError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            n_jobs = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
-    n_jobs = int(n_jobs)
-    if n_jobs < 1:
-        raise SweepError(f"n_jobs must be >= 1, got {n_jobs}")
-    return n_jobs
-
-
 # ---------------------------------------------------------------------------
 # planner bookkeeping (counters + warm-start hints, shared across sweeps)
 # ---------------------------------------------------------------------------
@@ -544,12 +455,18 @@ class PlannerState:
     fingerprint key, the last optimal axis value found and whether that
     plan completed without falling back.  Budget curves and repeated
     experiment sweeps use the hints to probe near the previous optimum.
+
+    Hints and stash are LRUs of ``maxsize`` entries each (the engine
+    passes its memo bound): the stash keeps one completed plan per budget,
+    and a long-lived server takes its budgets from clients.  Every
+    remembered value is exact, so an eviction costs re-execution, never
+    a different answer.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         self._lock = threading.Lock()
-        self._hints: dict[Hashable, tuple[float, bool]] = {}
-        self._stash: dict[Hashable, object] = {}
+        self._hints = MemoCache(maxsize)
+        self._stash = MemoCache(maxsize)
         self._sweeps = 0
         self._fallbacks = 0
         self._warm_starts = 0
@@ -559,27 +476,24 @@ class PlannerState:
 
     def hint(self, key: Hashable) -> tuple[float, bool] | None:
         """``(axis_value, clean)`` remembered for ``key``, if any."""
-        with self._lock:
-            return self._hints.get(key)
+        return cast("tuple[float, bool] | None", self._hints.lookup(key)[1])
 
     def remember(self, key: Hashable, axis_value: float, clean: bool) -> None:
         """Record the optimum found for ``key`` (``clean`` = no fallback)."""
-        with self._lock:
-            self._hints[key] = (float(axis_value), bool(clean))
+        self._hints.store(key, (float(axis_value), bool(clean)))
 
     def stashed(self, key: Hashable) -> object | None:
         """An opaque value previously stashed for ``key``, if any.
 
-        The planner keeps provably cap-independent phase tuples here
-        (saturation reuse) and derived per-platform constants.
+        The planner keeps completed plans (replay), provably
+        cap-independent phase tuples (saturation reuse) and derived
+        per-platform constants here.
         """
-        with self._lock:
-            return self._stash.get(key)
+        return self._stash.lookup(key)[1]
 
     def stash(self, key: Hashable, value: object) -> None:
         """Stash an opaque value for ``key``."""
-        with self._lock:
-            self._stash[key] = value
+        self._stash.store(key, value)
 
     def record(
         self, *, native: int, executed: int, fallback: bool, warm: bool,
@@ -614,37 +528,34 @@ class PlannerState:
 class SubgridExecutor:
     """One prepared allocation axis, resolvable subset-by-subset.
 
-    The adaptive planner touches one axis many times in small bites —
-    probe strides, certify neighborhoods, per-iteration walk frontiers.
-    Routing each bite through :meth:`SweepEngine.map_host` would rebuild
-    keys, re-fingerprint the platform, and re-derive the kernel's
-    candidate tables on every call.  This executor does all of that once
-    at construction (keys eagerly, the gather kernel lazily on the first
-    batched miss) and then serves :meth:`run` calls with nothing but
-    cache lookups and gathered kernel rows.
+    Every engine request resolves here.  :meth:`SweepEngine.map_host` /
+    :meth:`SweepEngine.map_gpu` run a whole axis once; the adaptive
+    planner, the fleet's allocation rounds and the server's prefetch
+    touch one axis many times in small bites — probe strides, certify
+    neighborhoods, per-iteration walk frontiers.  Keys are built once at
+    construction and the gather kernel lazily on the first batched miss,
+    so each :meth:`run` call costs only cache lookups and gathered kernel
+    rows.
 
-    Cache semantics are identical to the full-grid path: every requested
-    point is looked up once in the engine's :class:`MemoCache` (reading
-    through to disk when configured) and every miss is stored back
-    point-by-point, so hit/miss counters, disk promotion, and warm-cache
-    behaviour cannot drift between planned and full sweeps.  With the
-    batch path disabled — or a fault plan armed, which the vectorized
-    kernel cannot honor — misses fall back to the engine's scalar
-    :meth:`~SweepEngine._run_batch` path, faults and all.
+    Every requested point is looked up once in the engine's
+    :class:`MemoCache` (reading through to disk when configured) and
+    every miss is stored back point-by-point, so hit/miss counters, disk
+    promotion, and warm-cache behaviour are the same for whole grids and
+    sub-grids.  With the batch path disabled — or a fault plan armed,
+    which the vectorized kernel cannot honor — misses run through the
+    engine's scalar :meth:`~SweepEngine._run_batch` path, faults and all.
     """
 
     def __init__(
         self,
         engine: "SweepEngine",
         keys: list[tuple],
-        task: Callable[[tuple], ExecutionResult],
-        args_for: Callable[[int], tuple],
+        point: Callable[[int], ExecutionResult],
         kernel_factory: Callable[[], "HostBatchKernel | GpuBatchKernel"],
     ) -> None:
         self._engine = engine
         self._keys = keys
-        self._task = task
-        self._args_for = args_for
+        self._point = point
         self._kernel_factory = kernel_factory
         self._kernel: HostBatchKernel | GpuBatchKernel | None = None
 
@@ -654,38 +565,33 @@ class SubgridExecutor:
     def run(self, indices: Sequence[int]) -> list[ExecutionResult]:
         """Results for axis rows ``indices``, in input order.
 
-        Bit-for-bit what ``map_host``/``map_gpu`` would return for the
-        same rows: the gather kernel is row-elementwise, and the scalar
-        fallback runs the exact same per-point executor.
+        Bit-for-bit the per-point oracle's results for the same rows: the
+        gather kernel is row-elementwise, and the scalar path runs the
+        per-point executor itself.
         """
         engine = self._engine
+        keys = self._keys
         resolved: dict[tuple, ExecutionResult | None] = {}
-        missing: list[tuple[tuple, tuple]] = []
-        missing_rows: list[int] = []
+        missing: list[int] = []
         for i in indices:
-            key = self._keys[i]
+            key = keys[i]
             if key in resolved:
                 continue  # duplicate within the request: one lookup, one run
             hit, value = engine.cache.lookup(key)
-            if hit:
-                resolved[key] = value  # type: ignore[assignment]
-            else:
-                resolved[key] = None
-                missing.append((key, self._args_for(i)))
-                missing_rows.append(i)
+            resolved[key] = value  # type: ignore[assignment]
+            if not hit:
+                missing.append(i)
         if missing:
             if engine.batch and engine._worker_injector() is None:
                 if self._kernel is None:
                     self._kernel = self._kernel_factory()
-                results = batch_execute_indices(self._kernel, missing_rows)
-                for (key, _), result in zip(missing, results):
-                    engine.cache.store(key, result)
-                    resolved[key] = result
+                results = batch_execute_indices(self._kernel, missing)
             else:
-                for key, result in engine._run_batch(self._task, missing).items():
-                    engine.cache.store(key, result)
-                    resolved[key] = result
-        return [resolved[self._keys[i]] for i in indices]  # type: ignore[return-value]
+                results = engine._run_batch(self._point, missing)
+            for i, result in zip(missing, results):
+                engine.cache.store(keys[i], result)
+                resolved[keys[i]] = result
+        return [resolved[keys[i]] for i in indices]  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -693,33 +599,23 @@ class SubgridExecutor:
 # ---------------------------------------------------------------------------
 
 class SweepEngine:
-    """Memoized, optionally parallel executor of sweep points.
+    """Memoized executor of sweep points, resolved in the calling thread.
 
     Parameters
     ----------
-    n_jobs:
-        Worker count; ``None`` resolves via :func:`resolve_jobs`
-        (``REPRO_JOBS`` env override, else host core count).  ``1``
-        selects a serial fast path with no pool at all.
-    backend:
-        ``"thread"`` (default — the model releases no GIL but threads
-        avoid pickling and share the cache directly) or ``"process"``
-        (true parallelism; platforms/phases are pickled per task and the
-        cache stays in the parent, which checks it before dispatch).
+    n_jobs, backend:
+        Accepted only as ``None``/``1`` and ``"thread"``, the values
+        existing callers pass: every request resolves in the calling
+        thread.  Any other value raises :class:`~repro.errors.SweepError`.
     cache_size:
-        LRU bound of the engine's :class:`MemoCache`; ignored if an
-        explicit ``cache`` instance is shared in.
+        LRU bound of the engine's :class:`MemoCache` and of its planner's
+        hint and stash memories; ignored if an explicit ``cache``
+        instance is shared in (the planner then takes that cache's bound).
     batch:
         ``True`` resolves sweep cache misses through the vectorized kernel
         (:mod:`repro.perfmodel.batch`); ``False`` forces the scalar
-        executor (with pool fan-out when ``n_jobs > 1``).  ``None``
-        (default) resolves via :func:`resolve_batch` (``REPRO_BATCH`` env
-        override, else on).
-    serial_crossover:
-        With the batch path disabled, grids smaller than this many cache
-        misses run serially instead of paying pool fan-out; ``None`` takes
-        the measured default :data:`SERIAL_CROSSOVER`, ``0`` restores the
-        pre-crossover behaviour (fan out any grid of 2+ points).
+        executor, point by point.  ``None`` (default) resolves via
+        :func:`resolve_batch` (``REPRO_BATCH`` env override, else on).
     mode:
         ``"full"`` executes every grid point (the oracle behaviour);
         ``"adaptive"`` routes budget curves and best-point queries
@@ -740,12 +636,13 @@ class SweepEngine:
         injection to this engine's sweeps; ``None`` (default) consults
         the process-wide injector armed via
         :func:`repro.faults.injector.use_faults` (the CLI arms it from
-        ``REPRO_FAULTS``).  With faults armed, sweep tasks run serially
-        in-parent under the worker-fault schedule with deterministic
-        resubmission; results are bit-identical to the clean run or
-        :class:`~repro.errors.WorkerRetryExhaustedError` is raised.
+        ``REPRO_FAULTS``).  With faults armed, sweep points run through
+        the scalar executor under the worker-fault schedule with
+        deterministic resubmission; results are bit-identical to the
+        clean run or :class:`~repro.errors.WorkerRetryExhaustedError` is
+        raised.
     worker_retry_budget:
-        Consecutive failed attempts tolerated per sweep task before
+        Consecutive failed attempts tolerated per sweep point before
         :class:`~repro.errors.WorkerRetryExhaustedError`; ``None``
         (default) takes the armed plan's ``max_attempts``.
     """
@@ -758,22 +655,21 @@ class SweepEngine:
         cache_size: int = DEFAULT_CACHE_SIZE,
         cache: MemoCache | None = None,
         batch: bool | None = None,
-        serial_crossover: int | None = None,
         mode: str | None = None,
         cache_dir: str | Path | None = None,
         faults: "FaultPlan | FaultInjector | None" = None,
         worker_retry_budget: int | None = None,
     ) -> None:
-        if backend not in ("thread", "process"):
-            raise SweepError(f"backend must be 'thread' or 'process', got {backend!r}")
+        if n_jobs not in (None, 1) or backend != "thread":
+            raise SweepError(
+                "sweeps resolve in the calling thread: n_jobs must be 1 and "
+                f"backend 'thread', got n_jobs={n_jobs!r}, backend={backend!r}"
+            )
         if cache is not None and cache_dir is not None:
             raise SweepError(
                 "pass either an explicit cache instance or cache_dir, not both"
             )
-        self.n_jobs = resolve_jobs(n_jobs)
-        self.backend = backend
         self.mode = resolve_mode(mode)
-        self.planner = PlannerState()
         self.disk_cache: DiskCache | None = None
         if cache is not None:
             self.cache = cache
@@ -783,14 +679,8 @@ class SweepEngine:
             if resolved_dir is not None:
                 self.disk_cache = DiskCache(resolved_dir)
             self.cache = MemoCache(cache_size, backing=self.disk_cache)
+        self.planner = PlannerState(self.cache.stats.maxsize)
         self.batch = resolve_batch(batch)
-        if serial_crossover is None:
-            serial_crossover = SERIAL_CROSSOVER
-        if serial_crossover < 0:
-            raise SweepError(
-                f"serial_crossover must be >= 0, got {serial_crossover}"
-            )
-        self.serial_crossover = int(serial_crossover)
         if worker_retry_budget is not None and worker_retry_budget < 1:
             raise SweepError(
                 f"worker_retry_budget must be >= 1, got {worker_retry_budget}"
@@ -849,33 +739,20 @@ class SweepEngine:
         )
 
     # ------------------------------------------------------------------
-    # batched fan-out (order-preserving)
+    # scalar misses (batch path off, or a fault plan armed)
     # ------------------------------------------------------------------
     def _run_batch(
-        self, task: Callable[[tuple], ExecutionResult], keyed: list[tuple[tuple, tuple]]
-    ) -> dict[tuple, ExecutionResult]:
-        """Execute ``(key, task_args)`` pairs, returning ``key → result``.
+        self, point: Callable[[int], ExecutionResult], rows: list[int]
+    ) -> list[ExecutionResult]:
+        """Scalar results for axis ``rows``, in order.
 
-        The dict is keyed — not positional — so assembly in the caller is
-        independent of completion order, which is what makes process/thread
-        scheduling invisible in the results.
+        Each row runs through the per-point executor; with a fault plan
+        armed, under the worker-fault schedule of :meth:`_run_batch_faulted`.
         """
-        resolved: dict[tuple, ExecutionResult] = {}
-        if not keyed:
-            return resolved
         injector = self._worker_injector()
         if injector is not None:
-            return self._run_batch_faulted(task, keyed, injector)
-        if self.n_jobs == 1 or len(keyed) < max(2, self.serial_crossover):
-            for key, args in keyed:
-                resolved[key] = task(args)
-            return resolved
-        workers = min(self.n_jobs, len(keyed))
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            for (key, _), result in zip(keyed, pool.map(task, (a for _, a in keyed))):
-                resolved[key] = result
-        return resolved
+            return self._run_batch_faulted(point, rows, injector)
+        return [point(i) for i in rows]
 
     def _worker_injector(self) -> FaultInjector | None:
         """The injector governing sweep workers, or ``None`` when disarmed.
@@ -883,8 +760,8 @@ class SweepEngine:
         An engine-scoped injector (``SweepEngine(faults=...)``) wins over
         the process-wide one armed via
         :func:`repro.faults.injector.use_faults`; an empty plan counts as
-        disarmed so the zero-cost clean paths (pool fan-out, batch
-        kernel) stay in use.
+        disarmed so the zero-cost clean path (the batch kernel) stays in
+        use.
         """
         injector = self.faults if self.faults is not None else _faults_active()
         if injector is None or injector.plan.is_empty:
@@ -893,28 +770,27 @@ class SweepEngine:
 
     def _run_batch_faulted(
         self,
-        task: Callable[[tuple], ExecutionResult],
-        keyed: list[tuple[tuple, tuple]],
+        point: Callable[[int], ExecutionResult],
+        rows: list[int],
         injector: FaultInjector,
-    ) -> dict[tuple, ExecutionResult]:
-        """Serial in-parent execution under the worker-fault schedule.
+    ) -> list[ExecutionResult]:
+        """Execution in request order under the worker-fault schedule.
 
-        Faults are armed, so tasks run serially in the parent — the
-        deterministic schedule needs a deterministic call order, which a
-        pool would scramble.  Each task is resubmitted after an injected
-        crash/timeout until it runs clean or the retry budget is spent;
-        the executed task itself is the pure model kernel, so a
+        The deterministic schedule needs a deterministic call order, so
+        rows run one after another.  Each row is resubmitted after an
+        injected crash/timeout until it runs clean or the retry budget is
+        spent; the executed task itself is the pure model kernel, so a
         recovered sweep is bit-identical to the clean run.
         """
         budget = self.worker_retry_budget or injector.plan.max_attempts
-        resolved: dict[tuple, ExecutionResult] = {}
-        for key, args in keyed:
+        results: list[ExecutionResult] = []
+        for i in rows:
             attempts = 0
             while True:
                 attempts += 1
                 event = injector.check("parallel.worker")
                 if event is None:
-                    resolved[key] = task(args)
+                    results.append(point(i))
                     break
                 failure: WorkerCrashError | WorkerTimeoutError
                 if event.kind is FaultKind.WORKER_CRASH:
@@ -937,94 +813,11 @@ class SweepEngine:
                         f"worker failure(s)"
                     ),
                 )
-        return resolved
+        return results
 
-    def _run_batch_vectorized(
-        self,
-        chunk_task: Callable[[tuple], list[ExecutionResult]],
-        chunk_args: Callable[[list[int]], tuple],
-        missing_indices: list[int],
-    ) -> list[ExecutionResult]:
-        """Resolve missing input indices through the vectorized kernel.
-
-        Serial by default (one kernel pass over all misses).  A process
-        backend past ``serial_crossover`` instead splits the misses into
-        one contiguous chunk per worker and runs the kernel inside each
-        worker — the platform/phases pickle once per *chunk* rather than
-        per point, which is what lets cold fan-out beat serial.  Chunks
-        partition the miss list, so each point executes exactly once, and
-        concatenating in chunk order preserves input order.
-        """
-        n = len(missing_indices)
-        if (
-            self.backend == "process"
-            and self.n_jobs > 1
-            and n >= max(2, self.serial_crossover)
-        ):
-            payloads = [
-                chunk_args([missing_indices[p] for p in positions])
-                for positions in _chunk_indices(n, self.n_jobs)
-            ]
-            results: list[ExecutionResult] = []
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                for part in pool.map(chunk_task, payloads):
-                    results.extend(part)
-            return results
-        return chunk_task(chunk_args(missing_indices))
-
-    def _map(
-        self,
-        task: Callable[[tuple], ExecutionResult],
-        keys: list[tuple],
-        args_for: Callable[[int], tuple],
-        chunk_task: Callable[[tuple], list[ExecutionResult]] | None = None,
-        chunk_args: Callable[[list[int]], tuple] | None = None,
-    ) -> list[ExecutionResult]:
-        """Resolve ``keys`` in input order, computing cache misses once each.
-
-        Misses go through :meth:`_run_batch_vectorized` (kernel passes
-        over the missing input indices, chunked across a process pool
-        past the crossover) when the batch path is enabled, else through
-        :meth:`_run_batch` (serial or pool fan-out).  Either way each
-        unique key is looked up once and stored once, so cache statistics
-        and warm-cache behaviour are identical across paths.
-        """
-        resolved: dict[tuple, ExecutionResult | None] = {}
-        missing: list[tuple[tuple, tuple]] = []
-        missing_indices: list[int] = []
-        for i, key in enumerate(keys):
-            if key in resolved:
-                continue  # duplicate within the batch: one lookup, one execution
-            hit, value = self.cache.lookup(key)
-            if hit:
-                resolved[key] = value  # type: ignore[assignment]
-            else:
-                resolved[key] = None
-                missing.append((key, args_for(i)))
-                missing_indices.append(i)
-        # The vectorized kernel has no per-task boundary to inject worker
-        # faults at, so armed plans fall back to the scalar path — safe
-        # because both kernels are locked bit-identical by the batch
-        # equivalence harness.
-        if (
-            chunk_task is not None
-            and chunk_args is not None
-            and self.batch
-            and missing
-            and self._worker_injector() is None
-        ):
-            vectorized = self._run_batch_vectorized(
-                chunk_task, chunk_args, missing_indices
-            )
-            for (key, _), result in zip(missing, vectorized):
-                self.cache.store(key, result)
-                resolved[key] = result
-        else:
-            for key, result in self._run_batch(task, missing).items():
-                self.cache.store(key, result)
-                resolved[key] = result
-        return [resolved[key] for key in keys]  # type: ignore[return-value]
-
+    # ------------------------------------------------------------------
+    # whole grids (one pass over a fresh executor)
+    # ------------------------------------------------------------------
     def map_host(
         self,
         cpu: CpuDomain,
@@ -1033,26 +826,12 @@ class SweepEngine:
         allocations: Sequence[PowerAllocation],
     ) -> list[ExecutionResult]:
         """Results for all ``allocations``, in input order."""
-        base = self._host_base(cpu, dram, phases)
-        keys = [base + (float(a.proc_w), float(a.mem_w)) for a in allocations]
-
-        def chunk_args(indices: list[int]) -> tuple:
-            return (
-                cpu,
-                dram,
-                tuple(phases),
-                [allocations[i].proc_w for i in indices],
-                [allocations[i].mem_w for i in indices],
-            )
-
-        return self._map(
-            _host_task,
-            keys,
-            lambda i: (cpu, dram, tuple(phases),
-                       allocations[i].proc_w, allocations[i].mem_w),
-            _host_chunk_task,
-            chunk_args,
+        executor = self._host_executor(
+            cpu, dram, phases,
+            [float(a.proc_w) for a in allocations],
+            [float(a.mem_w) for a in allocations],
         )
+        return executor.run(range(len(allocations)))
 
     def map_gpu(
         self,
@@ -1062,27 +841,11 @@ class SweepEngine:
         mem_freqs_mhz: Sequence[float],
     ) -> list[ExecutionResult]:
         """Results for all memory clocks under one board cap, in input order."""
-        base = self._gpu_base(card, phases) + (float(cap_w),)
-        keys = [base + (float(f),) for f in mem_freqs_mhz]
-
-        def chunk_args(indices: list[int]) -> tuple:
-            return (
-                card,
-                tuple(phases),
-                cap_w,
-                [float(mem_freqs_mhz[i]) for i in indices],
-            )
-
-        return self._map(
-            _gpu_task,
-            keys,
-            lambda i: (card, tuple(phases), cap_w, float(mem_freqs_mhz[i])),
-            _gpu_chunk_task,
-            chunk_args,
-        )
+        executor = self._gpu_executor(card, phases, cap_w, mem_freqs_mhz)
+        return executor.run(range(len(mem_freqs_mhz)))
 
     # ------------------------------------------------------------------
-    # planner sub-grids (prepared axes, resolved subset-by-subset)
+    # sub-grids (prepared axes, resolved subset-by-subset)
     # ------------------------------------------------------------------
     def host_subgrid(
         self,
@@ -1103,17 +866,9 @@ class SweepEngine:
         .allocation_axis` so planned sweeps never pay to materialize
         allocation objects for points they skip.
         """
-        phases = tuple(phases)
-        proc = [float(p) for p in proc_w]
-        mem = [float(m) for m in mem_w]
-        base = self._host_base(cpu, dram, phases)
-        keys = [base + (p, m) for p, m in zip(proc, mem)]
-        return SubgridExecutor(
-            self,
-            keys,
-            _host_task,
-            lambda i: (cpu, dram, phases, proc[i], mem[i]),
-            lambda: HostBatchKernel(cpu, dram, phases, proc, mem),
+        return self._host_executor(
+            cpu, dram, phases,
+            [float(p) for p in proc_w], [float(m) for m in mem_w],
         )
 
     def gpu_subgrid(
@@ -1124,15 +879,42 @@ class SweepEngine:
         mem_freqs_mhz: Sequence[float],
     ) -> SubgridExecutor:
         """A prepared executor over one GPU memory-clock axis (one cap)."""
+        return self._gpu_executor(card, phases, cap_w, mem_freqs_mhz)
+
+    # The public map_*/..._subgrid methods share these helpers rather
+    # than calling each other, so a subclass that wraps the public entry
+    # points sees each request exactly once.
+    def _host_executor(
+        self,
+        cpu: CpuDomain,
+        dram: DramDomain,
+        phases: Sequence[Phase],
+        proc: list[float],
+        mem: list[float],
+    ) -> SubgridExecutor:
+        phases = tuple(phases)
+        base = self._host_base(cpu, dram, phases)
+        return SubgridExecutor(
+            self,
+            [base + pm for pm in zip(proc, mem)],
+            lambda i: execute_on_host(cpu, dram, phases, proc[i], mem[i]),
+            lambda: HostBatchKernel(cpu, dram, phases, proc, mem),
+        )
+
+    def _gpu_executor(
+        self,
+        card: GpuCard,
+        phases: Sequence[Phase],
+        cap_w: float,
+        mem_freqs_mhz: Sequence[float],
+    ) -> SubgridExecutor:
         phases = tuple(phases)
         freqs = [float(f) for f in mem_freqs_mhz]
         base = self._gpu_base(card, phases) + (float(cap_w),)
-        keys = [base + (f,) for f in freqs]
         return SubgridExecutor(
             self,
-            keys,
-            _gpu_task,
-            lambda i: (card, phases, cap_w, freqs[i]),
+            [base + (f,) for f in freqs],
+            lambda i: execute_on_gpu(card, phases, cap_w, freqs[i]),
             lambda: GpuBatchKernel(card, phases, cap_w, freqs),
         )
 
@@ -1164,8 +946,6 @@ class SweepEngine:
         return {
             "mode": self.mode,
             "batch": self.batch,
-            "n_jobs": self.n_jobs,
-            "backend": self.backend,
             "disk_tier": self.disk_cache is not None,
             "cache": {
                 "hits": cache.hits,
@@ -1193,7 +973,7 @@ class SweepEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SweepEngine(n_jobs={self.n_jobs}, backend={self.backend!r}, "
+            f"SweepEngine(mode={self.mode!r}, batch={self.batch}, "
             f"cache={self.stats})"
         )
 
@@ -1209,9 +989,10 @@ _DEFAULT_ENGINE: SweepEngine | None = None
 def default_engine() -> SweepEngine:
     """The process-wide engine sweeps use when none is passed explicitly.
 
-    Created lazily with auto-sized workers (``REPRO_JOBS`` respected) and
-    the default cache bound; replace it with :func:`set_default_engine`
-    or scope a replacement with :func:`use_engine`.
+    Created lazily with the default cache bound and the environment's
+    ``REPRO_BATCH``/``REPRO_SWEEP``/``REPRO_CACHE_DIR`` settings; replace
+    it with :func:`set_default_engine` or scope a replacement with
+    :func:`use_engine`.
     """
     global _DEFAULT_ENGINE
     with _DEFAULT_LOCK:

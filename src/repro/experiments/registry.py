@@ -55,7 +55,6 @@ def run_experiment(
     experiment_id: str,
     fast: bool = False,
     *,
-    jobs: int | None = None,
     engine: SweepEngine | None = None,
     mode: str | None = None,
     cache_dir: str | None = None,
@@ -63,11 +62,11 @@ def run_experiment(
     """Run one experiment by artifact id.
 
     ``engine`` routes the experiment's sweeps through an explicit
-    :class:`SweepEngine` (pool + memo cache); ``jobs``, ``mode``
-    (``"full"``/``"adaptive"``) and ``cache_dir`` (persistent disk cache
-    root) are shorthands that build one.  With none of them, sweeps fall
-    back to the process-wide default engine, which honours the
-    ``REPRO_SWEEP`` and ``REPRO_CACHE_DIR`` environment variables.
+    :class:`SweepEngine` (memo cache); ``mode`` (``"full"``/``"adaptive"``)
+    and ``cache_dir`` (persistent disk cache root) are shorthands that
+    build one.  With none of them, sweeps fall back to the process-wide
+    default engine, which honours the ``REPRO_SWEEP`` and
+    ``REPRO_CACHE_DIR`` environment variables.
     """
     try:
         runner = EXPERIMENTS[experiment_id]
@@ -75,10 +74,8 @@ def run_experiment(
         raise ReproError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    if engine is None and (
-        jobs is not None or mode is not None or cache_dir is not None
-    ):
-        engine = SweepEngine(n_jobs=jobs, mode=mode, cache_dir=cache_dir)
+    if engine is None and (mode is not None or cache_dir is not None):
+        engine = SweepEngine(mode=mode, cache_dir=cache_dir)
     report = runner(fast=fast, engine=engine)
     if engine is not None:
         engine.flush()

@@ -257,7 +257,7 @@ def _check_cpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     node = ivybridge_node()
 
     def op() -> tuple[Any, DegradationReport | None]:
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         curves = {
             name: cpu_budget_curve(
                 node.cpu,
@@ -279,7 +279,7 @@ def _check_gpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     caps = tuple(c for c in cfg.caps_w if card.min_cap_w <= c <= card.max_cap_w)
 
     def op() -> tuple[Any, DegradationReport | None]:
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         curves = {
             name: gpu_budget_curve(
                 card,

@@ -998,7 +998,7 @@ class GpuBatchKernel:
             # pays per phase, the stacked pass does not) the vector
             # pass's fixed cost exceeds the scalar one: dispatch to the
             # per-point oracle, whose outputs this kernel is bit-for-bit
-            # locked to anyway (the GPU analogue of SERIAL_CROSSOVER).
+            # locked to anyway.
             return [
                 execute_on_gpu(
                     self._card, self._phases, self._cap_in, self._freqs_in[i]

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.allocation import allocation_grid
 from repro.core.parallel import (
     BATCH_ENV_VAR,
-    SERIAL_CROSSOVER,
     SweepEngine,
     resolve_batch,
     use_engine,
@@ -47,7 +46,13 @@ from repro.errors import SweepError
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
 from repro.hardware.pstate import PStateTable
-from repro.perfmodel.batch import execute_gpu_batch, execute_host_batch
+from repro.perfmodel.batch import (
+    _HOST_GATHER_CROSSOVER,
+    GpuBatchKernel,
+    HostBatchKernel,
+    execute_gpu_batch,
+    execute_host_batch,
+)
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.phase import Phase
 from repro.workloads import (
@@ -65,13 +70,13 @@ GPU_CAPS_FULL = (150.0, 200.0, 250.0)
 
 
 def scalar_engine() -> SweepEngine:
-    """The oracle: scalar executor, no pool, cache too small to serve hits."""
-    return SweepEngine(n_jobs=1, cache_size=1, batch=False)
+    """The oracle: scalar executor, cache too small to serve hits."""
+    return SweepEngine(cache_size=1, batch=False)
 
 
 def batch_engine() -> SweepEngine:
-    """The engine under test: vectorized misses, no pool."""
-    return SweepEngine(n_jobs=1, batch=True)
+    """The engine under test: vectorized misses."""
+    return SweepEngine(batch=True)
 
 
 def assert_results_identical(scalar, batch) -> None:
@@ -200,6 +205,58 @@ class TestGpuKernelEquivalence:
             execute_gpu_batch(
                 xp, sgemm.phases, 1.0, [float(xp.mem.nominal_mhz)]
             )
+
+
+# ---------------------------------------------------------------------------
+# small gathers: the scalar transcriptions behind the gather crossovers
+# ---------------------------------------------------------------------------
+
+class TestSmallGatherEquivalence:
+    """Gathers small enough to skip the vector pass.
+
+    At or below ``_HOST_GATHER_CROSSOVER`` virtual rows (rows x phases)
+    the host kernel resolves each row with its own scalar transcription
+    of the model; the GPU kernel hands gathers of up to two rows to the
+    scalar governor.  Gather sizes straddle the host crossover, so
+    multi-phase workloads run on both sides of it.
+    """
+
+    @pytest.mark.parametrize("name", list_cpu_workloads())
+    @pytest.mark.parametrize("platform_fixture", ["ivb", "has"])
+    def test_host_gathers_match_the_oracle(self, request, platform_fixture, name):
+        node = request.getfixturevalue(platform_fixture)
+        wl = cpu_workload(name)
+        allocations = allocation_grid(
+            176.0, mem_min_w=16.0, proc_min_w=8.0, step_w=4.0
+        )
+        proc = [a.proc_w for a in allocations]
+        mem = [a.mem_w for a in allocations]
+        kernel = HostBatchKernel(node.cpu, node.dram, wl.phases, proc, mem)
+        oracle = [
+            execute_on_host(node.cpu, node.dram, wl.phases, p, m)
+            for p, m in zip(proc, mem)
+        ]
+        n = len(oracle)
+        scalar_rows = _HOST_GATHER_CROSSOVER // len(wl.phases)
+        for size in sorted({1, 2, scalar_rows, scalar_rows + 1}):
+            for start in range(0, n, size):
+                rows = list(range(start, min(start + size, n)))[::-1]
+                for i, result in zip(rows, kernel.execute_indices(rows)):
+                    assert_results_identical(oracle[i], result)
+
+    @pytest.mark.parametrize("name", list_gpu_workloads())
+    @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
+    def test_gpu_gathers_match_the_vector_pass(self, request, platform_fixture, name):
+        card = request.getfixturevalue(platform_fixture)
+        freqs = [float(f) for f in card.mem.frequencies_mhz]
+        kernel = GpuBatchKernel(card, gpu_workload(name).phases, 200.0, freqs)
+        vector = kernel.execute_indices(range(len(freqs)))
+        for i in range(len(freqs)):
+            (single,) = kernel.execute_indices([i])
+            assert_results_identical(vector[i], single)
+            pair = kernel.execute_indices([i, len(freqs) - 1 - i])
+            assert_results_identical(vector[i], pair[0])
+            assert_results_identical(vector[len(freqs) - 1 - i], pair[1])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +438,7 @@ class TestFuzzedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# engine contract: cache fill, warm behaviour, escape hatches, crossover
+# engine contract: cache fill, warm behaviour, escape hatches
 # ---------------------------------------------------------------------------
 
 class TestEngineContract:
@@ -405,12 +462,12 @@ class TestEngineContract:
         shared = MemoCache(maxsize=512)
         sweep_cpu_allocations(
             ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(n_jobs=1, cache=shared, batch=True),
+            engine=SweepEngine(cache=shared, batch=True),
         )
         misses = shared.stats.misses
         sweep_cpu_allocations(
             ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(n_jobs=1, cache=shared, batch=False),
+            engine=SweepEngine(cache=shared, batch=False),
         )
         assert shared.stats.misses == misses
 
@@ -459,7 +516,7 @@ class TestEngineContract:
     def test_resolve_batch_env_disables(self, monkeypatch, value):
         monkeypatch.setenv(BATCH_ENV_VAR, value)
         assert resolve_batch() is False
-        assert SweepEngine(n_jobs=1).batch is False
+        assert SweepEngine().batch is False
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "weird"])
     def test_resolve_batch_env_enables(self, monkeypatch, value):
@@ -469,44 +526,7 @@ class TestEngineContract:
     def test_resolve_batch_defaults_on(self, monkeypatch):
         monkeypatch.delenv(BATCH_ENV_VAR, raising=False)
         assert resolve_batch() is True
-        assert SweepEngine(n_jobs=1).batch is True
-
-    def test_crossover_default_and_validation(self):
-        assert SweepEngine(n_jobs=1).serial_crossover == SERIAL_CROSSOVER
-        assert SweepEngine(n_jobs=1, serial_crossover=0).serial_crossover == 0
-        with pytest.raises(SweepError):
-            SweepEngine(n_jobs=1, serial_crossover=-1)
-
-    def test_small_grid_stays_serial_under_crossover(self, ivb, stream, monkeypatch):
-        """Below the crossover, no pool is created even with n_jobs > 1."""
-        import repro.core.parallel as parallel_mod
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("pool must not be created below the crossover")
-
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", boom)
-        engine = SweepEngine(n_jobs=4, batch=False)
-        sweep = sweep_cpu_allocations(ivb.cpu, ivb.dram, stream, 208.0, engine=engine)
-        assert len(sweep.points) < engine.serial_crossover
-        assert sweep.points == sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 208.0, engine=scalar_engine()
-        ).points
-
-    def test_large_grid_fans_out_past_crossover(self, ivb, stream, monkeypatch):
-        """At/above the crossover the pool is used (observed via a probe)."""
-        import repro.core.parallel as parallel_mod
-
-        created = []
-        real_pool = parallel_mod.ThreadPoolExecutor
-
-        def probe(*args, **kwargs):
-            created.append(True)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", probe)
-        engine = SweepEngine(n_jobs=2, batch=False, serial_crossover=4)
-        sweep_cpu_allocations(ivb.cpu, ivb.dram, stream, 208.0, engine=engine)
-        assert created
+        assert SweepEngine().batch is True
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,16 @@ class TestSweep:
         assert main(["sweep", "gpu-stream", "150"]) == 0
         assert "mem clk (MHz)" in capsys.readouterr().out
 
+    def test_single_job_is_the_default_sweep(self, capsys):
+        assert main(["sweep", "dgemm", "200"]) == 0
+        default = capsys.readouterr().out
+        assert main(["sweep", "dgemm", "200", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_more_jobs_is_a_typed_error(self, capsys):
+        assert main(["sweep", "dgemm", "200", "--jobs", "4"]) == 2
+        assert "error: sweeps resolve in the calling thread" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_single_artifact(self, capsys):

@@ -447,13 +447,13 @@ class TestTwoTierCache:
         assert memo.stats.disk_hits == 1
 
     def test_engine_cache_dir_warms_across_engines(self, tmp_path, ivb, stream):
-        cold = SweepEngine(n_jobs=1, cache_dir=tmp_path)
+        cold = SweepEngine(cache_dir=tmp_path)
         first = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, 208.0, step_w=8.0, engine=cold
         )
         cold.flush()
         assert cold.stats.disk_hits == 0
-        warm = SweepEngine(n_jobs=1, cache_dir=tmp_path)
+        warm = SweepEngine(cache_dir=tmp_path)
         second = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, 208.0, step_w=8.0, engine=warm
         )
@@ -461,7 +461,7 @@ class TestTwoTierCache:
         assert second.points == first.points
 
     def test_engine_flush_publishes_disk_segments(self, tmp_path, ivb, stream):
-        engine = SweepEngine(n_jobs=1, cache_dir=tmp_path)
+        engine = SweepEngine(cache_dir=tmp_path)
         sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, 144.0, step_w=8.0, engine=engine
         )
@@ -470,17 +470,17 @@ class TestTwoTierCache:
 
     def test_cache_and_cache_dir_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SweepError):
-            SweepEngine(n_jobs=1, cache=MemoCache(8), cache_dir=tmp_path)
+            SweepEngine(cache=MemoCache(8), cache_dir=tmp_path)
 
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         assert resolve_cache_dir(None) is None
-        assert SweepEngine(n_jobs=1).disk_cache is None
+        assert SweepEngine().disk_cache is None
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         assert resolve_cache_dir(None) == tmp_path
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         assert engine.disk_cache is not None
         assert engine.disk_cache.root == tmp_path
         # Explicit argument wins over the environment.
         other = tmp_path / "explicit"
-        assert SweepEngine(n_jobs=1, cache_dir=other).disk_cache.root == other
+        assert SweepEngine(cache_dir=other).disk_cache.root == other

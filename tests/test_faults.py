@@ -284,10 +284,9 @@ class TestDegradationContract:
 class TestWorkerFaults:
     def test_recovered_crashes_keep_sweeps_bit_identical(self, ivb, stream):
         clean = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(n_jobs=1)
+            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
         )
         engine = SweepEngine(
-            n_jobs=1,
             faults=plan_for(
                 "parallel.worker", FaultKind.WORKER_CRASH,
                 probability=0.3,
@@ -305,7 +304,6 @@ class TestWorkerFaults:
 
     def test_retry_exhaustion_is_typed(self, ivb, stream):
         engine = SweepEngine(
-            n_jobs=1,
             faults=plan_for(
                 "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0
             ),
@@ -317,7 +315,6 @@ class TestWorkerFaults:
 
     def test_worker_retry_budget_overrides_plan(self, ivb, stream):
         engine = SweepEngine(
-            n_jobs=1,
             faults=plan_for(
                 "parallel.worker", FaultKind.WORKER_CRASH, probability=1.0
             ),
@@ -331,25 +328,25 @@ class TestWorkerFaults:
         from repro.errors import SweepError
 
         with pytest.raises(SweepError):
-            SweepEngine(n_jobs=1, worker_retry_budget=0)
+            SweepEngine(worker_retry_budget=0)
 
     def test_global_arming_reaches_default_engines(self, ivb, stream):
         clean = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(n_jobs=1)
+            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
         )
         plan = plan_for(
             "parallel.worker", FaultKind.WORKER_CRASH, probability=0.2
         )
         with use_faults(plan) as injector:
             faulted = sweep_cpu_allocations(
-                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(n_jobs=1)
+                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
             )
             assert injector.calls("parallel.worker") > 0
         assert sweep_signature(faulted) == sweep_signature(clean)
 
     def test_empty_plan_keeps_batch_path(self, ivb, stream):
         # An armed-but-empty plan must not force the serial fallback.
-        engine = SweepEngine(n_jobs=1, faults=FaultPlan.empty())
+        engine = SweepEngine(faults=FaultPlan.empty())
         assert engine._worker_injector() is None
 
 
@@ -554,7 +551,6 @@ class TestBatchedPlannerFallback:
 
     def _armed_engine(self, **plan_kwargs) -> SweepEngine:
         return SweepEngine(
-            n_jobs=1,
             batch=True,
             faults=plan_for("parallel.worker", FaultKind.WORKER_CRASH,
                             **plan_kwargs),
@@ -563,7 +559,7 @@ class TestBatchedPlannerFallback:
     def test_armed_cpu_plan_bypasses_batch_kernel(self, ivb, stream,
                                                   monkeypatch):
         clean = plan_cpu_sweep(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(n_jobs=1)
+            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
         )
 
         def forbidden(*args, **kwargs):  # pragma: no cover - contract trip
@@ -591,7 +587,7 @@ class TestBatchedPlannerFallback:
 
         card = titan_v_card()
         wl = gpu_workload("minife")
-        clean = plan_gpu_sweep(card, wl, 200.0, engine=SweepEngine(n_jobs=1))
+        clean = plan_gpu_sweep(card, wl, 200.0, engine=SweepEngine())
         monkeypatch.setattr(
             "repro.core.parallel.batch_execute_indices",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("batched")),
@@ -618,13 +614,12 @@ class TestBatchedPlannerFallback:
         )
         plan_cpu_sweep(
             ivb.cpu, ivb.dram, stream, 176.0,
-            engine=SweepEngine(n_jobs=1, batch=True),
+            engine=SweepEngine(batch=True),
         )
         assert calls  # at least the probe stage went through the kernel
 
     def test_exhaustion_on_batched_planner_is_typed(self, ivb, stream):
         engine = SweepEngine(
-            n_jobs=1,
             batch=True,
             faults=plan_for(
                 "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0

@@ -506,7 +506,7 @@ class TestFleetProperties:
         assert stats.peak_charged_w <= 520.0 + 1e-6
 
     def test_rounds_resolve_through_the_batch_kernel(self):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         trace = poisson_trace(n_jobs=40, rate_per_s=4.0, seed=3)
         sim = FleetSimulator(
             trace, n_nodes=8, global_bound_w=2000.0, engine=engine
@@ -670,7 +670,7 @@ _CHAOS_TRACE = poisson_trace(n_jobs=16, rate_per_s=2.0, seed=77)
 
 def _fleet_op():
     """Fresh engine + simulator per leg, comparable FleetStats result."""
-    engine = SweepEngine(n_jobs=1)
+    engine = SweepEngine()
     sim = FleetSimulator(
         _CHAOS_TRACE, n_nodes=3, global_bound_w=700.0,
         resplit_interval_s=5.0, engine=engine,
@@ -683,7 +683,7 @@ def _scheduler_op():
     cluster = Cluster(
         node_factory=ivybridge_node, n_nodes=2, global_bound_w=500.0
     )
-    sched = RebalancingScheduler(cluster, engine=SweepEngine(n_jobs=1))
+    sched = RebalancingScheduler(cluster, engine=SweepEngine())
     for job in _plain_mix():
         sched.submit(job)
     stats = sched.run()

@@ -189,15 +189,15 @@ class TestSelfCheck:
         assert set(DEFAULT_PURITY_ENTRIES) <= graph.entries
 
         # Auto-detection alone (the SweepEngine module's cross-module
-        # calls) already roots the full-axis kernels and the sub-grid
-        # gather door; the kernel methods, the planner's axis search,
-        # and the disk-cache codecs need the explicit entries.
+        # calls) roots the sub-grid gather door, the engine's only way
+        # into the kernels; the full-axis kernels, the kernel methods,
+        # the planner's axis search, and the disk-cache codecs need the
+        # explicit entries.
         auto = CallGraph.build(project)
         assert {
-            "repro.perfmodel.batch.batch_execute_indices",
-            "repro.perfmodel.batch.execute_gpu_batch",
-            "repro.perfmodel.batch.execute_host_batch",
-        } <= auto.entries
+            entry for entry in auto.entries
+            if entry.startswith("repro.perfmodel.batch.")
+        } == {"repro.perfmodel.batch.batch_execute_indices"}
 
         reachable = graph.reachable()
         for helper in (

@@ -1,221 +1,50 @@
-"""Differential harness: the parallel sweep engine vs the serial oracle.
+"""Differential harness: the memoized sweep engine vs the serial oracle.
 
-The contract under test (:mod:`repro.core.parallel`) is that fan-out and
-memoization are *invisible*: a sweep run through a pooled, cached engine
-must be bit-for-bit identical to the serial oracle — same ``SweepPoint``
-tuples, same plateau spans, same scenario classifications — for every
-registered workload, at any budget, in any submission order.
+The contract under test (:mod:`repro.core.parallel`) is that memoization
+is *invisible*: a sweep run through a cached engine must be bit-for-bit
+identical to the serial oracle — same ``ExecutionResult`` per
+allocation, in any submission order — while an identical point never
+executes twice and a re-characterized workload never hits a stale entry.
+The engine-vs-oracle equality of whole sweeps, budget curves and fuzzed
+grids is locked in ``tests/test_batch_equivalence.py``.
 
-Fast representatives run in tier-1; the exhaustive
-every-workload-every-budget matrix is ``@pytest.mark.slow`` (run with
-``make test-slow`` / ``pytest -m slow``).  Property-based tests
-(hypothesis, derandomized) fuzz grid steps and budgets, and check cache
-statistics: hits monotone over repeats, misses frozen, mutation-safe keys.
+Property-based tests (hypothesis, derandomized) fuzz budgets and repeat
+counts, and check cache statistics: hits monotone over repeats, misses
+frozen, mutation-safe keys.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.core.allocation import allocation_grid
 from repro.core.parallel import (
-    JOBS_ENV_VAR,
-    SERIAL_CROSSOVER,
     MemoCache,
+    PlannerState,
     SweepEngine,
-    _chunk_indices,
     default_engine,
     fingerprint,
     freeze,
-    resolve_jobs,
     set_default_engine,
     use_engine,
 )
-from repro.core.sweep import (
-    cpu_budget_curve,
-    gpu_budget_curve,
-    sweep_cpu_allocations,
-    sweep_gpu_allocations,
-)
+from repro.core.sweep import cpu_budget_curve, sweep_cpu_allocations
 from repro.errors import SweepError
 from repro.perfmodel.executor import execute_on_host
-from repro.workloads import (
-    cpu_workload,
-    gpu_workload,
-    list_cpu_workloads,
-    list_gpu_workloads,
-)
-from tests.conftest import plateau_span, seeded_rng, sweep_signature
-
-# Trimmed representative matrix for tier-1: one compute-bound, one
-# memory-bound, one balanced CPU workload; a compute- and a memory-leaning
-# GPU workload.  The full registry runs under ``-m slow``.
-CPU_FAST = ("dgemm", "stream", "sra")
-CPU_BUDGETS_FAST = (144.0, 208.0)
-GPU_FAST = ("sgemm", "minife")
-GPU_CAPS_FAST = (150.0, 200.0)
-
-CPU_BUDGETS_FULL = (144.0, 176.0, 208.0, 240.0, 280.0)
-GPU_CAPS_FULL = (150.0, 200.0, 250.0)  # within both cards' driver ranges
-
-
-def serial_engine() -> SweepEngine:
-    """The oracle: scalar executor, no pool, cache too small to serve hits."""
-    return SweepEngine(n_jobs=1, cache_size=1, batch=False)
-
-
-def fanout_engine(n_jobs: int, backend: str = "thread") -> SweepEngine:
-    """An engine that genuinely fans out onto a pool.
-
-    ``batch=False`` keeps the scalar executor under test (the vectorized
-    path is locked separately in ``tests/test_batch_equivalence.py``) and
-    ``serial_crossover=0`` disables the small-grid serial shortcut so the
-    pool actually runs.
-    """
-    return SweepEngine(n_jobs, backend=backend, batch=False, serial_crossover=0)
-
-
-def assert_sweeps_identical(serial, parallel) -> None:
-    """Full observable equivalence — exact, no tolerances."""
-    assert sweep_signature(parallel) == sweep_signature(serial)
-    assert parallel.points == serial.points
-    assert plateau_span(parallel) == plateau_span(serial)
-    assert parallel.scenarios == serial.scenarios
-    assert parallel.best == serial.best
+from tests.conftest import seeded_rng
 
 
 # ---------------------------------------------------------------------------
-# tier-1 equivalence: representative workloads, thread and process backends
-# ---------------------------------------------------------------------------
-
-class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize("name", CPU_FAST)
-    @pytest.mark.parametrize("budget", CPU_BUDGETS_FAST)
-    def test_cpu_thread_backend(self, ivb, name, budget):
-        wl = cpu_workload(name)
-        serial = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, wl, budget, engine=serial_engine()
-        )
-        parallel = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, wl, budget, engine=fanout_engine(4)
-        )
-        assert_sweeps_identical(serial, parallel)
-
-    @pytest.mark.parametrize("name", GPU_FAST)
-    @pytest.mark.parametrize("cap", GPU_CAPS_FAST)
-    def test_gpu_thread_backend(self, xp, name, cap):
-        wl = gpu_workload(name)
-        serial = sweep_gpu_allocations(xp, wl, cap, engine=serial_engine())
-        parallel = sweep_gpu_allocations(xp, wl, cap, engine=fanout_engine(4))
-        assert_sweeps_identical(serial, parallel)
-        assert np.array_equal(parallel.mem_freqs_mhz, serial.mem_freqs_mhz)
-        assert np.array_equal(parallel.performances, serial.performances)
-
-    def test_cpu_process_backend(self, ivb, stream):
-        serial = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 208.0, engine=serial_engine()
-        )
-        parallel = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 208.0,
-            engine=fanout_engine(2, backend="process"),
-        )
-        assert_sweeps_identical(serial, parallel)
-
-    def test_gpu_process_backend(self, tv, sgemm):
-        serial = sweep_gpu_allocations(tv, sgemm, 200.0, engine=serial_engine())
-        parallel = sweep_gpu_allocations(
-            tv, sgemm, 200.0, engine=fanout_engine(2, backend="process")
-        )
-        assert_sweeps_identical(serial, parallel)
-
-    def test_cpu_budget_curve(self, has, dgemm):
-        budgets = [150.0, 200.0, 250.0]
-        serial = cpu_budget_curve(
-            has.cpu, has.dram, dgemm, budgets, engine=serial_engine()
-        )
-        parallel = cpu_budget_curve(
-            has.cpu, has.dram, dgemm, budgets, engine=fanout_engine(4)
-        )
-        assert np.array_equal(parallel.perf_max, serial.perf_max)
-        assert np.array_equal(parallel.optimal_mem_w, serial.optimal_mem_w)
-        assert parallel.saturation_budget_w == serial.saturation_budget_w
-
-    def test_gpu_budget_curve(self, xp, minife):
-        caps = [150.0, 200.0]
-        serial = gpu_budget_curve(xp, minife, caps, engine=serial_engine())
-        parallel = gpu_budget_curve(xp, minife, caps, engine=fanout_engine(4))
-        assert np.array_equal(parallel.perf_max, serial.perf_max)
-        assert np.array_equal(parallel.optimal_mem_w, serial.optimal_mem_w)
-
-    def test_default_engine_matches_explicit_serial(self, ivb, sra):
-        """The process-wide default (whatever its pool size) is the oracle too."""
-        serial = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, sra, 176.0, engine=serial_engine()
-        )
-        with use_engine(SweepEngine(n_jobs=4)):
-            parallel = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0)
-        assert_sweeps_identical(serial, parallel)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive matrix: every registered workload, both platforms per device
-# ---------------------------------------------------------------------------
-
-@pytest.mark.slow
-class TestFullRegistryEquivalence:
-    @pytest.mark.parametrize("name", list_cpu_workloads())
-    @pytest.mark.parametrize("platform_fixture", ["ivb", "has"])
-    def test_cpu(self, request, platform_fixture, name):
-        node = request.getfixturevalue(platform_fixture)
-        wl = cpu_workload(name)
-        parallel = fanout_engine(4)
-        for budget in CPU_BUDGETS_FULL:
-            ser = sweep_cpu_allocations(
-                node.cpu, node.dram, wl, budget, engine=serial_engine()
-            )
-            par = sweep_cpu_allocations(
-                node.cpu, node.dram, wl, budget, engine=parallel
-            )
-            assert_sweeps_identical(ser, par)
-
-    @pytest.mark.parametrize("name", list_gpu_workloads())
-    @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
-    def test_gpu(self, request, platform_fixture, name):
-        card = request.getfixturevalue(platform_fixture)
-        wl = gpu_workload(name)
-        parallel = fanout_engine(4)
-        for cap in GPU_CAPS_FULL:
-            ser = sweep_gpu_allocations(card, wl, cap, engine=serial_engine())
-            par = sweep_gpu_allocations(card, wl, cap, engine=parallel)
-            assert_sweeps_identical(ser, par)
-
-
-# ---------------------------------------------------------------------------
-# property-based: fuzzed grids/budgets, cache statistics, order independence
+# property-based: cache statistics, order independence
 # ---------------------------------------------------------------------------
 
 class TestProperties:
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(
-        budget=st.integers(min_value=25, max_value=70).map(lambda k: 4.0 * k),
-        step=st.sampled_from([2.0, 3.0, 4.0, 8.0, 12.0]),
-        name=st.sampled_from(CPU_FAST),
-    )
-    def test_fuzzed_grids_are_equivalent(self, ivb, budget, step, name):
-        node = ivb
-        wl = cpu_workload(name)
-        ser = sweep_cpu_allocations(
-            node.cpu, node.dram, wl, budget, step_w=step, engine=serial_engine()
-        )
-        par = sweep_cpu_allocations(
-            node.cpu, node.dram, wl, budget, step_w=step, engine=fanout_engine(4)
-        )
-        assert_sweeps_identical(ser, par)
-
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         budget=st.integers(min_value=30, max_value=70).map(lambda k: 4.0 * k),
@@ -223,7 +52,7 @@ class TestProperties:
     )
     def test_cache_hits_monotone_over_repeats(self, ivb, stream, budget, repeats):
         """Repeating an identical sweep only ever adds hits, never misses."""
-        engine = SweepEngine(n_jobs=2)
+        engine = SweepEngine()
         first = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, budget, engine=engine
         )
@@ -253,10 +82,10 @@ class TestProperties:
                                       step_w=4.0)
         shuffled = list(allocations)
         seeded_rng("order", seed).shuffle(shuffled)
-        straight = SweepEngine(n_jobs=4).map_host(
+        straight = SweepEngine().map_host(
             ivb.cpu, ivb.dram, dgemm.phases, allocations
         )
-        permuted = SweepEngine(n_jobs=4).map_host(
+        permuted = SweepEngine().map_host(
             ivb.cpu, ivb.dram, dgemm.phases, shuffled
         )
         by_alloc = {(a.proc_w, a.mem_w): r for a, r in zip(shuffled, permuted)}
@@ -264,7 +93,9 @@ class TestProperties:
             assert by_alloc[(alloc.proc_w, alloc.mem_w)] == result
 
     def test_duplicate_allocations_execute_once(self, ivb, stream):
-        engine = SweepEngine(n_jobs=4)
+        # The scalar path dedups too (the batch path is pinned in
+        # tests/test_batch_equivalence.py).
+        engine = SweepEngine(batch=False)
         allocations = list(allocation_grid(208.0, mem_min_w=16.0,
                                            proc_min_w=8.0, step_w=8.0))
         results = engine.map_host(
@@ -286,7 +117,7 @@ class TestCacheMutationSafety:
         are phase-content fingerprints, so the second sweep must be all
         misses and its execution times must differ.
         """
-        engine = SweepEngine(n_jobs=2)
+        engine = SweepEngine()
         before = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, 208.0, engine=engine
         )
@@ -312,34 +143,64 @@ class TestCacheMutationSafety:
 
 
 # ---------------------------------------------------------------------------
-# engine plumbing: job resolution, backends, cache bounds, default scoping
+# engine plumbing: fan-out settings, cache bounds, default scoping
 # ---------------------------------------------------------------------------
 
 class TestEnginePlumbing:
-    def test_resolve_jobs_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "7")
-        assert resolve_jobs(3) == 3
-
-    def test_resolve_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "5")
-        assert resolve_jobs() == 5
-
-    def test_resolve_jobs_auto_is_positive(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert 1 <= resolve_jobs() <= 8
-
-    def test_resolve_jobs_rejects_garbage_env(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "many")
-        with pytest.raises(SweepError):
-            resolve_jobs()
-
-    def test_resolve_jobs_rejects_nonpositive(self):
-        with pytest.raises(SweepError):
-            resolve_jobs(0)
-
     def test_bad_backend_rejected(self):
-        with pytest.raises(SweepError):
-            SweepEngine(n_jobs=1, backend="mpi")
+        for backend in ("process", "mpi"):
+            with pytest.raises(SweepError):
+                SweepEngine(backend=backend)
+
+    def test_only_one_job_accepted(self):
+        for n_jobs in (0, 2, 4):
+            with pytest.raises(SweepError):
+                SweepEngine(n_jobs=n_jobs)
+        SweepEngine(n_jobs=None)
+        SweepEngine(n_jobs=1, backend="thread")
+
+    def test_planner_memory_is_bounded_by_the_memo_bound(self, ivb, dgemm):
+        # The stash keeps one completed plan per budget, and a server
+        # takes its budgets from clients: both planner maps are LRUs at
+        # the engine's memo bound, and evicting from them never moves
+        # an answer.
+        budgets = np.arange(120.0, 320.0)
+        engine = SweepEngine(mode="adaptive", cache_size=16)
+        planned = cpu_budget_curve(ivb.cpu, ivb.dram, dgemm, budgets, engine=engine)
+        assert len(engine.planner._stash) <= 16
+        assert len(engine.planner._hints) <= 16
+        assert engine.planner._stash.stats.evictions > 0
+        full = cpu_budget_curve(
+            ivb.cpu, ivb.dram, dgemm, budgets, engine=SweepEngine(mode="full")
+        )
+        assert np.array_equal(planned.perf_max, full.perf_max)
+        assert np.array_equal(planned.optimal_mem_w, full.optimal_mem_w)
+
+    def test_planner_memory_bound_holds_across_threads(self):
+        # The server's resolver threads share one engine's planner state:
+        # a lost update would break size + evictions == distinct stores.
+        planner = PlannerState(maxsize=16)
+
+        def hammer(worker: int) -> None:
+            for k in range(500):
+                planner.stash((worker, k), k)
+                planner.remember((worker, k), float(k), True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for memory in (planner._stash, planner._hints):
+            stats = memory.stats
+            assert stats.size == 16
+            assert stats.evictions == 4 * 500 - 16
 
     def test_cache_bound_enforced(self):
         with pytest.raises(SweepError):
@@ -361,17 +222,17 @@ class TestEnginePlumbing:
         shared = MemoCache(maxsize=512)
         sweep_cpu_allocations(
             ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(n_jobs=1, cache=shared),
+            engine=SweepEngine(cache=shared),
         )
         misses = shared.stats.misses
         sweep_cpu_allocations(
             ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(n_jobs=4, cache=shared, batch=False, serial_crossover=0),
+            engine=SweepEngine(cache=shared, batch=False),
         )
         assert shared.stats.misses == misses  # second engine fully served
 
     def test_memoized_single_point_matches_direct(self, ivb, minife, sgemm):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         direct = execute_on_host(ivb.cpu, ivb.dram, sgemm.phases, 120.0, 40.0)
         assert engine.execute_host(
             ivb.cpu, ivb.dram, sgemm.phases, 120.0, 40.0
@@ -383,7 +244,7 @@ class TestEnginePlumbing:
 
     def test_use_engine_restores_previous_default(self):
         original = default_engine()
-        scoped = SweepEngine(n_jobs=1)
+        scoped = SweepEngine()
         with use_engine(scoped) as active:
             assert active is scoped
             assert default_engine() is scoped
@@ -391,87 +252,9 @@ class TestEnginePlumbing:
 
     def test_set_default_engine_returns_previous(self):
         original = default_engine()
-        replacement = SweepEngine(n_jobs=1)
+        replacement = SweepEngine()
         assert set_default_engine(replacement) is original
         try:
             assert default_engine() is replacement
         finally:
             set_default_engine(original)
-
-
-# ---------------------------------------------------------------------------
-# chunked cold fan-out: the process backend past the crossover
-# ---------------------------------------------------------------------------
-
-class TestChunkedColdFanout:
-    """Pin the cold-parallel fix: chunked kernel passes, no resubmission.
-
-    Historically a cold ``n_jobs=4`` pass regressed to 0.84x serial
-    because every point crossed the pool boundary individually (one
-    platform pickle per point).  The process backend now splits a cold
-    grid into one contiguous chunk per worker and runs the vectorized
-    kernel inside each worker, so the fix rests on two invariants locked
-    here: :func:`_chunk_indices` partitions the miss list exactly once,
-    and a cold chunked sweep executes each point exactly once with
-    bit-identical answers.  The wall-clock side of the same scenario is
-    guarded in ``benchmarks/bench_parallel.py``.
-    """
-
-    @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 59, 256, 277, 1000))
-    @pytest.mark.parametrize("chunks", (1, 2, 4, 5, 16))
-    def test_chunk_indices_partition(self, n, chunks):
-        parts = _chunk_indices(n, chunks)
-        # covering, disjoint, order-preserving: concatenation is range(n)
-        assert [i for part in parts for i in part] == list(range(n))
-        # never more chunks than workers or points, never an empty chunk
-        assert 1 <= len(parts) <= min(chunks, n)
-        assert all(parts)
-        # contiguous runs, balanced to within one point
-        for part in parts:
-            assert part == list(range(part[0], part[0] + len(part)))
-        sizes = {len(part) for part in parts}
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_chunk_indices_degenerate_worker_counts(self):
-        assert _chunk_indices(5, 0) == [[0, 1, 2, 3, 4]]
-        assert _chunk_indices(3, 99) == [[0], [1], [2]]
-
-    def test_cold_chunked_executes_each_point_once(self, ivb, dgemm):
-        """Crossover-sized grid, cold process pool: one execution per point."""
-        engine = SweepEngine(n_jobs=4, backend="process", batch=True)
-        parallel = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, dgemm, 300.0, step_w=1.0,
-            mem_min_w=16.0, proc_min_w=8.0, engine=engine,
-        )
-        n = len(parallel.points)
-        assert n >= SERIAL_CROSSOVER  # genuinely past the serial shortcut
-        # exactly one miss per point, zero hits, zero resubmissions
-        assert engine.stats.misses == n
-        assert engine.stats.hits == 0
-        serial = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, dgemm, 300.0, step_w=1.0,
-            mem_min_w=16.0, proc_min_w=8.0, engine=serial_engine(),
-        )
-        assert_sweeps_identical(serial, parallel)
-
-    def test_cold_chunked_gpu_matches_serial(self, tv, minife):
-        """Forced chunking on the GPU clock axis: exact-once, bit-identical."""
-        engine = SweepEngine(
-            n_jobs=4, backend="process", batch=True, serial_crossover=0
-        )
-        parallel = sweep_gpu_allocations(tv, minife, 200.0, engine=engine)
-        assert engine.stats.misses == len(parallel.points)
-        assert engine.stats.hits == 0
-        serial = sweep_gpu_allocations(tv, minife, 200.0, engine=serial_engine())
-        assert_sweeps_identical(serial, parallel)
-
-    def test_warm_chunked_rerun_is_all_hits(self, ivb, dgemm):
-        """The chunked path stores what it executes: warm rerun spawns no pool."""
-        engine = SweepEngine(n_jobs=4, backend="process", batch=True)
-        kwargs = dict(step_w=1.0, mem_min_w=16.0, proc_min_w=8.0, engine=engine)
-        first = sweep_cpu_allocations(ivb.cpu, ivb.dram, dgemm, 300.0, **kwargs)
-        misses = engine.stats.misses
-        second = sweep_cpu_allocations(ivb.cpu, ivb.dram, dgemm, 300.0, **kwargs)
-        assert engine.stats.misses == misses  # nothing re-executed
-        assert engine.stats.hits == len(second.points)
-        assert sweep_signature(first) == sweep_signature(second)

@@ -78,7 +78,7 @@ def subgrid_trace():
 
 
 def traced_cpu_plan(node, wl, budget, *, step_w=4.0, batch=True, engine=None):
-    engine = engine or SweepEngine(n_jobs=1, batch=batch)
+    engine = engine or SweepEngine(batch=batch)
     with subgrid_trace() as log:
         planned = plan_cpu_sweep(
             node.cpu, node.dram, wl, budget, step_w=step_w, engine=engine
@@ -87,7 +87,7 @@ def traced_cpu_plan(node, wl, budget, *, step_w=4.0, batch=True, engine=None):
 
 
 def traced_gpu_plan(card, wl, cap, *, batch=True, engine=None):
-    engine = engine or SweepEngine(n_jobs=1, batch=batch)
+    engine = engine or SweepEngine(batch=batch)
     with subgrid_trace() as log:
         planned = plan_gpu_sweep(card, wl, cap, freq_stride=1, engine=engine)
     return planned, log, engine
@@ -141,11 +141,13 @@ class TestProbeStage:
 class TestCertifyStage:
     def test_fallback_case_fetches_nothing_past_the_probe(self, ivb, sra):
         # Cold SRA at 120 W / 6 W steps violates the probe certificates:
-        # the sub-grid trace must stop at the probe batch and the full
-        # sweep (outside the sub-grid door) must take over transparently.
+        # the planner's fetches must stop at the probe batch, and the
+        # full sweep that takes over transparently is exactly one
+        # whole-axis pass through the same executor loop.
         planned, log, _ = traced_cpu_plan(ivb, sra, 120.0, step_w=6.0)
         assert planned.stats.fallback
-        assert len(log) == 1
+        assert len(log) == 2
+        assert log[1][0] == tuple(range(planned.stats.native_points))
         assert planned.stats.executed_points == planned.stats.native_points
 
     def test_fallback_is_identical_across_paths(self, ivb, sra):
@@ -177,7 +179,7 @@ class TestCertifyStage:
 
 class TestWalkStage:
     def test_frontier_rounds_are_small_batches(self, ivb, dgemm):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         traced_cpu_plan(ivb, dgemm, 176.0, engine=engine)
         planned, log, _ = traced_cpu_plan(ivb, dgemm, 208.0, engine=engine)
         assert not planned.stats.fallback
@@ -186,8 +188,8 @@ class TestWalkStage:
         assert all(len(idx) <= 4 for idx, _ in log[1:])
 
     def test_walk_rounds_identical_across_paths(self, ivb, dgemm):
-        b_eng = SweepEngine(n_jobs=1, batch=True)
-        s_eng = SweepEngine(n_jobs=1, batch=False)
+        b_eng = SweepEngine(batch=True)
+        s_eng = SweepEngine(batch=False)
         for budget in (176.0, 208.0, 240.0):
             b_planned, b_log, _ = traced_cpu_plan(
                 ivb, dgemm, budget, engine=b_eng
@@ -238,8 +240,8 @@ class TestRegistryStageDifferential:
     def test_cpu_registry(self, request, platform_fixture, name):
         node = request.getfixturevalue(platform_fixture)
         wl = cpu_workload(name)
-        b_eng = SweepEngine(n_jobs=1, batch=True)
-        s_eng = SweepEngine(n_jobs=1, batch=False)
+        b_eng = SweepEngine(batch=True)
+        s_eng = SweepEngine(batch=False)
         for budget in (176.0, 240.0):
             b_planned, b_log, _ = traced_cpu_plan(
                 node, wl, budget, engine=b_eng
@@ -258,8 +260,8 @@ class TestRegistryStageDifferential:
     def test_gpu_registry(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
         wl = gpu_workload(name)
-        b_eng = SweepEngine(n_jobs=1, batch=True)
-        s_eng = SweepEngine(n_jobs=1, batch=False)
+        b_eng = SweepEngine(batch=True)
+        s_eng = SweepEngine(batch=False)
         for cap in (150.0, 250.0):
             b_planned, b_log, _ = traced_gpu_plan(card, wl, cap, engine=b_eng)
             s_planned, s_log, _ = traced_gpu_plan(card, wl, cap, engine=s_eng)
@@ -333,18 +335,22 @@ class TestGoldenPointCounts:
     @pytest.mark.parametrize("fig", sorted(_GOLDEN))
     def test_executed_point_pins(self, fig):
         run, pinned, cache_hits, cache_misses = _GOLDEN[fig]
-        engine = SweepEngine(n_jobs=1, batch=True)
+        engine = SweepEngine(batch=True)
         run(engine)
         assert engine.planner.stats == pinned
         assert engine.cache.stats.hits == cache_hits
         assert engine.cache.stats.misses == cache_misses
+        # The planner's memories hold at the default bound: no pin rests
+        # on an eviction.
+        assert engine.planner._stash.stats.evictions == 0
+        assert engine.planner._hints.stats.evictions == 0
 
     @pytest.mark.parametrize("fig", sorted(_GOLDEN))
     def test_cache_counters_match_scalar_planner(self, fig):
         run, _, _, _ = _GOLDEN[fig]
-        batched = SweepEngine(n_jobs=1, batch=True)
+        batched = SweepEngine(batch=True)
         run(batched)
-        scalar = SweepEngine(n_jobs=1, batch=False)
+        scalar = SweepEngine(batch=False)
         run(scalar)
         assert batched.planner.stats == scalar.planner.stats
         assert batched.cache.stats.hits == scalar.cache.stats.hits
@@ -373,12 +379,12 @@ class TestFuzzedStageDifferential:
         with subgrid_trace() as b_log:
             b_planned = plan_cpu_sweep(
                 cpu, dram, wl,
-                engine=SweepEngine(n_jobs=1, batch=True), **kwargs,
+                engine=SweepEngine(batch=True), **kwargs,
             )
         with subgrid_trace() as s_log:
             s_planned = plan_cpu_sweep(
                 cpu, dram, wl,
-                engine=SweepEngine(n_jobs=1, batch=False), **kwargs,
+                engine=SweepEngine(batch=False), **kwargs,
             )
         assert_traces_identical(b_log, s_log)
         assert b_planned.stats == s_planned.stats

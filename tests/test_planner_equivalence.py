@@ -52,7 +52,7 @@ GPU_CAPS = (130.0, 150.0, 190.0, 250.0)
 
 
 def oracle_engine() -> SweepEngine:
-    return SweepEngine(n_jobs=1)
+    return SweepEngine()
 
 
 def assert_points_identical(planned, oracle) -> None:
@@ -93,7 +93,7 @@ class TestCpuRegistryEquivalence:
     def test_full_registry(self, request, platform_fixture, name):
         node = request.getfixturevalue(platform_fixture)
         wl = cpu_workload(name)
-        engine = SweepEngine(n_jobs=1)  # shared: hints/stash carry over
+        engine = SweepEngine()  # shared: hints/stash carry over
         for budget in CPU_BUDGETS:
             oracle = sweep_cpu_allocations(
                 node.cpu, node.dram, wl, budget, step_w=4.0,
@@ -105,7 +105,7 @@ class TestCpuRegistryEquivalence:
             assert_plan_matches_sweep(planned, oracle)
 
     def test_registry_executes_fraction_of_native(self, ivb, has):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         for node in (ivb, has):
             for name in list_cpu_workloads():
                 wl = cpu_workload(name)
@@ -126,7 +126,7 @@ class TestGpuRegistryEquivalence:
     def test_full_registry(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
         wl = gpu_workload(name)
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         for cap in GPU_CAPS:
             oracle = sweep_gpu_allocations(
                 card, wl, cap, freq_stride=1, engine=oracle_engine()
@@ -137,7 +137,7 @@ class TestGpuRegistryEquivalence:
             assert_plan_matches_sweep(planned, oracle)
 
     def test_registry_executes_fraction_of_native(self, xp, tv):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         for card in (xp, tv):
             for name in list_gpu_workloads():
                 wl = gpu_workload(name)
@@ -163,7 +163,7 @@ class TestBudgetCurveEquivalence:
             node.cpu, node.dram, wl, budgets, step_w=6.0,
             engine=oracle_engine(),
         )
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         curve = adaptive_cpu_budget_curve(
             node.cpu, node.dram, wl, budgets, step_w=6.0, engine=engine
         )
@@ -181,7 +181,7 @@ class TestBudgetCurveEquivalence:
         oracle = gpu_budget_curve(
             card, wl, caps, freq_stride=1, engine=oracle_engine()
         )
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         curve = adaptive_gpu_budget_curve(
             card, wl, caps, freq_stride=1, engine=engine
         )
@@ -193,11 +193,11 @@ class TestBudgetCurveEquivalence:
         budgets = np.arange(140.0, 301.0, 20.0)
         full = adaptive_cpu_budget_curve(
             ivb.cpu, ivb.dram, sra, budgets, step_w=8.0,
-            engine=SweepEngine(n_jobs=1),
+            engine=SweepEngine(),
         )
         short = adaptive_cpu_budget_curve(
             ivb.cpu, ivb.dram, sra, budgets, step_w=8.0,
-            engine=SweepEngine(n_jobs=1), stop_at_saturation=True,
+            engine=SweepEngine(), stop_at_saturation=True,
         )
         k = short.budgets_w.size
         assert k < budgets.size  # SRA saturates around 225 W
@@ -213,7 +213,7 @@ class TestBudgetCurveEquivalence:
             adaptive_gpu_budget_curve(xp, sgemm, [])
 
     def test_cpu_saturation_reuse_kicks_in_across_budgets(self, ivb, dgemm):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         adaptive_cpu_budget_curve(
             ivb.cpu, ivb.dram, dgemm, np.arange(200.0, 301.0, 10.0),
             step_w=6.0, engine=engine,
@@ -230,7 +230,7 @@ class TestFallback:
         # Cold plan of SRA on IvyBridge at 120 W / 6 W steps violates the
         # probe certificates (known registry case) and must transparently
         # run the full oracle sweep.
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         planned = plan_cpu_sweep(
             ivb.cpu, ivb.dram, sra, 120.0, step_w=6.0, engine=engine
         )
@@ -244,7 +244,7 @@ class TestFallback:
         assert engine.planner.stats.fallbacks == 1
 
     def test_gpu_fallback_case_stays_exact(self, xp, sgemm):
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         planned = plan_gpu_sweep(xp, sgemm, 130.0, freq_stride=1, engine=engine)
         assert planned.stats.fallback
         oracle = sweep_gpu_allocations(
@@ -256,7 +256,7 @@ class TestFallback:
         # After a fallback the remembered hint is marked unclean, so the
         # next plan of the same grid probes densely instead of leanly —
         # and still answers exactly.
-        engine = SweepEngine(n_jobs=1)
+        engine = SweepEngine()
         plan_cpu_sweep(ivb.cpu, ivb.dram, sra, 120.0, step_w=6.0, engine=engine)
         planned = plan_cpu_sweep(
             ivb.cpu, ivb.dram, sra, 120.0, step_w=6.0, engine=engine
@@ -272,7 +272,7 @@ class TestFallback:
         # whole grid executes and no probe accounting is reported.
         planned = plan_cpu_sweep(
             ivb.cpu, ivb.dram, sra, 24.0, step_w=4.0,
-            engine=SweepEngine(n_jobs=1),
+            engine=SweepEngine(),
         )
         assert planned.stats.probe_points == 0
         assert not planned.stats.fallback
@@ -285,17 +285,17 @@ class TestFallback:
 
 class TestModeDispatch:
     def test_engine_mode_validation(self):
-        assert SweepEngine(n_jobs=1).mode == "full"
-        assert SweepEngine(n_jobs=1, mode="adaptive").mode == "adaptive"
+        assert SweepEngine().mode == "full"
+        assert SweepEngine(mode="adaptive").mode == "adaptive"
         with pytest.raises(SweepError):
-            SweepEngine(n_jobs=1, mode="turbo")
+            SweepEngine(mode="turbo")
 
     def test_env_var_selects_adaptive(self, monkeypatch):
         monkeypatch.setenv(SWEEP_MODE_ENV_VAR, "adaptive")
         assert resolve_mode(None) == "adaptive"
-        assert SweepEngine(n_jobs=1).mode == "adaptive"
+        assert SweepEngine().mode == "adaptive"
         # Explicit argument wins over the environment.
-        assert SweepEngine(n_jobs=1, mode="full").mode == "full"
+        assert SweepEngine(mode="full").mode == "full"
 
     def test_env_var_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv(SWEEP_MODE_ENV_VAR, "fastest")
@@ -305,27 +305,27 @@ class TestModeDispatch:
     def test_sweep_cpu_best_identical_across_modes(self, has, dgemm):
         full = sweep_cpu_best(
             has.cpu, has.dram, dgemm, 208.0, step_w=4.0,
-            engine=SweepEngine(n_jobs=1),
+            engine=SweepEngine(),
         )
         adaptive = sweep_cpu_best(
             has.cpu, has.dram, dgemm, 208.0, step_w=4.0,
-            engine=SweepEngine(n_jobs=1, mode="adaptive"),
+            engine=SweepEngine(mode="adaptive"),
         )
         assert_points_identical(adaptive, full)
 
     def test_sweep_gpu_best_identical_across_modes(self, tv, minife):
         full = sweep_gpu_best(
-            tv, minife, 190.0, freq_stride=1, engine=SweepEngine(n_jobs=1)
+            tv, minife, 190.0, freq_stride=1, engine=SweepEngine()
         )
         adaptive = sweep_gpu_best(
             tv, minife, 190.0, freq_stride=1,
-            engine=SweepEngine(n_jobs=1, mode="adaptive"),
+            engine=SweepEngine(mode="adaptive"),
         )
         assert_points_identical(adaptive, full)
 
     def test_budget_curve_dispatches_on_adaptive_engine(self, ivb, dgemm):
         budgets = np.arange(144.0, 241.0, 16.0)
-        engine = SweepEngine(n_jobs=1, mode="adaptive")
+        engine = SweepEngine(mode="adaptive")
         curve = cpu_budget_curve(
             ivb.cpu, ivb.dram, dgemm, budgets, step_w=4.0, engine=engine
         )
@@ -341,7 +341,7 @@ class TestModeDispatch:
 
     def test_gpu_budget_curve_dispatches_on_adaptive_engine(self, xp, minife):
         caps = np.arange(140.0, 251.0, 10.0)
-        engine = SweepEngine(n_jobs=1, mode="adaptive")
+        engine = SweepEngine(mode="adaptive")
         curve = gpu_budget_curve(xp, minife, caps, freq_stride=2, engine=engine)
         oracle = gpu_budget_curve(
             xp, minife, caps, freq_stride=2, engine=oracle_engine()
@@ -367,7 +367,7 @@ class TestFuzzedEquivalence:
             cpu, dram, wl, engine=oracle_engine(), **kwargs
         )
         planned = plan_cpu_sweep(
-            cpu, dram, wl, engine=SweepEngine(n_jobs=1), **kwargs
+            cpu, dram, wl, engine=SweepEngine(), **kwargs
         )
         assert_plan_matches_sweep(planned, oracle)
 
@@ -385,6 +385,6 @@ class TestFuzzedEquivalence:
             card, wl, cap, freq_stride=stride, engine=oracle_engine()
         )
         planned = plan_gpu_sweep(
-            card, wl, cap, freq_stride=stride, engine=SweepEngine(n_jobs=1)
+            card, wl, cap, freq_stride=stride, engine=SweepEngine()
         )
         assert_plan_matches_sweep(planned, oracle)

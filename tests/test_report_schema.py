@@ -235,22 +235,6 @@ class TestPlannerReportFields:
             assert config["executed_points"] < config["native_points"]
 
 
-class TestParallelReportFields:
-    """``reports/parallel.json`` carries the cold-parallel guard record."""
-
-    @pytest.fixture(scope="class")
-    def parallel(self) -> dict:
-        path = _BENCH_DIR / "reports" / "parallel.json"
-        return json.loads(path.read_text())
-
-    def test_chunked_guard_fields_present(self, parallel):
-        assert {"chunked_cold", "chunked_serial_cold"} <= set(parallel["wall_s"])
-        assert parallel["chunked_grid_points"] >= 256  # past the crossover
-
-    def test_chunked_cold_beats_serial(self, parallel):
-        assert parallel["speedup"]["chunked_cold"] >= 1.0
-
-
 class TestServeReportFields:
     """``reports/serve.json`` carries the serving acceptance record.
 
