@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke coverage lint typecheck check
+.PHONY: test test-slow test-all bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke coverage lint typecheck check
 
 # Tier-1: the invariant linter, then the trimmed suite (pyproject
 # addopts deselect `slow`).
@@ -84,13 +84,18 @@ serve-smoke:
 
 # CI smoke: the fleet simulator end-to-end through the CLI — a small
 # synthetic trace over a heterogeneous fleet with periodic budget
-# re-splits — under both REPRO_SWEEP settings (allocation rounds resolve
+# re-splits — under both REPRO_SWEEP settings (grant lattices resolve
 # through the engine, so both strategies must drive the fleet green).
 fleet-smoke:
 	REPRO_SWEEP=full     PYTHONPATH=src $(PYTHON) -m repro fleet \
 		--nodes 32 --gen-jobs 300 --rate 4 --interval 10
 	REPRO_SWEEP=adaptive PYTHONPATH=src $(PYTHON) -m repro fleet \
 		--nodes 32 --gen-jobs 300 --rate 4 --interval 10
+
+# CI smoke: the perf benchmark's fleet-pressure workload at its quick
+# size (128 nodes, 5,000 jobs); exits non-zero on any failed check.
+perf-smoke:
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload fleet-pressure
 
 # Coverage floor over the engine and fault layers.  Gated: skips with a
 # notice when pytest-cov is not installed (CI installs and enforces it).

@@ -20,8 +20,8 @@ The points are independent — the model is a pure function of
   unchanged.
 
 Every request — a whole grid from :meth:`SweepEngine.map_host` /
-:meth:`SweepEngine.map_gpu`, or a planner stage, fleet round or server
-prefetch from :meth:`SweepEngine.host_subgrid` /
+:meth:`SweepEngine.map_gpu`, or a planner stage, fleet grant lattice or
+server prefetch from :meth:`SweepEngine.host_subgrid` /
 :meth:`SweepEngine.gpu_subgrid` — resolves through one loop,
 :meth:`SubgridExecutor.run`, in the calling thread.  There is no worker
 pool: every pool fan-out measured slower than the in-thread batch kernel
@@ -529,13 +529,13 @@ class SubgridExecutor:
     """One prepared allocation axis, resolvable subset-by-subset.
 
     Every engine request resolves here.  :meth:`SweepEngine.map_host` /
-    :meth:`SweepEngine.map_gpu` run a whole axis once; the adaptive
-    planner, the fleet's allocation rounds and the server's prefetch
-    touch one axis many times in small bites — probe strides, certify
-    neighborhoods, per-iteration walk frontiers.  Keys are built once at
-    construction and the gather kernel lazily on the first batched miss,
-    so each :meth:`run` call costs only cache lookups and gathered kernel
-    rows.
+    :meth:`SweepEngine.map_gpu` run a whole axis once, and so does the
+    fleet for each grant lattice; the adaptive planner and the server's
+    prefetch touch one axis many times in small bites — probe strides,
+    certify neighborhoods, per-iteration walk frontiers.  Keys are built
+    once at construction and the gather kernel lazily on the first
+    batched miss, so each :meth:`run` call costs only cache lookups and
+    gathered kernel rows.
 
     Every requested point is looked up once in the engine's
     :class:`MemoCache` (reading through to disk when configured) and

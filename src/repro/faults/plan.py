@@ -138,16 +138,18 @@ class FaultSpec:
             raise FaultPlanError(
                 f"amplitude must be in (0, 1], got {self.amplitude}"
             )
-        if kind is FaultKind.WRAP_JUMP and self.amplitude < 0.05:
+        if kind is FaultKind.WRAP_JUMP and not 0.05 <= self.amplitude <= 0.95:
             # The meter's only defense against a phantom counter jump is
             # the plausibility ceiling; a jump below it is physically
             # indistinguishable from real energy (docs/robustness.md,
-            # "detectability boundary").  Keep modeled jumps in the
-            # detectable regime: >= 0.05 * 2**32 ticks ≈ 3.3 kJ, which at
-            # sane polling windows always trips the ceiling.
+            # "detectability boundary").  Modulo the register, a jump of
+            # a * 2**32 ticks is also a backward step of (1 - a) * 2**32
+            # ticks, so the detectable regime is symmetric: both readings
+            # stay >= 0.05 * 2**32 ticks ≈ 3.3 kJ, which at sane polling
+            # windows always trips a defense.
             raise FaultPlanError(
-                f"wrap-jump amplitude must be >= 0.05 (detectable regime), "
-                f"got {self.amplitude}"
+                f"wrap-jump amplitude must be in [0.05, 0.95] (detectable "
+                f"regime), got {self.amplitude}"
             )
 
     # ------------------------------------------------------------------

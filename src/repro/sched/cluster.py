@@ -60,8 +60,13 @@ class Cluster:
 
     @property
     def headroom_w(self) -> float:
-        """Uncommitted power under the global bound."""
-        return self.global_bound_w - self.charged_w
+        """Uncommitted power under the global bound, never negative.
+
+        Charged watts are arbitrary floats, so their sum can round a hair
+        past a fully committed bound (-5.7e-14 W); that is no headroom,
+        not a negative grant.
+        """
+        return max(0.0, self.global_bound_w - self.charged_w)
 
     def free_slot(self) -> NodeSlot | None:
         """An idle node, or ``None`` when all are busy."""

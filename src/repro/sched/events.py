@@ -40,7 +40,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Union
+from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import SchedulerError
 
@@ -85,8 +85,7 @@ class Event:
     kind: EventKind = field(init=False, default=EventKind.WAKEUP)
 
     def __post_init__(self) -> None:
-        time_s = float(self.time_s)
-        if math.isnan(time_s) or math.isinf(time_s) or time_s < 0.0:
+        if not 0.0 <= self.time_s < math.inf:  # NaN fails both sides
             raise SchedulerError(
                 f"event time must be finite and >= 0, got {self.time_s!r}"
             )
@@ -233,27 +232,6 @@ class EventLoop:
         """Schedule a :class:`NodeWakeup` callback (batsim idiom)."""
         self.schedule(NodeWakeup(time_s, tag=tag))
 
-    def _dispatch(self, event: Event) -> None:
-        if event.time_s < self.last_dispatched_s:  # pragma: no cover - heap law
-            raise SchedulerError(
-                f"event at t={event.time_s} dispatched after "
-                f"t={self.last_dispatched_s}"
-            )
-        self.last_dispatched_s = event.time_s
-        if isinstance(event, JobCompletion):
-            self.hooks.on_completion(self, event)
-        elif isinstance(event, BudgetResplit):
-            self.hooks.on_resplit(self, event)
-        elif isinstance(event, JobArrival):
-            self.hooks.on_arrival(self, event)
-        elif isinstance(event, NodeWakeup):
-            self.hooks.on_wakeup(self, event)
-        else:  # pragma: no cover - the four kinds are closed
-            raise SchedulerError(f"undispatchable event {event!r}")
-        self.n_dispatched += 1
-        if self.observer is not None:
-            self.observer(self, event)
-
     def run(self) -> int:
         """Dispatch until the queue drains and the policy yields.
 
@@ -262,9 +240,28 @@ class EventLoop:
         re-split in a chain) and by :meth:`SchedulerHooks.on_drain`
         returning ``True`` after queueing recovery work.
         """
+        hooks = self.hooks
+        # Indexed by EventKind: the same order as the enum values.
+        handlers: tuple[Callable[["EventLoop", Any], None], ...] = (
+            hooks.on_completion,
+            hooks.on_resplit,
+            hooks.on_arrival,
+            hooks.on_wakeup,
+        )
+        queue = self.queue
         while True:
-            if not self.queue:
-                if not self.hooks.on_drain(self):
+            if not queue:
+                if not hooks.on_drain(self):
                     return self.n_dispatched
                 continue
-            self._dispatch(self.queue.pop())
+            event = queue.pop()
+            if event.time_s < self.last_dispatched_s:  # pragma: no cover - heap law
+                raise SchedulerError(
+                    f"event at t={event.time_s} dispatched after "
+                    f"t={self.last_dispatched_s}"
+                )
+            self.last_dispatched_s = event.time_s
+            handlers[event.kind](self, event)
+            self.n_dispatched += 1
+            if self.observer is not None:
+                self.observer(self, event)

@@ -7,23 +7,28 @@ periodic cluster-wide budget re-splits (FastCap-style fair capping), and
 thousands of heterogeneous nodes.  :class:`FleetSimulator` is that
 layer, built as a hook policy on :mod:`repro.sched.events`.
 
-Scale comes from three structural decisions:
+Scale comes from four structural decisions:
 
-* **Quantized grants.**  Every grant lives on a per-(profile, workload)
+* **Lattice tables.**  Every grant lives on a per-(profile, workload)
   lattice of ``grant_quantum_w`` multiples spanning the workload's
-  productive threshold to its maximum useful demand.  The distinct
-  allocation space collapses from a continuum to a few dozen points per
-  pair, so model executions memoize almost perfectly.
-* **Batched allocation rounds.**  At every scheduling point the round
-  collects all admissible (job, node) assignments, groups them by
-  (profile, workload), and resolves each group through one prepared
-  :meth:`~repro.core.parallel.SweepEngine.host_subgrid` executor — a
-  1000-node round is a handful of vectorized kernel passes (one per
-  group), not 1000 scalar sweeps.  Under an armed fault plan the
-  executor transparently falls back to the scalar path, faults and all.
+  productive threshold to its maximum useful demand — a few dozen rows
+  per pair.  The first job to touch a pair resolves its whole lattice
+  in one :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass and
+  keeps ``elapsed_s``/``energy_j`` columns, so allocation rounds and
+  re-splits are index arithmetic with no engine call.  Under an armed
+  fault plan that pass falls back to the scalar path, faults and all.
+* **Held-head fast path.**  Only a completion, a re-split or an
+  admission can unblock a power-blocked head, so an arrival behind a
+  held head records its round and missed-budget hold without re-running
+  the round.
+* **Chained arrivals.**  Each arrival queues the next one, so the heap
+  holds about one event per busy node instead of the whole trace.
 * **Lazy invalidation.**  Budget re-splits re-time running jobs by
   bumping a per-node epoch and pushing a fresh completion; stale
   completions are detected and discarded, never processed.
+
+Completions are queued grouped by lattice in first-appearance order,
+and ``FleetStats.n_kernel_passes`` counts those (round, lattice) groups.
 
 The re-split policy is water-filling fair sharing: every running job is
 first guaranteed its lattice floor (its quantized productive threshold
@@ -37,14 +42,13 @@ rebalancer's boost arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.core.coord import coord_cpu
-from repro.core.critical import CpuCriticalPowers
-from repro.core.parallel import SubgridExecutor, SweepEngine, default_engine
+from repro.core.parallel import SweepEngine, default_engine
 from repro.core.profiler import profile_cpu_workload
 from repro.errors import ConfigurationError, SchedulerError
 from repro.hardware.node import ComputeNode
@@ -75,13 +79,18 @@ PROFILES: dict[str, Callable[[], ComputeNode]] = {
 class FleetNode:
     """One node's mutable scheduling state (deliberately tiny: the fleet
     holds thousands of these, so the heavyweight platform model lives
-    once per *profile*, not per node)."""
+    once per *profile*, not per node).  ``spec``, ``floor_w`` and
+    ``cap_w`` cache the running job's lattice and re-split bounds at
+    admission; they are meaningful only while the node is busy."""
 
     index: int
     profile: str
     job_id: Optional[int] = None
     grant_w: float = 0.0
     epoch: int = 0
+    spec: Optional[_AllocSpec] = None
+    floor_w: float = 0.0
+    cap_w: float = 0.0
 
     @property
     def busy(self) -> bool:
@@ -139,21 +148,17 @@ class FleetStats:
 
 @dataclass(eq=False)
 class _AllocSpec:
-    """Precomputed allocation lattice for one (profile, workload) pair."""
+    """One (profile, workload) grant lattice, resolved once: row ``i``
+    grants ``lattice_w[i]`` watts and runs the workload in
+    ``elapsed_s[i]`` seconds for ``energy_j[i]`` joules."""
 
-    critical: CpuCriticalPowers
     lattice_w: list[float]  # ascending grant_quantum_w multiples
-    executor: SubgridExecutor
-    rows_run: int = 0
+    elapsed_s: list[float]
+    energy_j: list[float]
 
-    def row_at_or_below(self, value_w: float) -> Optional[int]:
-        """Largest lattice row with watts <= value, or None below floor."""
-        i = bisect.bisect_right(self.lattice_w, value_w) - 1
-        return i if i >= 0 else None
-
-
-#: (record, node, spec, lattice row) — one admission in a round.
-_Assignment = tuple[FleetRecord, FleetNode, "_AllocSpec", int]
+    def row_at_or_below(self, value_w: float) -> int:
+        """Largest lattice row with watts <= ``value_w`` (>= the floor)."""
+        return bisect_right(self.lattice_w, value_w) - 1
 
 
 class FleetSimulator:
@@ -244,9 +249,10 @@ class FleetSimulator:
         self._specs: dict[tuple[str, str], _AllocSpec] = {}
         # Run state.
         self._free: list[int] = []
+        self._upcoming: Iterator[TraceJob] = iter(())  # arrivals not yet queued
         self._arrived: list[FleetRecord] = []  # FIFO (appended in time order)
         self._arrived_head = 0
-        self._arrivals_left = 0
+        self._head_held = False  # the last round held the head; nothing moved since
         self._resplit_armed = False
         self.charged_w = 0.0
         self.peak_charged_w = 0.0
@@ -291,10 +297,14 @@ class FleetSimulator:
                 f"no feasible grant lattice for {workload_name!r} on "
                 f"{profile!r} (threshold {critical.productive_threshold_w:.0f} W)"
             )
-        executor = self._engine.host_subgrid(
+        results = self._engine.host_subgrid(
             node.cpu, node.dram, workload.phases, proc, mem
+        ).run(range(len(lattice)))
+        spec = _AllocSpec(
+            lattice_w=lattice,
+            elapsed_s=[r.elapsed_s for r in results],
+            energy_j=[r.energy_j for r in results],
         )
-        spec = _AllocSpec(critical=critical, lattice_w=lattice, executor=executor)
         self._specs[key] = spec
         return spec
 
@@ -306,29 +316,25 @@ class FleetSimulator:
         return self.global_bound_w - self.charged_w
 
     def _allocation_round(self, loop: EventLoop) -> None:
-        """Admit head-first, then resolve all admissions in one batched
-        pass per (profile, workload) group through the prepared subgrid
-        executors — the whole-fleet vectorized round."""
+        """Admit head-first at lattice grants read off the resolved
+        tables, then queue the admitted jobs' completions."""
         self.n_rounds += 1
-        assignments: list[_Assignment] = []
+        admitted: dict[_AllocSpec, list[tuple[FleetNode, float]]] = {}
         while self._arrived_head < len(self._arrived) and self._free:
             record = self._arrived[self._arrived_head]
             node = self.nodes[self._free[0]]  # min-heap: lowest index first
             spec = self._spec(node.profile, record.job.workload)
-            row = spec.row_at_or_below(
-                min(record.job.budget_w, self.headroom_w)
-            )
-            if row is None:
-                if spec.row_at_or_below(
-                    min(record.job.budget_w, self.global_bound_w)
-                ) is None:
+            floor_w = spec.lattice_w[0]
+            budget = record.job.budget_w
+            limit = min(budget, self.headroom_w)
+            if limit < floor_w:
+                if min(budget, self.global_bound_w) < floor_w:
                     # No lattice point under the request even on an empty
                     # cluster: the ask sits below the productive threshold.
                     record.state = JobState.REJECTED
                     record.reject_reason = (
-                        f"requested {record.job.budget_w:.0f} W below the "
-                        f"productive floor "
-                        f"{spec.lattice_w[0]:.0f} W on {node.profile}"
+                        f"requested {budget:.0f} W below the productive "
+                        f"floor {floor_w:.0f} W on {node.profile}"
                     )
                     self._n_rejected += 1
                     self._arrived_head += 1
@@ -336,150 +342,143 @@ class FleetSimulator:
                 # Power-blocked: a free node exists but headroom cannot
                 # fund the head productively.  No backfill — hold.
                 self.n_missed_budget += 1
+                self._head_held = True
                 break
+            row = spec.row_at_or_below(limit)
             grant = spec.lattice_w[row]
             heapq.heappop(self._free)
             self.charged_w += grant
             self.peak_charged_w = max(self.peak_charged_w, self.charged_w)
             node.job_id = record.job.job_id
             node.grant_w = grant
+            node.spec = spec
+            node.floor_w = floor_w
+            node.cap_w = (
+                grant if budget <= limit
+                else spec.lattice_w[spec.row_at_or_below(budget)]
+            )
             record.state = JobState.RUNNING
             record.node_index = node.index
             record.profile = node.profile
             record.grant_w = grant
             record.start_s = self._now
-            assignments.append((record, node, spec, row))
+            record.elapsed_s = spec.elapsed_s[row]
+            record.energy_j = spec.energy_j[row]
+            record.finish_s = finish_s = self._now + record.elapsed_s
+            admitted.setdefault(spec, []).append((node, finish_s))
             self._arrived_head += 1
         if self._arrived_head > 4096 and self._arrived_head == len(self._arrived):
             del self._arrived[: self._arrived_head]
             self._arrived_head = 0
-        if not assignments:
+        if not admitted:
             return
-        for spec, group in self._group_by_spec(assignments).items():
-            results = spec.executor.run([row for (_, _, _, row) in group])
-            spec.rows_run += len(group)
-            self.n_kernel_passes += 1
-            for (record, node, _, _), result in zip(group, results):
-                record.elapsed_s = result.elapsed_s
-                record.energy_j = result.energy_j
-                finish = self._now + result.elapsed_s
-                record.finish_s = finish
+        self._schedule_completions(loop, admitted)
+        if self.resplit_interval_s > 0.0 and not self._resplit_armed:
+            self._arm_resplit(loop, self._now)
+
+    def _schedule_completions(
+        self,
+        loop: EventLoop,
+        groups: dict[_AllocSpec, list[tuple[FleetNode, float]]],
+    ) -> None:
+        """Queue each (re-)timed job's completion, grouped by lattice in
+        first-appearance order; each group counts as one kernel pass."""
+        self.n_kernel_passes += len(groups)
+        for group in groups.values():
+            for node, finish_s in group:
                 node.epoch += 1
                 loop.schedule(
-                    JobCompletion(finish, slot=node.index, epoch=node.epoch)
+                    JobCompletion(finish_s, slot=node.index, epoch=node.epoch)
                 )
-        if self.resplit_interval_s > 0.0 and not self._resplit_armed:
-            self._resplit_armed = True
-            loop.schedule(
-                BudgetResplit(
-                    self._now + self.resplit_interval_s,
-                    interval_s=self.resplit_interval_s,
-                )
-            )
-
-    @staticmethod
-    def _group_by_spec(
-        assignments: list[_Assignment],
-    ) -> dict[_AllocSpec, list[_Assignment]]:
-        groups: dict[_AllocSpec, list[_Assignment]] = {}
-        for entry in assignments:
-            groups.setdefault(entry[2], []).append(entry)
-        return groups
 
     # ------------------------------------------------------------------
     # the water-filling budget re-split
     # ------------------------------------------------------------------
+    def _arm_resplit(self, loop: EventLoop, from_s: float) -> None:
+        self._resplit_armed = True
+        interval_s = self.resplit_interval_s
+        loop.schedule(BudgetResplit(from_s + interval_s, interval_s=interval_s))
+
     def _resplit(self, loop: EventLoop) -> None:
         """Re-split the cluster budget fairly across running jobs."""
         self.n_resplits += 1
-        busy = [n for n in self.nodes if n.busy]
+        busy = [n for n in self.nodes if n.job_id is not None]
         if not busy:
             return
         q = self.grant_quantum_w
-        specs: dict[int, _AllocSpec] = {}
-        floors: dict[int, float] = {}
-        caps: dict[int, float] = {}
-        for node in busy:
-            assert node.job_id is not None
-            record = self.records[node.job_id]
-            spec = self._spec(node.profile, record.job.workload)
-            specs[node.index] = spec
-            floors[node.index] = spec.lattice_w[0]
-            cap_row = spec.row_at_or_below(record.job.budget_w)
-            assert cap_row is not None  # admitted => feasible
-            caps[node.index] = spec.lattice_w[cap_row]
-        grants = dict(floors)
-        remaining = self.global_bound_w - sum(grants.values())
+        grants = [n.floor_w for n in busy]
+        caps = [n.cap_w for n in busy]
+        remaining = self.global_bound_w - sum(grants)
         # Admitted grants were all >= their floors and summed under the
         # bound, so the floors fit; distribute the leftover one equal
         # lattice share at a time, node order breaking the remainder.
-        active = [n.index for n in busy if grants[n.index] < caps[n.index]]
+        active = [k for k in range(len(busy)) if grants[k] < caps[k]]
         while remaining >= q - 1e-9 and active:
             share = (remaining / len(active)) // q * q
             if share < q:
-                for idx in active:
+                for k in active:
                     if remaining < q - 1e-9:
                         break
-                    grants[idx] += q
+                    grants[k] += q
                     remaining -= q
                 break
             progressed = False
-            for idx in active:
-                take = min(caps[idx] - grants[idx], share)
-                grants[idx] += take
+            for k in active:
+                take = min(caps[k] - grants[k], share)
+                grants[k] += take
                 remaining -= take
                 progressed = progressed or take > 0.0
-            active = [i for i in active if grants[i] < caps[i] - 1e-9]
+            active = [k for k in active if grants[k] < caps[k] - 1e-9]
             if not progressed:  # pragma: no cover - active filter advances
                 break
-        retimes: list[_Assignment] = []
-        for node in busy:
-            new_grant = min(grants[node.index], caps[node.index])
+        retimed: dict[_AllocSpec, list[tuple[FleetNode, float]]] = {}
+        for node, grant in zip(busy, grants):
+            new_grant = min(grant, node.cap_w)
             if abs(new_grant - node.grant_w) < q / 2.0:
                 continue
-            assert node.job_id is not None
+            assert node.job_id is not None and node.spec is not None
             record = self.records[node.job_id]
-            spec = specs[node.index]
+            assert record.finish_s is not None
+            spec = node.spec
             row = spec.row_at_or_below(new_grant)
-            assert row is not None
             self.charged_w += new_grant - node.grant_w
             node.grant_w = new_grant
             record.grant_w = new_grant
-            retimes.append((record, node, spec, row))
+            # Remaining work scales with the modeled rate ratio — the
+            # rebalancer's boost arithmetic, shrink or grow.
+            remaining_s = max(0.0, record.finish_s - self._now)
+            record.finish_s = finish_s = self._now + remaining_s * (
+                spec.elapsed_s[row] / record.elapsed_s
+            )
+            record.elapsed_s = spec.elapsed_s[row]
+            record.energy_j = spec.energy_j[row]
+            record.n_retimes += 1
+            self.n_retimed += 1
+            retimed.setdefault(spec, []).append((node, finish_s))
         self.peak_charged_w = max(self.peak_charged_w, self.charged_w)
-        if not retimes:
-            return
-        for spec, group in self._group_by_spec(retimes).items():
-            results = spec.executor.run([row for (_, _, _, row) in group])
-            spec.rows_run += len(group)
-            self.n_kernel_passes += 1
-            for (record, node, _, _), result in zip(group, results):
-                assert record.finish_s is not None
-                remaining_s = max(0.0, record.finish_s - self._now)
-                # Remaining work scales with the modeled rate ratio —
-                # the rebalancer's boost arithmetic, shrink or grow.
-                new_finish = self._now + remaining_s * (
-                    result.elapsed_s / record.elapsed_s
-                )
-                record.elapsed_s = result.elapsed_s
-                record.energy_j = result.energy_j
-                record.finish_s = new_finish
-                record.n_retimes += 1
-                self.n_retimed += 1
-                node.epoch += 1
-                loop.schedule(
-                    JobCompletion(new_finish, slot=node.index, epoch=node.epoch)
-                )
+        if retimed:
+            self._schedule_completions(loop, retimed)
 
     # ------------------------------------------------------------------
     # SchedulerHooks
     # ------------------------------------------------------------------
+    def _queue_next_arrival(self, loop: EventLoop) -> None:
+        job = next(self._upcoming, None)
+        if job is not None:
+            loop.schedule(JobArrival(job.submit_time_s, job_id=job.job_id))
+
     def on_arrival(self, loop: EventLoop, event: JobArrival) -> None:
         self._now = max(self._now, event.time_s)
-        self._arrivals_left -= 1
-        record = self.records[event.job_id]
-        self._arrived.append(record)
-        if self._free:
+        self._queue_next_arrival(loop)
+        self._arrived.append(self.records[event.job_id])
+        if not self._free:
+            return
+        if self._head_held:
+            # Same head, same free node, same headroom: the round would
+            # hold again, so record it without re-running it.
+            self.n_rounds += 1
+            self.n_missed_budget += 1
+        else:
             self._allocation_round(loop)
 
     def on_completion(self, loop: EventLoop, event: JobCompletion) -> None:
@@ -487,6 +486,7 @@ class FleetSimulator:
         if node.epoch != event.epoch:
             return  # stale: the job was re-timed by a budget re-split
         self._now = max(self._now, event.time_s)
+        self._head_held = False
         assert node.job_id is not None
         record = self.records[node.job_id]
         record.state = JobState.COMPLETED
@@ -504,18 +504,13 @@ class FleetSimulator:
     def on_resplit(self, loop: EventLoop, event: BudgetResplit) -> None:
         self._now = max(self._now, event.time_s)
         self._resplit_armed = False
+        self._head_held = False
         self._resplit(loop)
         # Freed/shrunk power may admit held jobs at this boundary.
         if self._arrived_head < len(self._arrived) and self._free:
             self._allocation_round(loop)
         if any(n.busy for n in self.nodes):
-            self._resplit_armed = True
-            loop.schedule(
-                BudgetResplit(
-                    event.time_s + self.resplit_interval_s,
-                    interval_s=self.resplit_interval_s,
-                )
-            )
+            self._arm_resplit(loop, event.time_s)
 
     def on_wakeup(self, loop: EventLoop, event: NodeWakeup) -> None:
         """No wake-up callbacks in the fleet policy (hook kept for API)."""
@@ -541,9 +536,10 @@ class FleetSimulator:
         loop = EventLoop(self, observer=observer)
         self._free = [n.index for n in self.nodes]
         heapq.heapify(self._free)
-        self._arrivals_left = len(self.trace)
-        for job in sorted(self.trace, key=lambda j: (j.submit_time_s, j.job_id)):
-            loop.schedule(JobArrival(job.submit_time_s, job_id=job.job_id))
+        self._upcoming = iter(
+            sorted(self.trace, key=lambda j: (j.submit_time_s, j.job_id))
+        )
+        self._queue_next_arrival(loop)
         n_events = loop.run()
         waits = [
             r.wait_s

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.sweep import optimal_plateau
-from repro.faults.plan import SITES, FaultPlan, FaultSpec
+from repro.faults.plan import SITES, FaultKind, FaultPlan, FaultSpec
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
 from repro.hardware.platforms import (
@@ -162,7 +162,7 @@ def fault_specs(draw, sites: tuple[str, ...] | None = None) -> FaultSpec:
     """One valid :class:`FaultSpec`, optionally restricted to ``sites``.
 
     Every draw satisfies the plan schema (kind allowed at the site,
-    amplitude within the wrap-jump detectability floor, schedule that can
+    amplitude within the wrap-jump detectable regime, schedule that can
     actually fire), so shrinking explores only well-formed plans and
     failures point at the contract, not at validation.
     """
@@ -185,7 +185,10 @@ def fault_specs(draw, sites: tuple[str, ...] | None = None) -> FaultSpec:
         probability=probability,
         at_calls=at_calls,
         max_fires=draw(st.one_of(st.none(), st.integers(1, 3))),
-        amplitude=draw(st.floats(min_value=0.05, max_value=1.0)),
+        amplitude=draw(st.floats(
+            min_value=0.05,
+            max_value=0.95 if kind is FaultKind.WRAP_JUMP else 1.0,
+        )),
     )
 
 

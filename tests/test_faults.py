@@ -95,13 +95,16 @@ class TestFaultPlan:
             FaultSpec(site="rapl.read", kind=FaultKind.DROPOUT, probability=1.5)
 
     def test_wrap_jump_amplitude_floor(self):
-        # Sub-ceiling phantom jumps are physically undetectable; the plan
-        # schema keeps modeled jumps in the detectable regime.
-        with pytest.raises(FaultPlanError, match="detectable regime"):
-            FaultSpec(
-                site="rapl.read", kind=FaultKind.WRAP_JUMP,
-                at_calls=(1,), amplitude=0.01,
-            )
+        # Sub-ceiling phantom jumps are physically undetectable, and a
+        # near-full jump is a sub-ceiling backward step modulo the
+        # register (0.99999 reads 0.66 J short); the plan schema keeps
+        # modeled jumps in the detectable regime.
+        for amplitude in (0.01, 0.99999):
+            with pytest.raises(FaultPlanError, match="detectable regime"):
+                FaultSpec(
+                    site="rapl.read", kind=FaultKind.WRAP_JUMP,
+                    at_calls=(1,), amplitude=amplitude,
+                )
 
     def test_even_profile_repeats_rejected(self):
         with pytest.raises(FaultPlanError, match="odd"):
@@ -254,6 +257,19 @@ class TestDegradationContract:
         plan = plan_for(_KIND_SITE[kind], kind, probability=0.3)
         report = run_chaos(plan, scale="smoke")
         assert report.ok, report.summary()
+
+    def test_widest_wrap_jump_is_detected(self):
+        # The top of the detectable regime: a 0.95 * 2**32-tick jump is a
+        # 3.3 kJ backward step, which wraps the window's delta past the
+        # plausibility ceiling: a typed error, not drifted energy.
+        plan = FaultPlan(seed=0, specs=(
+            FaultSpec(site="rapl.read", kind=FaultKind.WRAP_JUMP,
+                      probability=0.5, amplitude=0.95),
+        ))
+        report = run_chaos(plan, scale="smoke")
+        assert report.ok, report.summary()
+        outcomes = {check.name: check.outcome for check in report.checks}
+        assert outcomes["meter.observe"] == "typed-error"
 
     @settings(max_examples=10, deadline=None)
     @given(plan=fault_plans())

@@ -290,8 +290,8 @@ class TestFleetReportFields:
     The fleet simulator's headline claims — a 1,000-node/100k-job seeded
     trace driven through the batched allocation rounds, with the
     power-pressure machinery (missed-budget holds, water-filling
-    re-splits, grant re-timing) actually engaged and the quantized-grant
-    lattice memoizing executions — are consumed from the committed
+    re-splits, grant re-timing) actually engaged and each quantized-grant
+    lattice resolved once per replay — are consumed from the committed
     report, so the field shape and those floors are pinned here (the
     in-run assertions in ``bench_fleet`` stay machine-independent).
     """
@@ -321,10 +321,14 @@ class TestFleetReportFields:
 
     def test_lattice_memoization_carried_the_load(self, fleet):
         cache = fleet["cache"]
-        # Distinct executions stay bounded by the lattice (a few dozen
-        # rows per (profile, workload) pair), not the job count.
-        assert 0 < cache["misses"] < 1_000
-        assert cache["hits"] > 10 * cache["misses"]
+        rows = fleet["lattice_rows"]
+        # Distinct executions stay bounded by the lattices (a few dozen
+        # rows per (profile, workload) pair), not the job count, and each
+        # lattice resolves once per replay: cold misses every row once,
+        # the warm replay on the same engine hits every row once.
+        assert 0 < rows < 1_000
+        assert cache["misses"] == rows
+        assert cache["hits"] == rows
         assert fleet["n_kernel_passes"] > 0
 
     def test_warm_replay_recorded(self, fleet):
