@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke coverage lint typecheck check
+.PHONY: test test-slow test-all bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
 
 # Tier-1: the invariant linter, then the trimmed suite (pyproject
 # addopts deselect `slow`).
@@ -96,6 +96,19 @@ fleet-smoke:
 # size (128 nodes, 5,000 jobs); exits non-zero on any failed check.
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload fleet-pressure
+
+# A/B of the perf benchmark: REF (checked out into a temporary git
+# worktree under $$TMPDIR) against the working tree, PAIRS alternating
+# runs of WORKLOAD (default: all four), then win counts per metric and
+# `run.py compare` on the last pair.  Runs for minutes; not a CI step.
+REF ?= HEAD
+WORKLOAD ?=
+PAIRS ?= 5
+SECONDS ?= 20
+SEED ?= 2016
+perf-ab:
+	$(PYTHON) benchmarks/perf_ab.py --ref $(REF) \
+		--workload "$(WORKLOAD)" --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
 
 # Coverage floor over the engine and fault layers.  Gated: skips with a
 # notice when pytest-cov is not installed (CI installs and enforces it).

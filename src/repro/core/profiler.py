@@ -14,6 +14,12 @@ of exhaustive or fine-grain profiling"):
 GPU profiling needs just two runs per application (``P_tot_max`` at the
 default cap, ``P_tot_ref`` at the minimum SM pairing clock) plus per-card
 constants.
+
+Each profile is two steps: ``measure_*_workload`` returns the values as
+sampled, and ``*_critical_powers`` clamps them into their documented
+order and attaches the hardware constants.  The resilient entry points
+(:mod:`repro.faults.resilience`) vote between the two steps, because
+the clamps can map distinct noisy samples onto one value.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from repro.perfmodel.executor import execute_on_host
 from repro.perfmodel.phase import Phase
 from repro.workloads.base import Workload
 
-__all__ = ["profile_cpu_workload", "profile_gpu_workload"]
+__all__ = [
+    "cpu_critical_powers",
+    "gpu_critical_powers",
+    "measure_cpu_workload",
+    "measure_gpu_workload",
+    "profile_cpu_workload",
+    "profile_gpu_workload",
+]
 
 #: Bisection resolution for the P-state boundary, in watts.
 _BISECT_TOL_W = 0.25
@@ -47,7 +60,7 @@ def _measured(value: float) -> float:
     a meter glitch or an interfering co-runner during the profiling run.
     Disarmed, the value passes through untouched.  The resilient entry
     points (:mod:`repro.faults.resilience`) defend by majority vote over
-    repeated profiles.
+    repeated measurements.
     """
     injector = _faults_active()
     if injector is None:
@@ -72,6 +85,16 @@ def profile_cpu_workload(
     workload: Workload,
 ) -> CpuCriticalPowers:
     """Extract the seven critical power values for a CPU workload."""
+    return cpu_critical_powers(cpu, dram, measure_cpu_workload(cpu, dram, workload))
+
+
+def measure_cpu_workload(
+    cpu: CpuDomain,
+    dram: DramDomain,
+    workload: Workload,
+) -> tuple[float, float, float, float, float]:
+    """The five measured CPU critical powers, as sampled:
+    ``(cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2)``."""
     if workload.device != "cpu":
         raise ProfilingError(
             f"workload {workload.name!r} targets {workload.device!r}, not cpu"
@@ -97,7 +120,8 @@ def profile_cpu_workload(
     # is the boundary between the P-state range and the T-state range.
     lo, hi = cpu.floor_power_w, cpu_l1 + 1.0
     r_hi = execute_on_host(cpu, dram, phases, hi, uncapped_mem)
-    if _any_throttled(r_hi):  # pragma: no cover - defensive; cannot happen
+    # Only injected noise that shrinks cpu_l1 can trip this.
+    if _any_throttled(r_hi):
         raise ProfilingError(
             f"workload {workload.name!r} throttles even uncapped"
         )
@@ -110,7 +134,16 @@ def profile_cpu_workload(
             hi = mid
     r_l2 = execute_on_host(cpu, dram, phases, hi, uncapped_mem)
     cpu_l2 = _measured(max(p.proc_power_w for p in r_l2.phases))
+    return cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2
 
+
+def cpu_critical_powers(
+    cpu: CpuDomain,
+    dram: DramDomain,
+    measured: tuple[float, float, float, float, float],
+) -> CpuCriticalPowers:
+    """Order the :func:`measure_cpu_workload` values and add the floors."""
+    cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2 = measured
     cpu_l4 = cpu.floor_power_w
     mem_l3 = dram.floor_power_w
     # Floors are physical lower bounds; numerically the floor-capped run can
@@ -168,20 +201,24 @@ def _pinned_gpu_total_w(
 
 def profile_gpu_workload(card: GpuCard, workload: Workload) -> GpuCriticalPowers:
     """Extract the GPU COORD parameters for a workload on a card."""
+    return gpu_critical_powers(card, measure_gpu_workload(card, workload))
+
+
+def measure_gpu_workload(
+    card: GpuCard, workload: Workload
+) -> tuple[float, float, float]:
+    """The three measured GPU total powers, as sampled:
+    ``(tot_max, tot_ref, tot_min)``."""
     if workload.device != "gpu":
         raise ProfilingError(
             f"workload {workload.name!r} targets {workload.device!r}, not gpu"
         )
     phases = workload.phases
-    # "Total power when no cap is imposed": the driver still enforces the
-    # hardware maximum, which is exactly how the paper observes SGEMM
-    # "demands more than 300 Watts" without ever measuring more than 300.
     tot_max = _measured(
         _pinned_gpu_total_w(
             card, phases, card.sm.pstates.f_nom_ghz, card.mem.nominal_mhz
         )
     )
-    tot_max = min(tot_max, card.max_cap_w)
     tot_ref = _measured(
         _pinned_gpu_total_w(
             card, phases, card.sm.pstates.f_min_ghz, card.mem.nominal_mhz
@@ -192,6 +229,19 @@ def profile_gpu_workload(card: GpuCard, workload: Workload) -> GpuCriticalPowers
             card, phases, card.sm.pstates.f_min_ghz, card.mem.min_mhz
         )
     )
+    return tot_max, tot_ref, tot_min
+
+
+def gpu_critical_powers(
+    card: GpuCard, measured: tuple[float, float, float]
+) -> GpuCriticalPowers:
+    """Cap and order the :func:`measure_gpu_workload` values and add the
+    card's memory constants."""
+    tot_max, tot_ref, tot_min = measured
+    # "Total power when no cap is imposed": the driver still enforces the
+    # hardware maximum, which is exactly how the paper observes SGEMM
+    # "demands more than 300 Watts" without ever measuring more than 300.
+    tot_max = min(tot_max, card.max_cap_w)
     # Keep the documented ordering even for degenerate workloads whose
     # busy fraction rises as clocks fall.
     tot_ref = min(tot_ref, tot_max)

@@ -77,7 +77,9 @@ def strict_majority(samples: Sequence[T], *, total: int | None = None) -> Option
     Equality is exact (bit-identical floats), which is the point: under
     the NOISE fault model the clean value repeats exactly while each
     noisy draw is distinct, so a strict majority certifies the clean
-    measurement and anything short of it is untrustworthy.  ``total``
+    measurement and anything short of it is untrustworthy.  Vote on
+    values as sampled: a clamp applied first can map distinct draws
+    onto one value.  ``total``
     raises the bar when some attempts produced no sample at all (an
     errored repeat still counts against the majority).
     """

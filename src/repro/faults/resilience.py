@@ -11,12 +11,18 @@ upholds the degradation contract:
   report is marked ``degraded`` / a :class:`~repro.errors.FaultError`
   is raised — a silently wrong allocation is never an outcome.
 
-The profiling defense is a strict-majority vote: the profile is repeated
-``plan.profile_repeats`` times and only a bit-identical majority is
-trusted.  Under the NOISE model each perturbed sample is distinct (draws
-are keyed to unique call indices) while clean samples repeat exactly, so
-a strict majority certifies the clean profile; anything weaker raises
-:class:`~repro.errors.ProfilingDegradedError`.
+The profiling defense is a strict-majority vote: the measurement is
+repeated ``plan.profile_repeats`` times and only a bit-identical majority
+is trusted.  The vote runs on the values as sampled, before the
+profiler's ordering clamps.  Under the NOISE model each perturbed raw
+sample is distinct (draws are keyed to unique call indices) while clean
+samples repeat exactly, so a strict majority certifies the clean
+measurement; anything weaker raises
+:class:`~repro.errors.ProfilingDegradedError`.  A clamped profile gives
+no such guarantee: ``cpu_l2 = max(cpu_l2, cpu_l3)`` lifts every sample
+whose noisy ``cpu_l2`` fell below ``cpu_l3`` to the same value, so two
+different noise draws can yield bit-identical profiles.  The clamps
+therefore run once, on the winner.
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ from repro.core.coord import CoordDecision, coord_cpu
 from repro.core.coord_gpu import coord_gpu
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
 from repro.core.online import OnlineShiftResult, online_power_shift
-from repro.core.profiler import profile_cpu_workload, profile_gpu_workload
+from repro.core.profiler import (
+    cpu_critical_powers,
+    gpu_critical_powers,
+    measure_cpu_workload,
+    measure_gpu_workload,
+    profile_cpu_workload,
+    profile_gpu_workload,
+)
 from repro.errors import FaultError, ProfilingDegradedError, ReproError
 from repro.faults.injector import FaultInjector, active
 from repro.faults.policies import strict_majority
@@ -51,10 +64,10 @@ def _site_events(injector: FaultInjector, site: str) -> int:
 
 
 def _sample_profiles(profile: Any, repeats: int) -> tuple[list[Any], int]:
-    """Run a profiling closure ``repeats`` times, tolerating noisy wrecks.
+    """Run a measuring closure ``repeats`` times, tolerating noisy wrecks.
 
-    A noise burst can perturb a profile into violating the critical-power
-    validation invariants; such a repeat yields no sample but still
+    A noise burst can derail a measurement (a perturbed ``cpu_l1`` moves
+    the bisection's upper end); such a repeat yields no sample but still
     counts against the majority (it was certainly not the clean run).
     """
     samples: list[Any] = []
@@ -70,12 +83,13 @@ def _sample_profiles(profile: Any, repeats: int) -> tuple[list[Any], int]:
 
 
 def _vote(samples: list[Any], total: int, report: DegradationReport) -> Any:
-    """Strict-majority vote over repeated profiles; typed error otherwise."""
+    """Strict-majority vote over repeated raw measurements; typed error
+    otherwise.  The error carries each sample's first value (``cpu_l1``
+    or ``tot_max``)."""
     winner = strict_majority(samples, total=total)
     if winner is None:
         raise ProfilingDegradedError(
-            "profiler.sample",
-            tuple(float(getattr(s, "cpu_l1", getattr(s, "tot_max", 0.0))) for s in samples),
+            "profiler.sample", tuple(float(s[0]) for s in samples)
         )
     disagreeing = total - sum(1 for s in samples if s == winner)
     if disagreeing:
@@ -85,7 +99,7 @@ def _vote(samples: list[Any], total: int, report: DegradationReport) -> Any:
             attempts=total,
             detail=(
                 f"{disagreeing} of {total} profiling repeat(s) were "
-                f"noisy; strict majority certified the clean profile"
+                f"noisy; strict majority certified the clean measurement"
             ),
         )
     return winner
@@ -103,9 +117,9 @@ def profile_cpu_resilient(
         return profile_cpu_workload(cpu, dram, workload), report
     repeats = injector.plan.profile_repeats
     samples, _ = _sample_profiles(
-        lambda: profile_cpu_workload(cpu, dram, workload), repeats
+        lambda: measure_cpu_workload(cpu, dram, workload), repeats
     )
-    return _vote(samples, repeats, report), report
+    return cpu_critical_powers(cpu, dram, _vote(samples, repeats, report)), report
 
 
 def profile_gpu_resilient(
@@ -119,9 +133,9 @@ def profile_gpu_resilient(
         return profile_gpu_workload(card, workload), report
     repeats = injector.plan.profile_repeats
     samples, _ = _sample_profiles(
-        lambda: profile_gpu_workload(card, workload), repeats
+        lambda: measure_gpu_workload(card, workload), repeats
     )
-    return _vote(samples, repeats, report), report
+    return gpu_critical_powers(card, _vote(samples, repeats, report)), report
 
 
 def coordinate_cpu_resilient(

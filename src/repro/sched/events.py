@@ -10,7 +10,10 @@ schedulers grew up with.  This module is that core:
 * four **typed events** — :class:`JobArrival`, :class:`JobCompletion`,
   :class:`BudgetResplit`, :class:`NodeWakeup` — with a fixed same-
   timestamp dispatch order (completions release power before arrivals
-  are admitted; re-splits see the post-completion state);
+  are admitted; re-splits see the post-completion state).  Events are
+  immutable values: tuples underneath, built without per-field
+  ``setattr``, equal and hashed by type and fields, with ``kind`` an
+  :class:`EventKind` class constant;
 * :class:`EventQueue` — a heap ordered by ``(time, kind, push order)``,
   so simultaneous events of one kind dispatch FIFO and replay is exactly
   deterministic;
@@ -21,11 +24,14 @@ schedulers grew up with.  This module is that core:
   the bit-for-bit oracle the differential battery in ``tests/test_fleet
   .py`` compares against), and :class:`~repro.sched.fleet.FleetSimulator`
   drives thousands of nodes through the same four hooks;
-* :class:`EventLoop` — pops events in order and dispatches them.  The
-  loop never advances a clock itself: hooks own simulated time (a stale,
-  epoch-mismatched completion must *not* advance the legacy schedulers'
-  clock), while the queue guarantees pop order is non-decreasing in
-  timestamp regardless.
+* :class:`EventLoop` — merges the heap with a time-ordered stream of
+  arrivals and dispatches each event to its hook.  The stream never
+  enters the heap, yet the dispatch order is exactly the one pushing the
+  whole stream at the start of :meth:`EventLoop.run` would give.  The
+  loop never advances a clock itself: hooks own simulated time (the fleet
+  ignores a stale, epoch-mismatched completion; the rebalancer still
+  sweeps its queue at that instant), while the loop guarantees dispatch
+  order is non-decreasing in timestamp.
 
 An optional per-event ``observer`` receives every dispatched event after
 its hook returns — the property-test battery uses it to assert global
@@ -37,10 +43,16 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Protocol,
+)
 
 from repro.errors import SchedulerError
 
@@ -75,59 +87,98 @@ class EventKind(enum.IntEnum):
     WAKEUP = 3
 
 
-@dataclass(frozen=True)
-class Event:
-    """Base event: a simulated timestamp plus a kind tag."""
+def _bad_time(time_s: object) -> SchedulerError:
+    return SchedulerError(f"event time must be finite and >= 0, got {time_s!r}")
 
+
+class Event(tuple[Any, ...]):
+    """Base of the four event types: a simulated timestamp plus a kind.
+
+    Each concrete type is an immutable tuple of its fields (``time_s``
+    first) with ``kind`` as a class constant.  Equality and hashing take
+    the type into account, so events of different kinds never compare
+    equal even when their fields do.
+    """
+
+    __slots__ = ()
+
+    #: The dispatch priority; each concrete event type sets its own.
+    kind: ClassVar[EventKind]
     time_s: float
 
-    #: Overridden by each concrete event type.
-    kind: EventKind = field(init=False, default=EventKind.WAKEUP)
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.time_s < math.inf:  # NaN fails both sides
-            raise SchedulerError(
-                f"event time must be finite and >= 0, got {self.time_s!r}"
-            )
+    def __ne__(self, other: object) -> bool:
+        # tuple's own __ne__ would compare fields only.
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(self)))
 
 
-@dataclass(frozen=True)
-class JobArrival(Event):
+_ArrivalFields = NamedTuple("_ArrivalFields", [("time_s", float), ("job_id", int)])
+_CompletionFields = NamedTuple(
+    "_CompletionFields", [("time_s", float), ("slot", int), ("epoch", int)]
+)
+_ResplitFields = NamedTuple(
+    "_ResplitFields", [("time_s", float), ("interval_s", float)]
+)
+_WakeupFields = NamedTuple("_WakeupFields", [("time_s", float), ("tag", str)])
+
+
+class JobArrival(_ArrivalFields, Event):
     """A job reaches the scheduler at its submit time."""
 
-    kind: EventKind = field(init=False, default=EventKind.ARRIVAL)
-    job_id: int = -1
+    __slots__ = ()
+    kind = EventKind.ARRIVAL
+
+    def __new__(cls, time_s: float, job_id: int = -1) -> JobArrival:
+        if not 0.0 <= time_s < math.inf:  # NaN fails both sides
+            raise _bad_time(time_s)
+        return tuple.__new__(cls, (time_s, job_id))
 
 
-@dataclass(frozen=True)
-class JobCompletion(Event):
+class JobCompletion(_CompletionFields, Event):
     """A running job's (possibly re-timed) finish.
 
     ``epoch`` implements lazy invalidation: policies that re-time a
     running job (boosts, budget re-splits) bump the slot's epoch and push
     a fresh completion; a popped completion whose epoch no longer matches
-    the slot's is stale and must be ignored by the hook.
+    the slot's is stale, and the hook must not complete the job for it.
     """
 
-    kind: EventKind = field(init=False, default=EventKind.COMPLETION)
-    slot: int = -1
-    epoch: int = 0
+    __slots__ = ()
+    kind = EventKind.COMPLETION
+
+    def __new__(cls, time_s: float, slot: int = -1, epoch: int = 0) -> JobCompletion:
+        if not 0.0 <= time_s < math.inf:
+            raise _bad_time(time_s)
+        return tuple.__new__(cls, (time_s, slot, epoch))
 
 
-@dataclass(frozen=True)
-class BudgetResplit(Event):
+class BudgetResplit(_ResplitFields, Event):
     """A periodic cluster-wide budget re-split point."""
 
-    kind: EventKind = field(init=False, default=EventKind.RESPLIT)
-    interval_s: float = 0.0
+    __slots__ = ()
+    kind = EventKind.RESPLIT
+
+    def __new__(cls, time_s: float, interval_s: float = 0.0) -> BudgetResplit:
+        if not 0.0 <= time_s < math.inf:
+            raise _bad_time(time_s)
+        return tuple.__new__(cls, (time_s, interval_s))
 
 
-@dataclass(frozen=True)
-class NodeWakeup(Event):
+class NodeWakeup(_WakeupFields, Event):
     """A wake-me-up-at callback (tagged so policies can multiplex)."""
 
-    kind: EventKind = field(init=False, default=EventKind.WAKEUP)
-    tag: str = ""
+    __slots__ = ()
+    kind = EventKind.WAKEUP
+
+    def __new__(cls, time_s: float, tag: str = "") -> NodeWakeup:
+        if not 0.0 <= time_s < math.inf:
+            raise _bad_time(time_s)
+        return tuple.__new__(cls, (time_s, tag))
 
 
 class EventQueue:
@@ -139,10 +190,9 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = itertools.count()
+        self._heap: list[tuple[float, EventKind, int, Event]] = []
+        #: Events pushed so far; each push's order is its count before it.
         self.pushed = 0
-        self.popped = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -150,18 +200,20 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
+    @property
+    def popped(self) -> int:
+        """Events removed so far (only :meth:`pop` and the loop remove)."""
+        return self.pushed - len(self._heap)
+
     def push(self, event: Event) -> None:
         """Queue an event for dispatch."""
-        heapq.heappush(
-            self._heap, (event.time_s, int(event.kind), next(self._seq), event)
-        )
+        heapq.heappush(self._heap, (event.time_s, event.kind, self.pushed, event))
         self.pushed += 1
 
     def pop(self) -> Event:
         """Remove and return the next event; raises when empty."""
         if not self._heap:
             raise SchedulerError("pop from an empty event queue")
-        self.popped += 1
         return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Optional[Event]:
@@ -173,9 +225,9 @@ class SchedulerHooks(Protocol):
     """The pluggable policy surface of the event core.
 
     A policy receives every dispatched event through the hook matching
-    its kind, plus :meth:`on_drain` when the queue runs dry while the
-    policy may still hold undispatched work (jobs that can never start,
-    a re-split chain to terminate, ...).  Hooks push follow-up events
+    its kind, plus :meth:`on_drain` when the queue and the arrival stream
+    run dry while the policy may still hold undispatched work (jobs that
+    can never start, a re-split chain to terminate, ...).  Hooks push follow-up events
     through the loop they are handed; simulated time is whatever the
     policy derives from the events it accepts.
     """
@@ -193,9 +245,9 @@ class SchedulerHooks(Protocol):
         """A wake-me-up-at callback fired."""
 
     def on_drain(self, loop: "EventLoop") -> bool:
-        """The queue is empty.  Return ``True`` to keep the loop alive
-        (the policy made progress or queued new events), ``False`` to
-        end the run."""
+        """The queue and the arrival stream are both empty.  Return
+        ``True`` to keep the loop alive (the policy made progress or
+        queued new events), ``False`` to end the run."""
 
 
 #: Observer signature: called with each event after its hook returned.
@@ -203,13 +255,12 @@ EventObserver = Callable[["EventLoop", Event], None]
 
 
 class EventLoop:
-    """Pops events in deterministic order and dispatches them to hooks.
+    """Dispatches the queue and an arrival stream in deterministic order.
 
     The loop tracks ``last_dispatched_s`` purely as an ordering witness
-    (the queue guarantees it never decreases); policies keep their own
-    clocks because not every event advances simulated time — a stale
-    completion is dispatched, detected, and discarded without the
-    schedulers' ``now`` moving.
+    (dispatch never goes back in time); policies keep their own clocks
+    because not every event advances simulated time — the fleet
+    discards a stale completion without its ``now`` moving.
     """
 
     def __init__(
@@ -232,8 +283,17 @@ class EventLoop:
         """Schedule a :class:`NodeWakeup` callback (batsim idiom)."""
         self.schedule(NodeWakeup(time_s, tag=tag))
 
-    def run(self) -> int:
-        """Dispatch until the queue drains and the policy yields.
+    def run(self, *, arrivals: Iterable[JobArrival] = ()) -> int:
+        """Dispatch until the queue and ``arrivals`` drain and the policy
+        yields.
+
+        ``arrivals`` is a time-ordered stream of :class:`JobArrival`
+        events, merged with the queue instead of pushed into it: each
+        dispatches after same-instant completions, re-splits and already
+        queued arrivals, and before same-instant wake-ups and anything
+        hooks push later — exactly the order pushing the whole stream
+        first would give.  An arrival earlier than the one before it
+        raises :class:`~repro.errors.SchedulerError`.
 
         Returns the number of events dispatched.  The queue may be
         refilled by hooks (completions for admitted jobs, the next
@@ -248,14 +308,37 @@ class EventLoop:
             hooks.on_arrival,
             hooks.on_wakeup,
         )
-        queue = self.queue
+        observer = self.observer
+        heap = self.queue._heap
+        heappop = heapq.heappop
+        arrival_kind = EventKind.ARRIVAL
+        # An arrival's heap key, had it been pushed now: its push order
+        # falls after every queued event and before every later push.
+        tie = self.queue.pushed - 0.5
+        stream = iter(arrivals)
+        arrival = next(stream, None)
+        key = None if arrival is None else (arrival.time_s, arrival_kind, tie)
         while True:
-            if not queue:
-                if not hooks.on_drain(self):
-                    return self.n_dispatched
+            event: Event
+            if heap and (key is None or heap[0] < key):
+                event = heappop(heap)[3]
+            elif arrival is not None:
+                event = arrival
+                arrival = next(stream, None)
+                if arrival is None:
+                    key = None
+                elif arrival.time_s < event.time_s:
+                    raise SchedulerError(
+                        f"arrival at t={arrival.time_s} follows one at "
+                        f"t={event.time_s}: the stream must be time-ordered"
+                    )
+                else:
+                    key = (arrival.time_s, arrival_kind, tie)
+            elif hooks.on_drain(self):
                 continue
-            event = queue.pop()
-            if event.time_s < self.last_dispatched_s:  # pragma: no cover - heap law
+            else:
+                return self.n_dispatched
+            if event.time_s < self.last_dispatched_s:
                 raise SchedulerError(
                     f"event at t={event.time_s} dispatched after "
                     f"t={self.last_dispatched_s}"
@@ -263,5 +346,5 @@ class EventLoop:
             self.last_dispatched_s = event.time_s
             handlers[event.kind](self, event)
             self.n_dispatched += 1
-            if self.observer is not None:
-                self.observer(self, event)
+            if observer is not None:
+                observer(self, event)

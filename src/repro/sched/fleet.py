@@ -21,14 +21,17 @@ Scale comes from four structural decisions:
   admission can unblock a power-blocked head, so an arrival behind a
   held head records its round and missed-budget hold without re-running
   the round.
-* **Chained arrivals.**  Each arrival queues the next one, so the heap
-  holds about one event per busy node instead of the whole trace.
+* **Merged arrivals.**  The sorted trace reaches the event loop as a
+  lazy arrival stream merged with the heap, so no arrival is ever
+  pushed and the heap holds about one event per busy node.
 * **Lazy invalidation.**  Budget re-splits re-time running jobs by
   bumping a per-node epoch and pushing a fresh completion; stale
   completions are detected and discarded, never processed.
 
-Completions are queued grouped by lattice in first-appearance order,
-and ``FleetStats.n_kernel_passes`` counts those (round, lattice) groups.
+A round that admits one job (the common case) queues its completion
+directly; one that admits several, and a re-split that re-times
+several, queue theirs grouped by lattice in first-appearance order.
+``FleetStats.n_kernel_passes`` counts those (round, lattice) groups.
 
 The re-split policy is water-filling fair sharing: every running job is
 first guaranteed its lattice floor (its quantized productive threshold
@@ -45,7 +48,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.coord import coord_cpu
 from repro.core.parallel import SweepEngine, default_engine
@@ -249,7 +252,6 @@ class FleetSimulator:
         self._specs: dict[tuple[str, str], _AllocSpec] = {}
         # Run state.
         self._free: list[int] = []
-        self._upcoming: Iterator[TraceJob] = iter(())  # arrivals not yet queued
         self._arrived: list[FleetRecord] = []  # FIFO (appended in time order)
         self._arrived_head = 0
         self._head_held = False  # the last round held the head; nothing moved since
@@ -319,7 +321,7 @@ class FleetSimulator:
         """Admit head-first at lattice grants read off the resolved
         tables, then queue the admitted jobs' completions."""
         self.n_rounds += 1
-        admitted: dict[_AllocSpec, list[tuple[FleetNode, float]]] = {}
+        admitted: list[tuple[FleetNode, float]] = []
         while self._arrived_head < len(self._arrived) and self._free:
             record = self._arrived[self._arrived_head]
             node = self.nodes[self._free[0]]  # min-heap: lowest index first
@@ -365,7 +367,7 @@ class FleetSimulator:
             record.elapsed_s = spec.elapsed_s[row]
             record.energy_j = spec.energy_j[row]
             record.finish_s = finish_s = self._now + record.elapsed_s
-            admitted.setdefault(spec, []).append((node, finish_s))
+            admitted.append((node, finish_s))
             self._arrived_head += 1
         if self._arrived_head > 4096 and self._arrived_head == len(self._arrived):
             del self._arrived[: self._arrived_head]
@@ -377,19 +379,21 @@ class FleetSimulator:
             self._arm_resplit(loop, self._now)
 
     def _schedule_completions(
-        self,
-        loop: EventLoop,
-        groups: dict[_AllocSpec, list[tuple[FleetNode, float]]],
+        self, loop: EventLoop, timed: list[tuple[FleetNode, float]]
     ) -> None:
         """Queue each (re-)timed job's completion, grouped by lattice in
         first-appearance order; each group counts as one kernel pass."""
-        self.n_kernel_passes += len(groups)
-        for group in groups.values():
-            for node, finish_s in group:
-                node.epoch += 1
-                loop.schedule(
-                    JobCompletion(finish_s, slot=node.index, epoch=node.epoch)
-                )
+        if len(timed) > 1:
+            groups: dict[Optional[_AllocSpec], list[tuple[FleetNode, float]]] = {}
+            for item in timed:
+                groups.setdefault(item[0].spec, []).append(item)
+            self.n_kernel_passes += len(groups)
+            timed = [item for group in groups.values() for item in group]
+        else:
+            self.n_kernel_passes += 1
+        for node, finish_s in timed:
+            node.epoch += 1
+            loop.schedule(JobCompletion(finish_s, node.index, node.epoch))
 
     # ------------------------------------------------------------------
     # the water-filling budget re-split
@@ -431,7 +435,7 @@ class FleetSimulator:
             active = [k for k in active if grants[k] < caps[k] - 1e-9]
             if not progressed:  # pragma: no cover - active filter advances
                 break
-        retimed: dict[_AllocSpec, list[tuple[FleetNode, float]]] = {}
+        retimed: list[tuple[FleetNode, float]] = []
         for node, grant in zip(busy, grants):
             new_grant = min(grant, node.cap_w)
             if abs(new_grant - node.grant_w) < q / 2.0:
@@ -454,7 +458,7 @@ class FleetSimulator:
             record.energy_j = spec.energy_j[row]
             record.n_retimes += 1
             self.n_retimed += 1
-            retimed.setdefault(spec, []).append((node, finish_s))
+            retimed.append((node, finish_s))
         self.peak_charged_w = max(self.peak_charged_w, self.charged_w)
         if retimed:
             self._schedule_completions(loop, retimed)
@@ -462,14 +466,8 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # SchedulerHooks
     # ------------------------------------------------------------------
-    def _queue_next_arrival(self, loop: EventLoop) -> None:
-        job = next(self._upcoming, None)
-        if job is not None:
-            loop.schedule(JobArrival(job.submit_time_s, job_id=job.job_id))
-
     def on_arrival(self, loop: EventLoop, event: JobArrival) -> None:
         self._now = max(self._now, event.time_s)
-        self._queue_next_arrival(loop)
         self._arrived.append(self.records[event.job_id])
         if not self._free:
             return
@@ -516,7 +514,8 @@ class FleetSimulator:
         """No wake-up callbacks in the fleet policy (hook kept for API)."""
 
     def on_drain(self, loop: EventLoop) -> bool:
-        """Arrived jobs that survive a drained queue can never start."""
+        """Arrived jobs that survive a drained queue and arrival stream
+        can never start."""
         if self._arrived_head >= len(self._arrived):
             return False
         record = self._arrived[self._arrived_head]
@@ -536,11 +535,10 @@ class FleetSimulator:
         loop = EventLoop(self, observer=observer)
         self._free = [n.index for n in self.nodes]
         heapq.heapify(self._free)
-        self._upcoming = iter(
-            sorted(self.trace, key=lambda j: (j.submit_time_s, j.job_id))
-        )
-        self._queue_next_arrival(loop)
-        n_events = loop.run()
+        n_events = loop.run(arrivals=(
+            JobArrival(job.submit_time_s, job.job_id)
+            for job in sorted(self.trace, key=lambda j: (j.submit_time_s, j.job_id))
+        ))
         waits = [
             r.wait_s
             for r in self.records.values()

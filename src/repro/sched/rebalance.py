@@ -14,12 +14,29 @@ execution is re-timed at the new rate — the node-level equivalent of the
 paper's "returning the excessive budget to an upper level scheduler",
 closed into a loop.
 
+A boost moves its job's completion earlier, and the base scheduler admits
+lazily: an arrival on a busy cluster waits for the next completion sweep
+even when a node and power are free.  So a boost must not take away the
+sweep the job's old finish would have given: the superseded completion
+still advances the clock to its instant and sweeps the queue there.
+Without that sweep, on ivybridge, 2 nodes under 205 W, with jobs (id,
+workload, W, submit s) (0, sra, 171, 1), (1, sra, 97, 19), (2, sra, 97,
+20), (3, mg, 184, 0) and (4, sra, 60, 0), job 0's boost ends it at
+18.96 s instead of 26.38 s; job 2 then finds a free node and 108 W at
+t=20 but waits for job 1 until 41.2 s, and the makespan is 51.22 s
+against 48.60 s without rebalancing (+5.4%).  With it, job 2 starts at
+26.38 s and the makespan is 44.54 s.
+
 Boosts are **non-preemptive**: a boosted job holds its extra watts until
-it completes, so a job *arriving after* a boost can find less headroom
-than under plain FCFS and start marginally later.  In exchange, boosted
-jobs complete sooner; across mixed queues the makespan effect is strongly
-net-positive (see the ``cluster`` experiment), but a sub-percent
-regression on an individual arrival pattern is possible.
+it completes, so a job admitted after a boost can find less headroom
+than under plain FCFS and start later or on a smaller grant.  On
+ivybridge, 2 nodes under 359 W, with jobs (0, ep, 223, 12), (1, dgemm,
+74, 12), (2, bt, 136, 6), (3, ep, 64, 13), (4, lu, 286, 15) and (5,
+dgemm, 188, 4), job 2's 42 W boost at 16.5 s leaves job 4 a 181 W grant
+instead of 223 W at 26.5 s, and the makespan is 37.94 s against 35.95 s
+(+5.5%).  Across mixed queues the makespan effect is strongly
+net-positive (see the ``cluster`` experiment), but an individual arrival
+pattern can regress by several percent.
 """
 
 from __future__ import annotations
@@ -207,10 +224,11 @@ class RebalancingScheduler(PowerBoundedScheduler):
 
     def on_completion(self, loop: EventLoop, event: JobCompletion) -> None:
         if self._epoch.get(event.slot) != event.epoch:
-            # Stale: the job was re-timed by a boost.  The legacy loop
-            # popped these without advancing its clock, then re-ran the
-            # top-of-loop admission sweep at the *old* now — replicate
-            # both (the sweep at the stale clock is idempotent).
+            # Stale: the job was re-timed by a boost.  Sweep the queue at
+            # the old finish anyway, as the unboosted run would have, so
+            # a lazily held arrival is not stranded until some later
+            # completion (the legacy loop's top-of-loop sweep).
+            self._now = max(self._now, event.time_s)
             self._admit_available(loop)
             return
         self._now = max(self._now, event.time_s)
@@ -230,7 +248,8 @@ class RebalancingScheduler(PowerBoundedScheduler):
     # ------------------------------------------------------------------
     # legacy loop — the bit-for-bit oracle for the differential battery
     # (same skeleton as the base class, plus boost events and lazy
-    # invalidation of re-timed completions)
+    # invalidation of re-timed completions, whose old instants still
+    # sweep the queue)
     # ------------------------------------------------------------------
     def run_legacy(self) -> RebalanceStats:
         events: list[tuple[float, int, int, int]] = []  # (finish, seq, slot, epoch)
@@ -286,9 +305,24 @@ class RebalancingScheduler(PowerBoundedScheduler):
                     now = min(r.job.submit_time_s for r in future)
                     continue
                 break
-            finish, _, idx, ev_epoch = heapq.heappop(events)
+            finish, _, idx, ev_epoch = events[0]
             if epoch.get(idx) != ev_epoch:
-                continue  # stale completion: the job was re-timed by a boost
+                # Stale completion (the job was re-timed by a boost): the
+                # top-of-loop sweep still runs at its old instant.  On an
+                # idle cluster every queued completion is stale, so an
+                # earlier arrival is the idle advance above and goes first.
+                arrivals = [
+                    r.job.submit_time_s for r in self._pending
+                    if r.job.submit_time_s > now
+                ]
+                if (arrivals and min(arrivals) < finish
+                        and not any(s.busy for s in self.cluster.slots)):
+                    now = min(arrivals)
+                    continue
+                heapq.heappop(events)
+                now = max(now, finish)
+                continue
+            heapq.heappop(events)
             now = max(now, finish)
             slot = self.cluster.slots[idx]
             job_id = slot.running_job_id

@@ -121,9 +121,9 @@ class PowerBoundedScheduler:
         self.reclaimed_w_total = 0.0
         self.peak_charged_w = 0.0
         # Per-run policy state, reset by _begin_run(): the simulated
-        # clock (owned by the policy, not the event loop — stale
-        # completions must not advance it), stat accumulators, and the
-        # slot-identity -> index map completions are keyed by.
+        # clock (owned by the policy, not the event loop), stat
+        # accumulators, and the slot-identity -> index map completions
+        # are keyed by.
         self._now = 0.0
         self._total_energy_j = 0.0
         self._makespan_s = 0.0
@@ -285,11 +285,11 @@ class PowerBoundedScheduler:
         """
         loop = EventLoop(self, observer=observer)
         self._begin_run()
-        for record in self._pending:
-            loop.schedule(
-                JobArrival(record.job.submit_time_s, job_id=record.job.job_id)
-            )
-        loop.run()
+        # Admission removes records from _pending, so stream a snapshot.
+        loop.run(arrivals=[
+            JobArrival(record.job.submit_time_s, job_id=record.job.job_id)
+            for record in self._pending
+        ])
         return self._collect_stats()
 
     def _begin_run(self) -> None:

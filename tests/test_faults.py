@@ -271,6 +271,23 @@ class TestDegradationContract:
         outcomes = {check.name: check.outcome for check in report.checks}
         assert outcomes["meter.observe"] == "typed-error"
 
+    def test_clamped_noisy_profiles_do_not_win_the_vote(self):
+        # Found by the fuzz below.  Noise hits stream's cpu_l2 in repeats
+        # 1 and 2 (61.5 W -> 16.45 W and 4.00 W) and repeat 3 errors.
+        # The ordering clamp lifts both noisy values to cpu_l3 (48.84 W),
+        # so voting on clamped profiles crowned two wrong samples.
+        torn = FaultSpec("diskcache.write", FaultKind.TORN_WRITE, probability=0.5)
+        plan = FaultPlan(
+            seed=2439,
+            specs=(torn, torn, FaultSpec("profiler.sample", FaultKind.NOISE,
+                                         probability=0.25, amplitude=1.0)),
+            max_attempts=2, backoff_base_s=0.001, profile_repeats=3,
+        )
+        report = run_chaos(plan, scale="smoke")
+        assert report.ok, report.summary()
+        outcomes = {check.name: check.outcome for check in report.checks}
+        assert outcomes["cpu.coordinate"] in ("typed-error", "degraded")
+
     @settings(max_examples=10, deadline=None)
     @given(plan=fault_plans())
     def test_fuzzed_plans_uphold_contract(self, plan):

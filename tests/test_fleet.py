@@ -4,7 +4,7 @@ Three layers of lockdown for the discrete-event rebuild of
 ``repro.sched``:
 
 1. **Differential**: the event-driven ``run()`` must reproduce the
-   legacy hand-rolled loops (kept verbatim as ``run_legacy()``) —
+   legacy hand-rolled loops (kept as ``run_legacy()``) —
    `JobRecord` histories, `SchedulerStats`, and the per-job event logs —
    **bit-for-bit**, on both CPU platform registries, FCFS and
    rebalancing, with and without surplus reclaim, plus a hypothesis
@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from repro.hardware.platforms import haswell_node, ivybridge_node
 from repro.sched import (
     BudgetResplit,
     Cluster,
+    Event,
     EventKind,
     EventLoop,
     EventQueue,
@@ -250,6 +252,25 @@ class TestDifferentialBattery:
         assert any("boosted" in line for r in sched.records.values()
                    for line in r.events)
 
+    def test_rebalancer_sweeps_at_stale_instants_and_matches(self):
+        # Job 0's boost moves its finish from 26.38 s to 18.96 s; job 2
+        # (arrived t=20 on a busy cluster) is admitted by the sweep at
+        # the stale 26.38 s instant, not at job 1's completion (41.2 s).
+        jobs = [
+            Job(i, cpu_workload(name), budget, submit_time_s=submit)
+            for i, (name, budget, submit) in enumerate(
+                [("sra", 171.0, 1.0), ("sra", 97.0, 19.0), ("sra", 97.0, 20.0),
+                 ("mg", 184.0, 0.0), ("sra", 60.0, 0.0)]
+            )
+        ]
+        sched, _ = _assert_bit_identical(
+            RebalancingScheduler, "ivybridge", jobs, n_nodes=2, bound=205.0
+        )
+        boosted = sched.records[0]
+        assert any("boosted" in line for line in boosted.events)
+        assert boosted.finish_time_s < 19.0
+        assert sched.records[2].start_time_s == pytest.approx(26.380016051364365)
+
     def test_elasticity_boost_order_matches(self):
         _assert_bit_identical(
             RebalancingScheduler, "ivybridge", _plain_mix(), n_nodes=3,
@@ -432,6 +453,156 @@ class TestEventLoop:
         assert hooks.seen == [("wakeup", 1.0), ("wakeup", 2.0)]
 
 
+class TestEventValues:
+    EVENTS = (JobArrival(1.0, 3), JobCompletion(1.0, 2, 1),
+              BudgetResplit(1.0, 30.0), NodeWakeup(1.0, "t"))
+
+    @pytest.mark.parametrize("event", EVENTS, ids=lambda e: type(e).__name__)
+    def test_events_are_immutable_values(self, event):
+        assert isinstance(event, Event)
+        with pytest.raises(AttributeError):
+            event.time_s = 2.0
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        assert event == type(event)(*event) and hash(event) == hash(type(event)(*event))
+
+    def test_equality_and_hash_by_type_and_fields(self):
+        assert BudgetResplit(1.0, 0.0) != JobArrival(1.0, 0)
+        assert not BudgetResplit(1.0, 0.0) == JobArrival(1.0, 0)
+        assert JobCompletion(2.0, slot=1, epoch=3) == JobCompletion(2.0, 1, 3)
+        assert JobCompletion(2.0, 1, 3) != JobCompletion(2.0, 1, 4)
+        assert NodeWakeup(4.0) == NodeWakeup(4.0, tag="")
+        assert len({JobArrival(1.0, 0), JobArrival(1.0, 0),
+                    BudgetResplit(1.0, 0.0)}) == 2
+
+    def test_kind_is_a_class_constant(self):
+        assert [type(e).kind for e in self.EVENTS] == [
+            EventKind.ARRIVAL, EventKind.COMPLETION,
+            EventKind.RESPLIT, EventKind.WAKEUP,
+        ]
+        assert JobArrival(0.0, 1).kind.name == "ARRIVAL"
+
+
+class _EventLog:
+    """Records every dispatched event, and how many had been dispatched
+    each time ``on_drain`` ran; an arrival whose id is in ``reactions``
+    pushes those events."""
+
+    def __init__(self, reactions=None):
+        self.events = []
+        self.reactions = reactions or {}
+        self.drained_after = []
+
+    def on_completion(self, loop, event):
+        self.events.append(event)
+
+    on_resplit = on_wakeup = on_completion
+
+    def on_arrival(self, loop, event):
+        self.events.append(event)
+        for follow_up in self.reactions.get(event.job_id, ()):
+            loop.schedule(follow_up)
+
+    def on_drain(self, loop):
+        self.drained_after.append(len(self.events))
+        return False
+
+
+class TestArrivalStream:
+    def test_same_instant_ties_against_each_kind(self):
+        hooks = _EventLog()
+        loop = EventLoop(hooks)
+        loop.wake_me_up_at(5.0)
+        loop.schedule(BudgetResplit(5.0, 1.0))
+        loop.schedule(JobCompletion(5.0, 0))
+        assert loop.run(arrivals=[JobArrival(5.0, 1)]) == 4
+        assert [e.kind for e in hooks.events] == [
+            EventKind.COMPLETION, EventKind.RESPLIT,
+            EventKind.ARRIVAL, EventKind.WAKEUP,
+        ]
+
+    def test_arrival_ties_keep_push_order(self):
+        # Queued before run(): ahead of the stream.  Pushed by a hook
+        # during the run: behind it.  The stream itself stays FIFO.
+        hooks = _EventLog({1: [JobArrival(5.0, 9)]})
+        loop = EventLoop(hooks)
+        loop.schedule(JobArrival(5.0, 0))
+        loop.run(arrivals=[JobArrival(5.0, 1), JobArrival(5.0, 2)])
+        assert [e.job_id for e in hooks.events] == [0, 1, 2, 9]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_stream_dispatches_as_if_pushed_first(self, seed):
+        rng = random.Random(seed)
+        times = sorted(rng.randint(0, 5) for _ in range(12))
+        arrivals = [JobArrival(float(t), i) for i, t in enumerate(times)]
+        kinds = (JobCompletion, BudgetResplit, NodeWakeup, JobArrival)
+        serial = iter(range(100, 1000))  # distinct payloads, no reactions
+
+        def random_event(at_least):
+            kind, n = rng.choice(kinds), next(serial)
+            return kind(float(rng.randint(at_least, 6)),
+                        str(n) if kind is NodeWakeup else n)
+
+        queued = [random_event(0) for _ in range(6)]
+        reactions = {i: [random_event(int(a.time_s))
+                         for _ in range(rng.randint(0, 3))]
+                     for i, a in enumerate(arrivals)}
+        dispatched = []
+        for streamed in (False, True):
+            hooks = _EventLog(reactions)
+            loop = EventLoop(hooks)
+            for event in queued:
+                loop.schedule(event)
+            if streamed:
+                n = loop.run(arrivals=iter(arrivals))
+            else:
+                for arrival in arrivals:
+                    loop.schedule(arrival)
+                n = loop.run()
+            assert n == len(hooks.events)
+            dispatched.append(hooks.events)
+        assert dispatched[0] == dispatched[1]
+
+    def test_backwards_arrival_raises(self):
+        hooks = _EventLog()
+        with pytest.raises(SchedulerError, match="time-ordered"):
+            EventLoop(hooks).run(
+                arrivals=[JobArrival(2.0, 1), JobArrival(1.0, 2)]
+            )
+        assert hooks.drained_after == []
+
+    def test_drain_waits_for_the_stream(self):
+        hooks = _EventLog()
+        loop = EventLoop(hooks)
+        loop.schedule(JobCompletion(0.5, 0))
+        arrivals = [JobArrival(float(t), t) for t in range(3)]
+        assert loop.run(arrivals=arrivals) == 4
+        assert hooks.drained_after == [4]
+
+    def test_stream_is_pulled_one_arrival_ahead(self):
+        pulled = []
+
+        def stream():
+            for job_id in range(4):
+                pulled.append(job_id)
+                yield JobArrival(float(job_id), job_id)
+
+        ahead = []
+        loop = EventLoop(_EventLog(),
+                         observer=lambda loop, e: ahead.append(len(pulled) - 1 - e.job_id))
+        loop.run(arrivals=stream())
+        assert ahead == [1, 1, 1, 0]
+
+    def test_observer_sees_every_streamed_arrival(self):
+        observed = []
+        loop = EventLoop(_EventLog(),
+                         observer=lambda loop, event: observed.append(event))
+        loop.schedule(JobCompletion(1.0, 0))
+        arrivals = [JobArrival(float(t // 2), t) for t in range(6)]
+        assert loop.run(arrivals=iter(arrivals)) == 7
+        assert [e for e in observed if e.kind is EventKind.ARRIVAL] == arrivals
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -559,12 +730,21 @@ class TestFleetProperties:
 # golden pins: the fleet's outputs, bit for bit
 # ---------------------------------------------------------------------------
 
-#: ``FleetStats`` and a digest of every ``FleetRecord`` for the perf
-#: benchmark's quick ``fleet-pressure`` shape (128 nodes, 60 W per node,
-#: 30 s re-splits, 5,000 Poisson jobs at 12/s, seed 2016).  Regenerate
-#: with ``PYTHONPATH=src python -m tests.test_fleet`` only when a change
-#: is *meant* to move fleet outcomes.
+#: ``FleetStats``, a digest of every ``FleetRecord`` and a digest of
+#: every dispatched event for the perf benchmark's quick
+#: ``fleet-pressure`` shape (128 nodes, 60 W per node, 30 s re-splits,
+#: 5,000 Poisson jobs at 12/s, seed 2016).  Regenerate with
+#: ``PYTHONPATH=src python -m tests.test_fleet`` only when a change is
+#: *meant* to move fleet outcomes or their dispatch order.
 GOLDEN = Path(__file__).parent / "golden" / "fleet_quick.json"
+
+#: Each event type's payload fields, in constructor order.
+_PAYLOAD = {
+    EventKind.ARRIVAL: ("job_id",),
+    EventKind.COMPLETION: ("slot", "epoch"),
+    EventKind.RESPLIT: ("interval_s",),
+    EventKind.WAKEUP: ("tag",),
+}
 
 
 def _records_sha256(sim: FleetSimulator) -> str:
@@ -581,9 +761,19 @@ def _quick_fleet_outcome() -> dict:
     trace = poisson_trace(n_jobs=5_000, rate_per_s=12.0, seed=2016)
     sim = FleetSimulator(trace, n_nodes=128, global_bound_w=7_680.0,
                          resplit_interval_s=30.0, engine=SweepEngine())
-    stats = sim.run()
+    dispatch = hashlib.sha256()
+
+    def observer(loop, event):
+        # Fields, not repr(event): the digest survives a change of the
+        # event types' representation but not of what was dispatched.
+        row = (event.kind.name, repr(event.time_s),
+               *(getattr(event, name) for name in _PAYLOAD[event.kind]))
+        dispatch.update(repr(row).encode() + b"\n")
+
+    stats = sim.run(observer=observer)
     return {"stats": dataclasses.asdict(stats),
-            "records_sha256": _records_sha256(sim)}
+            "records_sha256": _records_sha256(sim),
+            "dispatch_sha256": dispatch.hexdigest()}
 
 
 class TestFleetGolden:

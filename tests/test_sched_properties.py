@@ -5,7 +5,7 @@ Job/cluster generation lives in ``tests/conftest.py`` (``job_mixes``,
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.platforms import ivybridge_node
@@ -72,6 +72,20 @@ class TestSchedulerProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(jobs=job_mixes(), n_nodes=st.integers(1, 3), bound=st.floats(200.0, 700.0))
+    @example(
+        # Job 0's boost ends it before job 1 arrives.  Job 2 then waited
+        # for job 1 with a node and 108 W free (+5.4%) before a stale
+        # completion swept the queue at its old instant.
+        jobs=[
+            Job(i, cpu_workload(name), budget, submit_time_s=submit)
+            for i, (name, budget, submit) in enumerate(
+                [("sra", 171.0, 1.0), ("sra", 97.0, 19.0), ("sra", 97.0, 20.0),
+                 ("mg", 184.0, 0.0), ("sra", 60.0, 0.0)]
+            )
+        ],
+        n_nodes=2,
+        bound=205.0,
+    )
     def test_rebalancer_never_slower_and_never_over_bound(self, jobs, n_nodes, bound):
         def clone(js):
             return [
@@ -83,9 +97,10 @@ class TestSchedulerProperties:
         _, dyn = run_mix(RebalancingScheduler, clone(jobs), n_nodes, bound)
         assert dyn.n_completed == base.n_completed
         assert dyn.peak_charged_w <= bound + 1e-6
-        # Boosts are non-preemptive: a held boost can delay a *later*
-        # arrival slightly, so the guarantee is "never more than a few
-        # percent slower" rather than strictly never slower.
+        # Not strictly never slower: boosts are non-preemptive, so a held
+        # boost can leave a later admission less headroom.  One known mix
+        # breaks even this 5% bound (+5.5%; rebalance.py's module
+        # docstring gives it).
         if base.n_completed and base.makespan_s > 0:
             assert dyn.makespan_s <= base.makespan_s * 1.05 + 1e-6
 
