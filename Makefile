@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
+.PHONY: test test-slow test-all fuzz bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
 
 # Tier-1: the invariant linter, then the trimmed suite (pyproject
 # addopts deselect `slow`).
@@ -17,6 +17,13 @@ test-slow:
 	$(PYTEST) -x -q -m slow
 
 test-all: test test-slow
+
+# Random property testing: every hypothesis test with fresh random seeds
+# and five times its tier-1 example count (the `fuzz` profile in
+# tests/conftest.py; tier-1 itself is derandomized).  Pin any failure it
+# finds as an @example before fixing it.
+fuzz:
+	$(PYTEST) -q -m "hypothesis and not slow" --hypothesis-profile=fuzz tests
 
 # Static invariant checks (RPL001-RPL005) over the whole tree.
 lint:

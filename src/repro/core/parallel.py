@@ -640,11 +640,8 @@ class SweepEngine:
         the scalar executor under the worker-fault schedule with
         deterministic resubmission; results are bit-identical to the
         clean run or :class:`~repro.errors.WorkerRetryExhaustedError` is
-        raised.
-    worker_retry_budget:
-        Consecutive failed attempts tolerated per sweep point before
-        :class:`~repro.errors.WorkerRetryExhaustedError`; ``None``
-        (default) takes the armed plan's ``max_attempts``.
+        raised after the plan's ``max_attempts`` failed attempts at one
+        point.
     """
 
     def __init__(
@@ -658,7 +655,6 @@ class SweepEngine:
         mode: str | None = None,
         cache_dir: str | Path | None = None,
         faults: "FaultPlan | FaultInjector | None" = None,
-        worker_retry_budget: int | None = None,
     ) -> None:
         if n_jobs not in (None, 1) or backend != "thread":
             raise SweepError(
@@ -681,11 +677,6 @@ class SweepEngine:
             self.cache = MemoCache(cache_size, backing=self.disk_cache)
         self.planner = PlannerState(self.cache.stats.maxsize)
         self.batch = resolve_batch(batch)
-        if worker_retry_budget is not None and worker_retry_budget < 1:
-            raise SweepError(
-                f"worker_retry_budget must be >= 1, got {worker_retry_budget}"
-            )
-        self.worker_retry_budget = worker_retry_budget
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.faults: FaultInjector | None = faults
@@ -778,11 +769,11 @@ class SweepEngine:
 
         The deterministic schedule needs a deterministic call order, so
         rows run one after another.  Each row is resubmitted after an
-        injected crash/timeout until it runs clean or the retry budget is
-        spent; the executed task itself is the pure model kernel, so a
-        recovered sweep is bit-identical to the clean run.
+        injected crash/timeout until it runs clean or the plan's
+        ``max_attempts`` are spent; the executed task itself is the pure
+        model kernel, so a recovered sweep is bit-identical to the clean run.
         """
-        budget = self.worker_retry_budget or injector.plan.max_attempts
+        budget = injector.plan.max_attempts
         results: list[ExecutionResult] = []
         for i in rows:
             attempts = 0

@@ -30,7 +30,12 @@ while *executing* only a fraction of the native grid:
 4. **select** — the plateau middle is executed explicitly and returned;
    it is field-for-field the point the full sweep would have picked.
 
-Every stage resolves its points through one prepared
+One private driver runs this lifecycle for both devices: the hint,
+plan replay, probe → escalate → fallback, and the stats, hint and
+replay bookkeeping.  :func:`plan_cpu_sweep` and :func:`plan_gpu_sweep`
+are adapters that supply only what differs — the axis, its value-to-index
+mapping, the saturation-reuse rule and the full-sweep fallback.  Every
+stage resolves its points through one prepared
 :class:`~repro.core.parallel.SubgridExecutor` per plan
 (:meth:`SweepEngine.host_subgrid` / :meth:`SweepEngine.gpu_subgrid`):
 the axis keys and the vectorized gather kernel are set up once, each
@@ -39,9 +44,7 @@ memo/disk caches fill point-by-point exactly as the full sweep would.
 
 Budget curves warm-start each budget from the previous best split
 (hints live on the engine's :class:`~repro.core.parallel.PlannerState`)
-and can optionally early-exit once the monotone curve saturates
-(``stop_at_saturation`` — off by default because it truncates the
-returned arrays).
+and return every budget asked for.
 
 ``tests/test_planner_equivalence.py`` locks all of this bit-for-bit
 against the full-sweep oracle across the entire CPU and GPU registries.
@@ -62,13 +65,13 @@ from repro.core.scenario import classify_cpu, classify_gpu
 from repro.core.sweep import (
     BudgetCurve,
     SweepPoint,
+    _budget_curve,
     gpu_freq_axis,
     gpu_point_allocation,
     optimal_plateau,
     sweep_cpu_allocations,
     sweep_gpu_allocations,
 )
-from repro.errors import SweepError
 from repro.hardware.component import CappingMechanism
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
@@ -405,14 +408,173 @@ def _plan_axis(
 
 
 # ---------------------------------------------------------------------------
-# CPU plans
+# the plan driver
 # ---------------------------------------------------------------------------
 
-def _hint_state(
-    engine: SweepEngine, key: tuple[object, ...]
-) -> tuple[float, bool] | None:
-    return engine.planner.hint(key)
+#: A device's per-row operations on one opened plan axis: the sub-grid
+#: run over axis rows, the saturation-reuse lookup (a result rebuilt from
+#: the planner stash, or ``None``) and store, and the point constructor.
+_Axis = tuple[
+    Callable[[list[int]], list[ExecutionResult]],
+    Callable[[int], ExecutionResult | None],
+    Callable[[int, ExecutionResult], None],
+    Callable[[int, ExecutionResult], SweepPoint],
+]
 
+
+def _plan(
+    engine: SweepEngine,
+    workload: Workload,
+    budget_w: float,
+    axis: Sequence[float] | np.ndarray,
+    hint_key: tuple[object, ...],
+    hint_value: float | None,
+    to_index: Callable[[float], int],
+    open_axis: Callable[[], _Axis],
+    full_sweep: Callable[[], tuple[SweepPoint, ...]],
+) -> PlannedSweep:
+    """One plan of a sweep axis, for either device.
+
+    ``axis`` holds the value the planner remembers per row (the memory
+    share on a host, the memory clock on a GPU), ``to_index`` maps such a
+    value back onto the axis, and ``hint_key`` names the grid.  The
+    lifecycle, in this order (the planner's hint and stash maps are LRUs,
+    so the order of their accesses is part of the point accounting):
+
+    1. the hint: ``hint_value`` (a budget curve's previous optimum, which
+       also makes the probe set lean), else the engine's memory for
+       ``hint_key``;
+    2. the replay check;
+    3. on a replay miss only, ``open_axis()``: the device's saturation
+       stash and engine sub-grid;
+    4. probe, escalate a lean probe set that lost the structure, and fall
+       back to ``full_sweep()`` when no plateau is certified;
+    5. the stats, the hint and the replay stash.
+    """
+    n = len(axis)
+    hint: int | None = None
+    lean = False
+    if hint_value is not None:
+        hint, lean = to_index(float(hint_value)), True
+    else:
+        remembered = engine.planner.hint(hint_key)
+        if remembered is not None:
+            hint, lean = to_index(remembered[0]), remembered[1]
+    warm = hint is not None
+
+    # Plan replay (exact): the planner's answer is a pure function of the
+    # axis — it equals the oracle's best/plateau whatever route found it —
+    # so a plan of this exact grid already completed on this engine can be
+    # returned outright.  Disabled while a fault plan is armed: armed runs
+    # must re-execute through the scalar path (and never poison the stash).
+    replay_key = hint_key + (float(budget_w),)
+    clean_run = engine._worker_injector() is None
+    if clean_run:
+        prior = engine.planner.stashed(replay_key)
+        if prior is not None:
+            engine.planner.record(
+                native=n, executed=0, fallback=False, warm=warm, reused=0
+            )
+            stats = PlanStats(
+                native_points=n,
+                executed_points=0,
+                probe_points=0,
+                fallback=False,
+                warm_started=warm,
+            )
+            return replace(cast(PlannedSweep, prior), stats=stats)
+
+    # One prepared axis for the whole plan: every stage's point subset
+    # (probe, certify, walk frontiers, plateau middle) resolves through
+    # the same sub-grid executor, paying key/fingerprint/kernel setup once.
+    run, reuse, store, point = open_axis()
+    reused = 0
+
+    def fetch(indices: list[int]) -> list[SweepPoint]:
+        nonlocal reused
+        out: dict[int, SweepPoint] = {}
+        todo: list[int] = []
+        for i in indices:
+            result = reuse(i)
+            if result is None:
+                todo.append(i)
+            else:
+                out[i] = point(i, result)
+                reused += 1
+        if todo:
+            for i, result in zip(todo, run(todo)):
+                out[i] = point(i, result)
+                store(i, result)
+        return [out[i] for i in indices]
+
+    stride = _default_stride(n)
+    executed: dict[int, SweepPoint] = {}
+    span: tuple[int, int] | None = None
+    probe_count = 0
+    if n > max(_FULL_SWEEP_FLOOR, stride + 2):
+        probes = _probe_indices(n, stride, hint, lean)
+        executed, span = _plan_axis(n, fetch, probes)
+        if span is None and lean:
+            # The lean warm set misses structure shifts between
+            # neighboring budgets; escalate to the full probe grid —
+            # reusing every point already executed — before surrendering
+            # the whole axis to the fallback sweep.
+            probes = sorted(
+                set(probes) | set(_probe_indices(n, stride, hint, False))
+            )
+            executed, span = _plan_axis(n, fetch, probes, seed=executed)
+        probe_count = len(probes)
+
+    if span is None:
+        # Transparent fallback: the full oracle sweep (already-executed
+        # points come straight from the engine's memo cache).
+        points = full_sweep()
+        lo, hi = optimal_plateau(points)
+        best = points[(lo + hi) // 2]
+        stats = PlanStats(
+            native_points=n,
+            executed_points=n,
+            probe_points=probe_count,
+            fallback=probe_count > 0,
+            warm_started=warm,
+        )
+    else:
+        lo, hi = span
+        best = executed[(lo + hi) // 2]
+        stats = PlanStats(
+            native_points=n,
+            executed_points=len(executed) - reused,
+            probe_points=probe_count,
+            fallback=False,
+            warm_started=warm,
+            reused_points=reused,
+        )
+    mid = (lo + hi) // 2
+    engine.planner.record(
+        native=n,
+        executed=stats.executed_points,
+        fallback=stats.fallback,
+        warm=warm,
+        reused=stats.reused_points,
+    )
+    engine.planner.remember(hint_key, float(axis[mid]), not stats.fallback)
+    planned = PlannedSweep(
+        workload_name=workload.name,
+        metric_unit=workload.metric_unit,
+        budget_w=float(budget_w),
+        best=best,
+        best_index=mid,
+        plateau=(lo, hi),
+        stats=stats,
+    )
+    if clean_run:
+        engine.planner.stash(replay_key, planned)
+    return planned
+
+
+# ---------------------------------------------------------------------------
+# device adapters
+# ---------------------------------------------------------------------------
 
 def plan_cpu_sweep(
     cpu: CpuDomain,
@@ -437,159 +599,84 @@ def plan_cpu_sweep(
     """
     engine = engine if engine is not None else default_engine()
     # Raw axis columns only: allocation objects (with their validation
-    # chain) are built lazily in fetch() for the points the plan touches,
-    # never for the ~2/3 of the grid adaptive planning skips.
+    # chain) are built lazily for the points the plan touches, never for
+    # the ~2/3 of the grid adaptive planning skips.
     proc_axis, mem_axis = allocation_axis(
         budget_w, mem_min_w=mem_min_w, proc_min_w=proc_min_w, step_w=step_w
     )
-    n = len(proc_axis)
-    alloc_cache: dict[int, PowerAllocation] = {}
-
-    def alloc_at(i: int) -> PowerAllocation:
-        alloc = alloc_cache.get(i)
-        if alloc is None:
-            alloc = PowerAllocation(proc_axis[i], mem_axis[i])
-            alloc_cache[i] = alloc
-        return alloc
-    hint_key = (
-        "plan-cpu",
-        fingerprint(cpu),
-        fingerprint(dram),
-        fingerprint(tuple(workload.phases)),
-        float(step_w),
-        float(mem_min_w),
-        float(proc_min_w),
-    )
-
-    def to_index(mem_w: float) -> int:
-        return int(round((mem_w - mem_min_w) / step_w))
-
-    lean = False
-    hint: int | None = None
-    if hint_mem_w is not None:
-        hint = to_index(float(hint_mem_w))
-        lean = True
-    else:
-        remembered = _hint_state(engine, hint_key)
-        if remembered is not None:
-            hint = to_index(remembered[0])
-            lean = remembered[1]
-    warm = hint is not None
-
-    # Plan replay (exact): the planner's answer is a pure function of the
-    # axis — it equals the oracle's best/plateau whatever route found it —
-    # so a plan of this exact grid already completed on this engine can be
-    # returned outright.  Disabled while a fault plan is armed: armed runs
-    # must re-execute through the scalar path (and never poison the stash).
-    replay_key = ("plan-cpu-replay",) + hint_key[1:] + (float(budget_w),)
-    clean_run = engine._worker_injector() is None
-    if clean_run:
-        prior = engine.planner.stashed(replay_key)
-        if prior is not None:
-            planned = cast(PlannedSweep, prior)
-            stats = PlanStats(
-                native_points=n,
-                executed_points=0,
-                probe_points=0,
-                fallback=False,
-                warm_started=warm,
-                reused_points=0,
-            )
-            engine.planner.record(
-                native=n, executed=0, fallback=False, warm=warm, reused=0
-            )
-            return replace(planned, stats=stats)
-
-    # Saturation reuse (exact): if the top P-state's demand at worst-case
-    # activity fits under the processor share, _resolve_cpu picks the top
-    # state with mechanism NONE at every joint-iteration step, so the
-    # phase tuple depends on the memory cap alone — results recur across
-    # budgets wherever the processor side is provably unconstrained.
     fps = (fingerprint(cpu), fingerprint(dram), fingerprint(tuple(workload.phases)))
-    sat_key = ("plan-sat-w",) + fps
-    sat_w = engine.planner.stashed(sat_key)
-    if sat_w is None:
-        top_op = _cpu_candidates(cpu)[0]
-        sat_w = max(
-            cpu.demand_w(max(ph.activity, ph.stall_activity), top_op)
-            for ph in workload.phases
-        )
-        engine.planner.stash(sat_key, sat_w)
-    sat_w = cast(float, sat_w)
-    reused = 0
 
-    def mk_point(alloc: PowerAllocation, result: ExecutionResult) -> SweepPoint:
-        return SweepPoint(
-            allocation=alloc,
-            result=result,
-            performance=workload.performance(result),
-            scenario=classify_cpu(result),
-        )
-
-    # One prepared axis for the whole plan: every stage's point subset
-    # (probe, certify, walk frontiers, plateau middle) resolves through
-    # the same sub-grid executor, paying key/fingerprint/kernel setup once.
-    subgrid = engine.host_subgrid(
-        cpu, dram, workload.phases, proc_axis, mem_axis
-    )
-
-    def fetch(indices: list[int]) -> list[SweepPoint]:
-        nonlocal reused
-        out: dict[int, SweepPoint] = {}
-        todo: list[int] = []
-        for i in indices:
-            alloc = alloc_at(i)
-            phases: object = None
-            if alloc.proc_w + _CAP_EPS_W >= sat_w:
-                phases = engine.planner.stashed(
-                    ("plan-sat-host",) + fps + (float(alloc.mem_w),)
-                )
-            if phases is not None:
-                result = ExecutionResult(
-                    cast("tuple[PhaseResult, ...]", phases),
-                    proc_cap_w=float(alloc.proc_w),
-                    mem_cap_w=float(alloc.mem_w),
-                )
-                out[i] = mk_point(alloc, result)
-                reused += 1
-            else:
-                todo.append(i)
-        if todo:
-            subset = [alloc_at(i) for i in todo]
-            results = subgrid.run(todo)
-            for i, alloc, result in zip(todo, subset, results):
-                out[i] = mk_point(alloc, result)
-                if alloc.proc_w + _CAP_EPS_W >= sat_w:
-                    engine.planner.stash(
-                        ("plan-sat-host",) + fps + (float(alloc.mem_w),),
-                        result.phases,
-                    )
-        return [out[i] for i in indices]
-
-    stride = _default_stride(n)
-    executed: dict[int, SweepPoint] = {}
-    span: tuple[int, int] | None = None
-    if n > max(_FULL_SWEEP_FLOOR, stride + 2):
-        probes = _probe_indices(n, stride, hint, lean)
-        executed, span = _plan_axis(n, fetch, probes)
-        probe_count = len(probes)
-        if span is None and lean:
-            # The lean warm set misses structure shifts between
-            # neighboring budgets; escalate to the full probe grid —
-            # reusing every point already executed — before surrendering
-            # the whole axis to the fallback sweep.
-            probes = sorted(
-                set(probes) | set(_probe_indices(n, stride, hint, False))
+    def open_axis() -> _Axis:
+        # Saturation reuse (exact): if the top P-state's demand at
+        # worst-case activity fits under the processor share, _resolve_cpu
+        # picks the top state with mechanism NONE at every joint-iteration
+        # step, so the phase tuple depends on the memory cap alone —
+        # results recur across budgets wherever the processor side is
+        # provably unconstrained.
+        sat_key = ("plan-sat-w",) + fps
+        stashed = engine.planner.stashed(sat_key)
+        if stashed is None:
+            top_op = _cpu_candidates(cpu)[0]
+            stashed = max(
+                cpu.demand_w(max(ph.activity, ph.stall_activity), top_op)
+                for ph in workload.phases
             )
-            executed, span = _plan_axis(n, fetch, probes, seed=executed)
-            probe_count = len(probes)
-    else:
-        probe_count = 0
+            engine.planner.stash(sat_key, stashed)
+        sat_w = cast(float, stashed)
+        allocs: dict[int, PowerAllocation] = {}
 
-    if span is None:
-        # Transparent fallback: the full oracle sweep (already-executed
-        # points come straight from the engine's memo cache).
-        sweep = sweep_cpu_allocations(
+        def alloc_at(i: int) -> PowerAllocation:
+            alloc = allocs.get(i)
+            if alloc is None:
+                alloc = allocs[i] = PowerAllocation(proc_axis[i], mem_axis[i])
+            return alloc
+
+        def reuse(i: int) -> ExecutionResult | None:
+            alloc = alloc_at(i)
+            if alloc.proc_w + _CAP_EPS_W < sat_w:
+                return None
+            phases = engine.planner.stashed(
+                ("plan-sat-host",) + fps + (float(alloc.mem_w),)
+            )
+            if phases is None:
+                return None
+            return ExecutionResult(
+                cast("tuple[PhaseResult, ...]", phases),
+                proc_cap_w=float(alloc.proc_w),
+                mem_cap_w=float(alloc.mem_w),
+            )
+
+        def store(i: int, result: ExecutionResult) -> None:
+            alloc = alloc_at(i)
+            if alloc.proc_w + _CAP_EPS_W >= sat_w:
+                engine.planner.stash(
+                    ("plan-sat-host",) + fps + (float(alloc.mem_w),),
+                    result.phases,
+                )
+
+        def point(i: int, result: ExecutionResult) -> SweepPoint:
+            return SweepPoint(
+                allocation=alloc_at(i),
+                result=result,
+                performance=workload.performance(result),
+                scenario=classify_cpu(result),
+            )
+
+        subgrid = engine.host_subgrid(
+            cpu, dram, workload.phases, proc_axis, mem_axis
+        )
+        return subgrid.run, reuse, store, point
+
+    return _plan(
+        engine,
+        workload,
+        budget_w,
+        mem_axis,
+        ("plan-cpu",) + fps + (float(step_w), float(mem_min_w), float(proc_min_w)),
+        hint_mem_w,
+        lambda mem_w: int(round((mem_w - mem_min_w) / step_w)),
+        open_axis,
+        lambda: sweep_cpu_allocations(
             cpu,
             dram,
             workload,
@@ -598,55 +685,9 @@ def plan_cpu_sweep(
             mem_min_w=mem_min_w,
             proc_min_w=proc_min_w,
             engine=engine,
-        )
-        lo, hi = optimal_plateau(sweep.points)
-        mid = (lo + hi) // 2
-        best = sweep.points[mid]
-        stats = PlanStats(
-            native_points=n,
-            executed_points=n,
-            probe_points=probe_count,
-            fallback=probe_count > 0,
-            warm_started=warm,
-            reused_points=0,
-        )
-    else:
-        lo, hi = span
-        mid = (lo + hi) // 2
-        best = executed[mid]
-        stats = PlanStats(
-            native_points=n,
-            executed_points=len(executed) - reused,
-            probe_points=probe_count,
-            fallback=False,
-            warm_started=warm,
-            reused_points=reused,
-        )
-    engine.planner.record(
-        native=stats.native_points,
-        executed=stats.executed_points,
-        fallback=stats.fallback,
-        warm=stats.warm_started,
-        reused=stats.reused_points,
+        ).points,
     )
-    engine.planner.remember(hint_key, best.allocation.mem_w, not stats.fallback)
-    planned = PlannedSweep(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budget_w=float(budget_w),
-        best=best,
-        best_index=mid,
-        plateau=(lo, hi),
-        stats=stats,
-    )
-    if clean_run:
-        engine.planner.stash(replay_key, planned)
-    return planned
 
-
-# ---------------------------------------------------------------------------
-# GPU plans
-# ---------------------------------------------------------------------------
 
 def plan_gpu_sweep(
     card: GpuCard,
@@ -665,177 +706,68 @@ def plan_gpu_sweep(
     """
     engine = engine if engine is not None else default_engine()
     freqs = gpu_freq_axis(card, freq_stride)
-    n = len(freqs)
-    hint_key = (
-        "plan-gpu",
-        fingerprint(card),
-        fingerprint(tuple(workload.phases)),
-        int(freq_stride),
-    )
-
-    def to_index(freq_mhz: float) -> int:
-        return int(np.abs(freqs - float(freq_mhz)).argmin())
-
-    lean = False
-    hint: int | None = None
-    if hint_freq_mhz is not None:
-        hint = to_index(float(hint_freq_mhz))
-        lean = True
-    else:
-        remembered = _hint_state(engine, hint_key)
-        if remembered is not None:
-            hint = to_index(remembered[0])
-            lean = remembered[1]
-    warm = hint is not None
-
-    # Plan replay, exactly as in plan_cpu_sweep.
-    replay_key = ("plan-gpu-replay",) + hint_key[1:] + (float(cap_w),)
-    clean_run = engine._worker_injector() is None
-    if clean_run:
-        prior = engine.planner.stashed(replay_key)
-        if prior is not None:
-            planned = cast(PlannedSweep, prior)
-            stats = PlanStats(
-                native_points=n,
-                executed_points=0,
-                probe_points=0,
-                fallback=False,
-                warm_started=warm,
-                reused_points=0,
-            )
-            engine.planner.record(
-                native=n, executed=0, fallback=False, warm=warm, reused=0
-            )
-            return replace(planned, stats=stats)
-
-    # Saturation reuse (exact): a phase resolved at the top SM clock with
-    # mechanism NONE computed its split and board power before the cap
-    # gate, so the identical phase recurs at every cap at or above the
-    # one it first cleared — high-cap sweeps of a budget curve rebuild
-    # their points from the knee sweep without touching the model.
     fps = (fingerprint(card), fingerprint(tuple(workload.phases)))
-    cap_eff = card.validate_cap(float(cap_w))
-    reused = 0
 
-    def mk_point(freq_mhz: float, result: ExecutionResult) -> SweepPoint:
-        return SweepPoint(
-            allocation=gpu_point_allocation(card, cap_w, freq_mhz),
-            result=result,
-            performance=workload.performance(result),
-            scenario=classify_gpu(result),
-        )
+    def open_axis() -> _Axis:
+        # Saturation reuse (exact): a phase resolved at the top SM clock
+        # with mechanism NONE computed its split and board power before
+        # the cap gate, so the identical phase recurs at every cap at or
+        # above the one it first cleared — high-cap sweeps of a budget
+        # curve rebuild their points from the knee sweep without touching
+        # the model.
+        cap_eff = card.validate_cap(float(cap_w))
 
-    # One prepared axis for the whole plan, as in plan_cpu_sweep.
-    subgrid = engine.gpu_subgrid(card, workload.phases, cap_w, freqs)
-
-    def fetch(indices: list[int]) -> list[SweepPoint]:
-        nonlocal reused
-        out: dict[int, SweepPoint] = {}
-        todo: list[int] = []
-        for i in indices:
-            f = float(freqs[i])
-            entry = engine.planner.stashed(("plan-sat-gpu",) + fps + (f,))
-            if entry is not None:
-                cap0, phases, mem_cap_w = cast(
-                    "tuple[float, tuple[PhaseResult, ...], float | None]", entry
-                )
-                if cap_eff >= cap0:
-                    result = ExecutionResult(
-                        phases,
-                        proc_cap_w=cap_eff,
-                        mem_cap_w=mem_cap_w,
-                        device="gpu",
-                    )
-                    out[i] = mk_point(f, result)
-                    reused += 1
-                    continue
-            todo.append(i)
-        if todo:
-            subset = [float(freqs[i]) for i in todo]
-            results = subgrid.run(todo)
-            for i, f, result in zip(todo, subset, results):
-                out[i] = mk_point(f, result)
-                unconstrained = all(
-                    p.proc_mechanism is CappingMechanism.NONE
-                    for p in result.phases
-                )
-                if unconstrained:
-                    key = ("plan-sat-gpu",) + fps + (f,)
-                    prior = engine.planner.stashed(key)
-                    if (
-                        prior is None
-                        or cast("tuple[float, object, object]", prior)[0] > cap_eff
-                    ):
-                        engine.planner.stash(
-                            key, (cap_eff, result.phases, result.mem_cap_w)
-                        )
-        return [out[i] for i in indices]
-
-    stride = _default_stride(n)
-    executed: dict[int, SweepPoint] = {}
-    span: tuple[int, int] | None = None
-    if n > max(_FULL_SWEEP_FLOOR, stride + 2):
-        probes = _probe_indices(n, stride, hint, lean)
-        executed, span = _plan_axis(n, fetch, probes)
-        probe_count = len(probes)
-        if span is None and lean:
-            # Same escalation as plan_cpu_sweep: widen to the full probe
-            # grid before falling back to the whole axis.
-            probes = sorted(
-                set(probes) | set(_probe_indices(n, stride, hint, False))
+        def reuse(i: int) -> ExecutionResult | None:
+            entry = engine.planner.stashed(("plan-sat-gpu",) + fps + (float(freqs[i]),))
+            if entry is None:
+                return None
+            cap0, phases, mem_cap_w = cast(
+                "tuple[float, tuple[PhaseResult, ...], float | None]", entry
             )
-            executed, span = _plan_axis(n, fetch, probes, seed=executed)
-            probe_count = len(probes)
-    else:
-        probe_count = 0
+            if cap_eff < cap0:
+                return None
+            return ExecutionResult(
+                phases, proc_cap_w=cap_eff, mem_cap_w=mem_cap_w, device="gpu"
+            )
 
-    if span is None:
-        sweep = sweep_gpu_allocations(
+        def store(i: int, result: ExecutionResult) -> None:
+            if all(
+                p.proc_mechanism is CappingMechanism.NONE for p in result.phases
+            ):
+                key = ("plan-sat-gpu",) + fps + (float(freqs[i]),)
+                prior = engine.planner.stashed(key)
+                if (
+                    prior is None
+                    or cast("tuple[float, object, object]", prior)[0] > cap_eff
+                ):
+                    engine.planner.stash(
+                        key, (cap_eff, result.phases, result.mem_cap_w)
+                    )
+
+        def point(i: int, result: ExecutionResult) -> SweepPoint:
+            return SweepPoint(
+                allocation=gpu_point_allocation(card, cap_w, float(freqs[i])),
+                result=result,
+                performance=workload.performance(result),
+                scenario=classify_gpu(result),
+            )
+
+        subgrid = engine.gpu_subgrid(card, workload.phases, cap_w, freqs)
+        return subgrid.run, reuse, store, point
+
+    return _plan(
+        engine,
+        workload,
+        cap_w,
+        freqs,
+        ("plan-gpu",) + fps + (int(freq_stride),),
+        hint_freq_mhz,
+        lambda freq_mhz: int(np.abs(freqs - freq_mhz).argmin()),
+        open_axis,
+        lambda: sweep_gpu_allocations(
             card, workload, cap_w, freq_stride=freq_stride, engine=engine
-        )
-        lo, hi = optimal_plateau(sweep.points)
-        mid = (lo + hi) // 2
-        best = sweep.points[mid]
-        stats = PlanStats(
-            native_points=n,
-            executed_points=n,
-            probe_points=probe_count,
-            fallback=probe_count > 0,
-            warm_started=warm,
-            reused_points=0,
-        )
-    else:
-        lo, hi = span
-        mid = (lo + hi) // 2
-        best = executed[mid]
-        stats = PlanStats(
-            native_points=n,
-            executed_points=len(executed) - reused,
-            probe_points=probe_count,
-            fallback=False,
-            warm_started=warm,
-            reused_points=reused,
-        )
-    engine.planner.record(
-        native=stats.native_points,
-        executed=stats.executed_points,
-        fallback=stats.fallback,
-        warm=stats.warm_started,
-        reused=stats.reused_points,
+        ).points,
     )
-    engine.planner.remember(hint_key, float(freqs[mid]), not stats.fallback)
-    planned = PlannedSweep(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budget_w=float(cap_w),
-        best=best,
-        best_index=mid,
-        plateau=(lo, hi),
-        stats=stats,
-    )
-    if clean_run:
-        engine.planner.stash(replay_key, planned)
-    return planned
 
 
 # ---------------------------------------------------------------------------
@@ -914,56 +846,25 @@ def adaptive_cpu_budget_curve(
     *,
     step_w: float = 4.0,
     engine: SweepEngine | None = None,
-    stop_at_saturation: bool = False,
 ) -> BudgetCurve:
     """:func:`~repro.core.sweep.cpu_budget_curve`, planned adaptively.
 
     Values are bit-for-bit the oracle curve's; each budget warm-starts
-    from the previous optimum.  ``stop_at_saturation`` (opt-in) truncates
-    the returned arrays once two consecutive budgets stop improving —
-    sound for ascending budgets because ``perf_max`` is monotone in the
-    budget (a larger budget offers every split of a smaller one, with
-    more processor headroom).
+    from the previous optimum.
     """
     engine = engine if engine is not None else default_engine()
-    budgets = np.asarray(budgets_w, dtype=float)
-    if budgets.size == 0:
-        raise SweepError("budget curve needs at least one budget")
-    perf = np.empty_like(budgets)
-    opt_mem = np.empty_like(budgets)
     hint: float | None = None
-    top_so_far = -math.inf
-    flat_run = 0
-    cutoff = budgets.size
-    for i, budget in enumerate(budgets):
+
+    def best_at(budget_w: float) -> SweepPoint:
+        nonlocal hint
         planned = plan_cpu_sweep(
-            cpu,
-            dram,
-            workload,
-            float(budget),
-            step_w=step_w,
-            engine=engine,
-            hint_mem_w=hint,
+            cpu, dram, workload, budget_w,
+            step_w=step_w, engine=engine, hint_mem_w=hint,
         )
-        perf[i] = planned.perf_max
-        opt_mem[i] = planned.best.allocation.mem_w
         hint = planned.best.allocation.mem_w
-        if stop_at_saturation:
-            if perf[i] <= top_so_far:
-                flat_run += 1
-            else:
-                flat_run = 0
-                top_so_far = perf[i]
-            if flat_run >= 2:
-                cutoff = i + 1
-                break
-    return BudgetCurve(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budgets_w=budgets[:cutoff],
-        perf_max=perf[:cutoff],
-        optimal_mem_w=opt_mem[:cutoff],
-    )
+        return planned.best
+
+    return _budget_curve(workload, budgets_w, best_at, "budget")
 
 
 def adaptive_gpu_budget_curve(
@@ -973,45 +874,19 @@ def adaptive_gpu_budget_curve(
     *,
     freq_stride: int = 1,
     engine: SweepEngine | None = None,
-    stop_at_saturation: bool = False,
 ) -> BudgetCurve:
     """:func:`~repro.core.sweep.gpu_budget_curve`, planned adaptively."""
     engine = engine if engine is not None else default_engine()
-    caps = np.asarray(caps_w, dtype=float)
-    if caps.size == 0:
-        raise SweepError("budget curve needs at least one cap")
-    perf = np.empty_like(caps)
-    opt_mem = np.empty_like(caps)
     freqs = gpu_freq_axis(card, freq_stride)
     hint: float | None = None
-    top_so_far = -math.inf
-    flat_run = 0
-    cutoff = caps.size
-    for i, cap in enumerate(caps):
+
+    def best_at(cap_w: float) -> SweepPoint:
+        nonlocal hint
         planned = plan_gpu_sweep(
-            card,
-            workload,
-            float(cap),
-            freq_stride=freq_stride,
-            engine=engine,
-            hint_freq_mhz=hint,
+            card, workload, cap_w,
+            freq_stride=freq_stride, engine=engine, hint_freq_mhz=hint,
         )
-        perf[i] = planned.perf_max
-        opt_mem[i] = planned.best.allocation.mem_w
         hint = float(freqs[planned.best_index])
-        if stop_at_saturation:
-            if perf[i] <= top_so_far:
-                flat_run += 1
-            else:
-                flat_run = 0
-                top_so_far = perf[i]
-            if flat_run >= 2:
-                cutoff = i + 1
-                break
-    return BudgetCurve(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budgets_w=caps[:cutoff],
-        perf_max=perf[:cutoff],
-        optimal_mem_w=opt_mem[:cutoff],
-    )
+        return planned.best
+
+    return _budget_curve(workload, caps_w, best_at, "cap")

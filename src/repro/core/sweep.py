@@ -7,14 +7,16 @@ take the per-budget maximum (``perf_max``) across allocations — the upper
 performance bound of Figures 1, 2 and 6.
 
 Execution is routed through a :class:`~repro.core.parallel.SweepEngine`
-(the process-wide default unless one is passed): allocation points fan out
-across its worker pool and memoize into its shared cache, while point
-ordering, plateau selection, and scenario classification stay exactly as
-the serial oracle computes them.
+(the process-wide default unless one is passed): every point resolves in
+the calling thread, from the engine's memo cache or, on a miss, the batch
+kernel, while point ordering, plateau selection, and scenario
+classification stay exactly as the scalar oracle computes them.  Both
+devices share one set of sweep extrema and one budget-curve loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +85,6 @@ def optimal_plateau(points: tuple["SweepPoint", ...]) -> tuple[int, int]:
     return lo, hi
 
 
-def _plateau_middle(points: tuple["SweepPoint", ...]) -> "SweepPoint":
-    """Middle point of the optimal plateau (see :func:`optimal_plateau`)."""
-    lo, hi = optimal_plateau(points)
-    return points[(lo + hi) // 2]
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One allocation of a sweep with its simulated outcome."""
@@ -103,8 +99,45 @@ class SweepPoint:
         return self.result.total_power_w
 
 
+class _SweepExtrema:
+    """The extrema of a sweep's ``points``, for host and GPU sweeps alike."""
+
+    points: tuple[SweepPoint, ...]
+
+    @property
+    def scenarios(self) -> tuple[Scenario, ...]:
+        return tuple(p.scenario for p in self.points)
+
+    @property
+    def best(self) -> SweepPoint:
+        """The sweep oracle: best-performing allocation found.
+
+        Optima often form a plateau (all of scenario I performs
+        identically); the middle of the plateau is returned so that, at
+        ample budgets, the optimum has slack on both sides — matching the
+        paper's "critical component: none" row of Table 1.
+        """
+        lo, hi = optimal_plateau(self.points)
+        return self.points[(lo + hi) // 2]
+
+    @property
+    def worst(self) -> SweepPoint:
+        return min(self.points, key=lambda p: p.performance)
+
+    @property
+    def perf_max(self) -> float:
+        """The upper performance bound for this budget."""
+        return self.best.performance
+
+    @property
+    def perf_spread(self) -> float:
+        """best/worst performance ratio — the cost of poor coordination."""
+        worst = self.worst.performance
+        return float("inf") if worst <= 0 else self.perf_max / worst
+
+
 @dataclass(frozen=True)
-class AllocationSweep:
+class AllocationSweep(_SweepExtrema):
     """A full sweep of one budget across processor/memory allocations."""
 
     workload_name: str
@@ -143,39 +176,6 @@ class AllocationSweep:
     def total_actual_w(self) -> np.ndarray:
         return np.array([p.result.total_power_w for p in self.points])
 
-    @property
-    def scenarios(self) -> tuple[Scenario, ...]:
-        return tuple(p.scenario for p in self.points)
-
-    # ------------------------------------------------------------------
-    # extrema
-    # ------------------------------------------------------------------
-    @property
-    def best(self) -> SweepPoint:
-        """The sweep oracle: best-performing allocation found.
-
-        Optima often form a plateau (all of scenario I performs
-        identically); the middle of the plateau is returned so that, at
-        ample budgets, the optimum has slack on both sides — matching the
-        paper's "critical component: none" row of Table 1.
-        """
-        return _plateau_middle(self.points)
-
-    @property
-    def worst(self) -> SweepPoint:
-        return min(self.points, key=lambda p: p.performance)
-
-    @property
-    def perf_max(self) -> float:
-        """The upper performance bound for this budget."""
-        return self.best.performance
-
-    @property
-    def perf_spread(self) -> float:
-        """best/worst performance ratio — the cost of poor coordination."""
-        worst = self.worst.performance
-        return float("inf") if worst <= 0 else self.perf_max / worst
-
 
 @dataclass(frozen=True)
 class BudgetCurve:
@@ -197,6 +197,35 @@ class BudgetCurve:
         top = float(self.perf_max.max())
         at_top = self.budgets_w[self.perf_max >= 0.995 * top]
         return float(at_top.min())
+
+
+def _budget_curve(
+    workload: Workload,
+    budgets_w: np.ndarray | list[float],
+    best_at: Callable[[float], SweepPoint],
+    noun: str,
+) -> BudgetCurve:
+    """The curve of ``best_at(budget)`` over ``budgets_w``, in order.
+
+    Every budget curve — host or GPU, full sweeps or the planner — is
+    this loop; they differ only in how ``best_at`` answers one budget.
+    """
+    budgets = np.asarray(budgets_w, dtype=float)
+    if budgets.size == 0:
+        raise SweepError(f"budget curve needs at least one {noun}")
+    perf = np.empty_like(budgets)
+    opt_mem = np.empty_like(budgets)
+    for i, budget in enumerate(budgets):
+        best = best_at(float(budget))
+        perf[i] = best.performance
+        opt_mem[i] = best.allocation.mem_w
+    return BudgetCurve(
+        workload_name=workload.name,
+        metric_unit=workload.metric_unit,
+        budgets_w=budgets,
+        perf_max=perf,
+        optimal_mem_w=opt_mem,
+    )
 
 
 def sweep_cpu_allocations(
@@ -257,28 +286,17 @@ def cpu_budget_curve(
         return adaptive_cpu_budget_curve(
             cpu, dram, workload, budgets_w, step_w=step_w, engine=engine
         )
-    budgets = np.asarray(budgets_w, dtype=float)
-    if budgets.size == 0:
-        raise SweepError("budget curve needs at least one budget")
-    perf = np.empty_like(budgets)
-    opt_mem = np.empty_like(budgets)
-    for i, b in enumerate(budgets):
-        sweep = sweep_cpu_allocations(
-            cpu, dram, workload, float(b), step_w=step_w, engine=engine
-        )
-        perf[i] = sweep.perf_max
-        opt_mem[i] = sweep.best.allocation.mem_w
-    return BudgetCurve(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budgets_w=budgets,
-        perf_max=perf,
-        optimal_mem_w=opt_mem,
-    )
+
+    def best_at(budget_w: float) -> SweepPoint:
+        return sweep_cpu_allocations(
+            cpu, dram, workload, budget_w, step_w=step_w, engine=engine
+        ).best
+
+    return _budget_curve(workload, budgets_w, best_at, "budget")
 
 
 @dataclass(frozen=True)
-class GpuSweep:
+class GpuSweep(_SweepExtrema):
     """A sweep of memory-clock settings under one GPU board cap.
 
     Each point's "memory power allocation" is the empirical busy-bus
@@ -292,29 +310,6 @@ class GpuSweep:
     mem_alloc_w: np.ndarray
     performances: np.ndarray
     points: tuple[SweepPoint, ...]
-
-    @property
-    def best(self) -> SweepPoint:
-        """Best point, mid-plateau on ties (see :class:`AllocationSweep`)."""
-        return _plateau_middle(self.points)
-
-    @property
-    def worst(self) -> SweepPoint:
-        return min(self.points, key=lambda p: p.performance)
-
-    @property
-    def perf_max(self) -> float:
-        return self.best.performance
-
-    @property
-    def perf_spread(self) -> float:
-        """best/worst performance ratio across memory-clock settings."""
-        worst = self.worst.performance
-        return float("inf") if worst <= 0 else self.perf_max / worst
-
-    @property
-    def scenarios(self) -> tuple[Scenario, ...]:
-        return tuple(p.scenario for p in self.points)
 
 
 def gpu_freq_axis(card: GpuCard, freq_stride: int = 1) -> np.ndarray:
@@ -391,21 +386,10 @@ def gpu_budget_curve(
         return adaptive_gpu_budget_curve(
             card, workload, caps_w, freq_stride=freq_stride, engine=engine
         )
-    caps = np.asarray(caps_w, dtype=float)
-    if caps.size == 0:
-        raise SweepError("budget curve needs at least one cap")
-    perf = np.empty_like(caps)
-    opt_mem = np.empty_like(caps)
-    for i, cap in enumerate(caps):
-        sweep = sweep_gpu_allocations(
-            card, workload, float(cap), freq_stride=freq_stride, engine=engine
-        )
-        perf[i] = sweep.perf_max
-        opt_mem[i] = sweep.best.allocation.mem_w
-    return BudgetCurve(
-        workload_name=workload.name,
-        metric_unit=workload.metric_unit,
-        budgets_w=caps,
-        perf_max=perf,
-        optimal_mem_w=opt_mem,
-    )
+
+    def best_at(cap_w: float) -> SweepPoint:
+        return sweep_gpu_allocations(
+            card, workload, cap_w, freq_stride=freq_stride, engine=engine
+        ).best
+
+    return _budget_curve(workload, caps_w, best_at, "cap")

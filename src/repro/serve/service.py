@@ -3,9 +3,10 @@
 One :class:`CoordinationService` owns (or borrows) a
 :class:`~repro.core.parallel.SweepEngine` and answers the protocol's
 query ops by calling the exact same library entry points a direct user
-would — ``sweep_cpu_allocations``, ``cpu_budget_curve``,
-``profile_*_resilient`` — so served answers are bit-identical to library
-answers *by construction*, not by re-implementation.
+would — ``sweep_cpu_allocations`` (``plan_cpu_sweep`` on an adaptive
+engine), ``cpu_budget_curve``, ``profile_*_resilient`` — so served
+answers are bit-identical to library answers *by construction*, not by
+re-implementation.
 
 The micro-batching win lives in :meth:`CoordinationService.prefetch`:
 given one flush's worth of coalesced sweep-family queries, it unions
@@ -38,12 +39,14 @@ from repro.core.coord import CoordDecision, coord_cpu
 from repro.core.coord_gpu import coord_gpu
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
 from repro.core.parallel import MemoCache, SweepEngine
+from repro.core.planner import PlannedSweep, plan_cpu_sweep, plan_gpu_sweep
 from repro.core.sweep import (
     AllocationSweep,
     BudgetCurve,
     GpuSweep,
     cpu_budget_curve,
     gpu_budget_curve,
+    gpu_freq_axis,
     sweep_cpu_allocations,
     sweep_gpu_allocations,
 )
@@ -399,21 +402,26 @@ class CoordinationService:
         self, request: Request, workload: Workload, platform: Any
     ) -> tuple[dict[str, Any], None]:
         budget_w = _float_param(request, "budget_w")
+        # An adaptive engine plans the sweep instead of running its whole
+        # grid; the planned best point and index are the full sweep's.
+        adaptive = self.engine.mode == "adaptive"
+        sweep: PlannedSweep | AllocationSweep | GpuSweep
         if workload.device == "cpu":
             step_w = _float_param(request, "step_w", _DEFAULT_STEP_W)
-            sweep: AllocationSweep | GpuSweep = sweep_cpu_allocations(
-                platform.cpu,
-                platform.dram,
-                workload,
-                budget_w,
-                step_w=step_w,
-                engine=self.engine,
-            )
+            host = (platform.cpu, platform.dram, workload, budget_w)
+            if adaptive:
+                sweep = plan_cpu_sweep(*host, step_w=step_w, engine=self.engine)
+            else:
+                sweep = sweep_cpu_allocations(*host, step_w=step_w, engine=self.engine)
         else:
             stride = int(request.param("freq_stride", 1))
-            sweep = sweep_gpu_allocations(
-                platform, workload, budget_w, freq_stride=stride, engine=self.engine
-            )
+            card = (platform, workload, budget_w)
+            if adaptive:
+                sweep = plan_gpu_sweep(*card, freq_stride=stride, engine=self.engine)
+            else:
+                sweep = sweep_gpu_allocations(
+                    *card, freq_stride=stride, engine=self.engine
+                )
         best = sweep.best
         result: dict[str, Any] = {  # repro-lint: disable=RPL004 -- wire snapshot of the sweep's already-validated best allocation
             "workload": workload.name,
@@ -425,11 +433,19 @@ class CoordinationService:
             "metric_unit": workload.metric_unit,
             "scenario": best.scenario.roman,
             "actual_total_w": best.result.total_power_w,
-            "n_points": len(sweep.points),
+            "n_points": (
+                sweep.stats.native_points
+                if isinstance(sweep, PlannedSweep)
+                else len(sweep.points)
+            ),
         }
         if isinstance(sweep, GpuSweep):
             result["mem_freq_mhz"] = float(
                 sweep.mem_freqs_mhz[sweep.points.index(best)]
+            )
+        elif isinstance(sweep, PlannedSweep) and workload.device == "gpu":
+            result["mem_freq_mhz"] = float(
+                gpu_freq_axis(platform, stride)[sweep.best_index]
             )
         return result, None
 

@@ -9,6 +9,13 @@ The module-level helpers (:func:`sweep_signature`, :func:`plateau_span`,
 and back the parallel-vs-serial equivalence harness: they canonicalize a
 sweep into plain comparable data and give deterministic randomness for
 the fuzzing tests.
+
+Hypothesis runs under one of two profiles.  ``tier1`` (the default) is
+derandomized and keeps no example database, so a tier-1 result depends
+only on the tree.  ``fuzz`` (``make fuzz``, i.e. ``--hypothesis-profile
+fuzz``) draws fresh random examples, :data:`FUZZ_FACTOR` times as many
+per test; every property test takes its example count from
+:func:`property_settings` so both profiles scale it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.sweep import optimal_plateau
@@ -38,6 +46,31 @@ from repro.sched.traces import (
     poisson_trace,
 )
 from repro.workloads import cpu_workload, gpu_workload, list_cpu_workloads
+
+
+# ---------------------------------------------------------------------------
+# hypothesis profiles
+# ---------------------------------------------------------------------------
+
+#: How many times its tier-1 example count each property test draws under
+#: the ``fuzz`` profile.
+FUZZ_FACTOR = 5
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("fuzz", derandomize=False, deadline=None, print_blob=True)
+settings.load_profile("tier1")
+
+
+def property_settings(max_examples: int) -> settings:
+    """One property test's settings: ``max_examples`` examples under
+    tier-1, :data:`FUZZ_FACTOR` times as many under ``fuzz``.
+
+    The active profile is read when the test module is imported, which
+    happens after pytest's ``--hypothesis-profile`` has been applied.
+    """
+    if settings.get_current_profile_name() == "fuzz":
+        max_examples *= FUZZ_FACTOR
+    return settings(max_examples=max_examples)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
@@ -61,7 +61,7 @@ from repro.workloads import (
     list_cpu_workloads,
     list_gpu_workloads,
 )
-from tests.conftest import plateau_span, sweep_signature
+from tests.conftest import plateau_span, property_settings, sweep_signature
 
 CPU_BUDGETS_FAST = (144.0, 208.0)
 GPU_CAPS_FAST = (150.0, 200.0)
@@ -334,7 +334,7 @@ class TestSweepEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestFuzzedEquivalence:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @property_settings(25)
     @given(
         n_cores=st.integers(min_value=1, max_value=32),
         f_min=st.sampled_from([0.8, 1.2, 1.6]),
@@ -404,7 +404,7 @@ class TestFuzzedEquivalence:
             scalar = execute_on_host(cpu, dram, phases, alloc.proc_w, alloc.mem_w)
             assert_results_identical(scalar, result)
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @property_settings(15)
     @given(
         budget=st.integers(min_value=25, max_value=70).map(lambda k: 4.0 * k),
         step=st.sampled_from([2.0, 3.0, 4.0, 8.0, 12.0]),
@@ -420,7 +420,7 @@ class TestFuzzedEquivalence:
         )
         assert_sweeps_identical(scalar, batch)
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @property_settings(15)
     @given(
         cap=st.integers(min_value=140, max_value=250).map(float),
         stride=st.integers(min_value=1, max_value=4),

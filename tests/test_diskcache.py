@@ -17,7 +17,7 @@ import multiprocessing
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro.core.diskcache import (
     CACHE_FORMAT,
@@ -41,7 +41,7 @@ from repro.faults import FaultKind, FaultPlan, FaultSpec, use_faults
 from repro.hardware.component import CappingMechanism
 from repro.perfmodel.metrics import ExecutionResult, PhaseResult
 
-from tests.conftest import fault_plans
+from tests.conftest import fault_plans, property_settings
 
 
 def make_result(seed: float, *, device: str = "host") -> ExecutionResult:
@@ -396,7 +396,7 @@ class TestFaultedWrites:
             warnings.simplefilter("error")
             DiskCache(tmp_path)
 
-    @settings(max_examples=15, deadline=None)
+    @property_settings(15)
     @given(plan=fault_plans(sites=("diskcache.write",)))
     def test_mangled_writes_never_serve_wrong_values(
         self, plan, tmp_path_factory

@@ -1,16 +1,48 @@
 """Experiment harness: every figure/table regenerates with the paper's shape.
 
-These run the experiments in ``fast`` mode (coarser sweeps) and assert the
-*qualitative* claims — who wins, by roughly what factor, where crossovers
-fall — not absolute numbers.
+Most of these run the experiments in ``fast`` mode (coarser sweeps) and
+assert the *qualitative* claims — who wins, by roughly what factor, where
+crossovers fall — not absolute numbers.  :class:`TestRenderGoldens` is the
+exception: it renders every artifact at full resolution and demands the
+committed ``benchmarks/reports/<id>.txt`` byte for byte.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.parallel import SweepEngine
 from repro.core.scenario import Scenario
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS, list_experiments, run_experiment
+
+REPORTS = Path(__file__).parent.parent / "benchmarks" / "reports"
+
+
+class TestRenderGoldens:
+    """Every paper artifact renders exactly its committed report.
+
+    The reports are the goldens: any change to an answer, a point count
+    or a formatting rule shows up here as a diff, in every engine mode.
+    Tier-1 checks the batch kernel under both sweep strategies; the
+    scalar executor passes are slower and run under ``-m slow``.
+    """
+
+    @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize(
+        "mode, batch",
+        [
+            ("full", True),
+            ("adaptive", True),
+            pytest.param("full", False, marks=pytest.mark.slow),
+            pytest.param("adaptive", False, marks=pytest.mark.slow),
+        ],
+    )
+    def test_render_matches_committed_report(self, mode, batch, exp_id):
+        engine = SweepEngine(mode=mode, batch=batch)
+        rendered = run_experiment(exp_id, engine=engine).render() + "\n"
+        assert rendered == (REPORTS / f"{exp_id}.txt").read_text()
 
 
 class TestRegistry:

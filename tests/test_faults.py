@@ -12,7 +12,7 @@ fault kind also gets a deterministic single-kind battery run.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.parallel import SweepEngine
@@ -52,7 +52,7 @@ from repro.perfmodel.executor import execute_on_host
 from repro.perfmodel.power_trace import sample_power_trace
 from repro.workloads import cpu_workload
 
-from tests.conftest import fault_plans, sweep_signature
+from tests.conftest import fault_plans, property_settings, sweep_signature
 
 #: A site that understands each fault kind (for single-kind batteries).
 _KIND_SITE = {
@@ -120,7 +120,7 @@ class TestFaultPlan:
                 {"site": "rapl.read", "kind": "dropout", "oops": 1}
             )
 
-    @settings(max_examples=50, deadline=None)
+    @property_settings(50)
     @given(plan=fault_plans())
     def test_json_roundtrip_is_lossless(self, plan):
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -141,7 +141,7 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 class TestInjector:
-    @settings(max_examples=25, deadline=None)
+    @property_settings(25)
     @given(plan=fault_plans(), calls=st.integers(min_value=1, max_value=64))
     def test_firing_schedule_is_deterministic(self, plan, calls):
         sites = sorted({spec.site for spec in plan.specs})
@@ -288,7 +288,7 @@ class TestDegradationContract:
         outcomes = {check.name: check.outcome for check in report.checks}
         assert outcomes["cpu.coordinate"] in ("typed-error", "degraded")
 
-    @settings(max_examples=10, deadline=None)
+    @property_settings(10)
     @given(plan=fault_plans())
     def test_fuzzed_plans_uphold_contract(self, plan):
         report = run_chaos(plan, scale="smoke")
@@ -345,23 +345,6 @@ class TestWorkerFaults:
             sweep_cpu_allocations(ivb.cpu, ivb.dram, stream, 176.0, engine=engine)
         assert excinfo.value.attempts == 3  # the plan's max_attempts
         assert isinstance(excinfo.value, FaultError)
-
-    def test_worker_retry_budget_overrides_plan(self, ivb, stream):
-        engine = SweepEngine(
-            faults=plan_for(
-                "parallel.worker", FaultKind.WORKER_CRASH, probability=1.0
-            ),
-            worker_retry_budget=5,
-        )
-        with pytest.raises(WorkerRetryExhaustedError) as excinfo:
-            sweep_cpu_allocations(ivb.cpu, ivb.dram, stream, 176.0, engine=engine)
-        assert excinfo.value.attempts == 5
-
-    def test_bad_retry_budget_rejected(self):
-        from repro.errors import SweepError
-
-        with pytest.raises(SweepError):
-            SweepEngine(worker_retry_budget=0)
 
     def test_global_arming_reaches_default_engines(self, ivb, stream):
         clean = sweep_cpu_allocations(

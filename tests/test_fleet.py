@@ -28,7 +28,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.coord import coord_cpu
@@ -64,7 +64,12 @@ from repro.sched.traces import (
 )
 from repro.workloads import cpu_workload, list_cpu_workloads
 
-from tests.conftest import cluster_shapes, fleet_traces, job_mixes
+from tests.conftest import (
+    cluster_shapes,
+    fleet_traces,
+    job_mixes,
+    property_settings,
+)
 
 PLATFORMS = {"ivybridge": ivybridge_node, "haswell": haswell_node}
 
@@ -286,7 +291,7 @@ class TestDifferentialBattery:
         record = sched.records[1]
         assert "unschedulable" in (record.reject_reason or "")
 
-    @settings(max_examples=15, deadline=None)
+    @property_settings(15)
     @given(jobs=job_mixes(multi_node=True), shape=cluster_shapes())
     @example(
         # Charged watts summing a hair past the bound once made headroom
@@ -311,7 +316,7 @@ class TestDifferentialBattery:
             n_nodes=shape["n_nodes"], bound=shape["global_bound_w"],
         )
 
-    @settings(max_examples=15, deadline=None)
+    @property_settings(15)
     @given(jobs=job_mixes(multi_node=True), shape=cluster_shapes())
     def test_fuzzed_mixes_rebalancing(self, jobs, shape):
         platform = (
@@ -608,7 +613,7 @@ class TestArrivalStream:
 # ---------------------------------------------------------------------------
 
 class TestEventProperties:
-    @settings(max_examples=10, deadline=None)
+    @property_settings(10)
     @given(jobs=job_mixes(), shape=cluster_shapes())
     def test_dispatch_order_and_bound_at_event_boundaries(self, jobs, shape):
         cluster = Cluster(**shape)
@@ -628,7 +633,7 @@ class TestEventProperties:
         sched.run(observer=observer)
         assert times == sorted(times)
 
-    @settings(max_examples=10, deadline=None)
+    @property_settings(10)
     @given(jobs=job_mixes(), shape=cluster_shapes())
     def test_every_arrived_job_reaches_terminal_state(self, jobs, shape):
         cluster = Cluster(**shape)
@@ -646,7 +651,7 @@ class TestEventProperties:
 
 
 class TestFleetProperties:
-    @settings(max_examples=8, deadline=None)
+    @property_settings(8)
     @given(trace=fleet_traces(), n_nodes=st.integers(2, 6),
            bound=st.sampled_from((400.0, 900.0, 1600.0)))
     def test_fleet_invariants(self, trace, n_nodes, bound):
@@ -673,7 +678,7 @@ class TestFleetProperties:
                 assert r.finish_s <= stats.makespan_s + 1e-9
                 assert r.grant_w <= r.job.budget_w + 1e-9
 
-    @settings(max_examples=8, deadline=None)
+    @property_settings(8)
     @given(trace=fleet_traces(), n_nodes=st.integers(2, 5))
     def test_fleet_replays_identically(self, trace, n_nodes):
         runs = []
@@ -802,7 +807,7 @@ class TestFleetGolden:
 
 
 class TestTraces:
-    @settings(max_examples=10, deadline=None)
+    @property_settings(10)
     @given(trace=fleet_traces())
     def test_round_trips_through_the_file_format(self, trace, tmp_path_factory):
         path = tmp_path_factory.mktemp("traces") / "t.trace"

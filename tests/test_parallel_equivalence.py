@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
@@ -34,10 +34,11 @@ from repro.core.parallel import (
     set_default_engine,
     use_engine,
 )
+from repro.core.planner import plan_cpu_sweep, plan_gpu_sweep
 from repro.core.sweep import cpu_budget_curve, sweep_cpu_allocations
 from repro.errors import SweepError
 from repro.perfmodel.executor import execute_on_host
-from tests.conftest import seeded_rng
+from tests.conftest import property_settings, seeded_rng
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ from tests.conftest import seeded_rng
 # ---------------------------------------------------------------------------
 
 class TestProperties:
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @property_settings(10)
     @given(
         budget=st.integers(min_value=30, max_value=70).map(lambda k: 4.0 * k),
         repeats=st.integers(min_value=2, max_value=4),
@@ -71,7 +72,7 @@ class TestProperties:
             prior_hits = stats.hits
         assert engine.stats.hit_ratio >= 0.5
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @property_settings(10)
     @given(
         budget=st.integers(min_value=30, max_value=70).map(lambda k: 4.0 * k),
         seed=st.integers(min_value=0, max_value=2**16),
@@ -201,6 +202,38 @@ class TestEnginePlumbing:
             stats = memory.stats
             assert stats.size == 16
             assert stats.evictions == 4 * 500 - 16
+
+    @pytest.mark.parametrize("device", ("cpu", "gpu"))
+    def test_a_replayed_plan_opens_no_subgrid(self, ivb, dgemm, xp, sgemm, device):
+        # Only a replay miss sets up the saturation stash and the engine
+        # sub-grid.  The planner maps are LRUs, so an extra access on a
+        # replay hit would change what a bounded engine evicts.
+        opened: list[str] = []
+
+        class CountingEngine(SweepEngine):
+            def host_subgrid(self, *args, **kwargs):
+                opened.append("host")
+                return super().host_subgrid(*args, **kwargs)
+
+            def gpu_subgrid(self, *args, **kwargs):
+                opened.append("gpu")
+                return super().gpu_subgrid(*args, **kwargs)
+
+        engine = CountingEngine()
+
+        def plan():
+            if device == "cpu":
+                return plan_cpu_sweep(ivb.cpu, ivb.dram, dgemm, 180.0, engine=engine)
+            return plan_gpu_sweep(xp, sgemm, 200.0, engine=engine)
+
+        first = plan()
+        assert opened == ["host" if device == "cpu" else "gpu"]
+        lookups = engine.planner._stash.stats.lookups
+        replayed = plan()
+        assert opened == ["host" if device == "cpu" else "gpu"]
+        assert engine.planner._stash.stats.lookups == lookups + 1  # the replay
+        assert replayed.best == first.best
+        assert replayed.stats.executed_points == 0
 
     def test_cache_bound_enforced(self):
         with pytest.raises(SweepError):

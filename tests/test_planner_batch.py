@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from hypothesis import given, settings
+from hypothesis import given
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.workloads import (
     list_gpu_workloads,
 )
 
-from tests.conftest import planner_cpu_cases
+from tests.conftest import planner_cpu_cases, property_settings
 from tests.test_planner_equivalence import (
     assert_points_identical,
     oracle_engine,
@@ -368,7 +368,7 @@ class TestGoldenPointCounts:
 # ---------------------------------------------------------------------------
 
 class TestFuzzedStageDifferential:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @property_settings(25)
     @given(case=planner_cpu_cases())
     def test_fuzzed_stage_traces_match(self, case):
         cpu, dram, wl = case["cpu"], case["dram"], case["workload"]

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.parallel import SWEEP_MODE_ENV_VAR, SweepEngine, resolve_mode
@@ -45,7 +45,7 @@ from repro.workloads import (
     list_gpu_workloads,
 )
 
-from tests.conftest import planner_cpu_cases
+from tests.conftest import planner_cpu_cases, property_settings
 
 CPU_BUDGETS = (144.0, 176.0, 208.0, 240.0)
 GPU_CAPS = (130.0, 150.0, 190.0, 250.0)
@@ -149,7 +149,7 @@ class TestGpuRegistryEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# budget curves: exact array equality, warm starts, saturation stop
+# budget curves: exact array equality, warm starts
 # ---------------------------------------------------------------------------
 
 class TestBudgetCurveEquivalence:
@@ -188,23 +188,6 @@ class TestBudgetCurveEquivalence:
         assert np.array_equal(curve.budgets_w, oracle.budgets_w)
         assert np.array_equal(curve.perf_max, oracle.perf_max)
         assert np.array_equal(curve.optimal_mem_w, oracle.optimal_mem_w)
-
-    def test_stop_at_saturation_is_a_prefix(self, ivb, sra):
-        budgets = np.arange(140.0, 301.0, 20.0)
-        full = adaptive_cpu_budget_curve(
-            ivb.cpu, ivb.dram, sra, budgets, step_w=8.0,
-            engine=SweepEngine(),
-        )
-        short = adaptive_cpu_budget_curve(
-            ivb.cpu, ivb.dram, sra, budgets, step_w=8.0,
-            engine=SweepEngine(), stop_at_saturation=True,
-        )
-        k = short.budgets_w.size
-        assert k < budgets.size  # SRA saturates around 225 W
-        assert np.array_equal(short.budgets_w, full.budgets_w[:k])
-        assert np.array_equal(short.perf_max, full.perf_max[:k])
-        # Sound truncation: the prefix already contains the curve's top.
-        assert short.perf_max.max() == full.perf_max.max()
 
     def test_empty_budgets_rejected(self, ivb, sra, xp, sgemm):
         with pytest.raises(SweepError):
@@ -355,7 +338,7 @@ class TestModeDispatch:
 # ---------------------------------------------------------------------------
 
 class TestFuzzedEquivalence:
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @property_settings(30)
     @given(case=planner_cpu_cases())
     def test_fuzzed_platforms(self, case):
         cpu, dram, wl = case["cpu"], case["dram"], case["workload"]
@@ -371,7 +354,7 @@ class TestFuzzedEquivalence:
         )
         assert_plan_matches_sweep(planned, oracle)
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @property_settings(15)
     @given(
         cap=st.integers(min_value=130, max_value=280).map(float),
         stride=st.integers(min_value=1, max_value=4),

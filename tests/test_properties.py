@@ -6,7 +6,7 @@ drives them across arbitrary-but-valid workloads, caps and budgets.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.coord import coord_cpu
@@ -18,6 +18,8 @@ from repro.hardware.platforms import ivybridge_node, titan_xp_card
 from repro.hardware.rapl import ENERGY_UNIT_J, MsrEnergyCounter
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.phase import Phase
+
+from tests.conftest import property_settings
 
 # Module-scoped models: domains are immutable, reuse is safe.
 NODE = ivybridge_node()
@@ -85,7 +87,7 @@ def gpu_criticals(draw):
 
 
 class TestExecutorProperties:
-    @settings(max_examples=60, deadline=None)
+    @property_settings(60)
     @given(phase=phases, cpu_cap=cpu_caps, mem_cap=mem_caps)
     def test_caps_respected_unless_floored(self, phase, cpu_cap, mem_cap):
         r = execute_on_host(NODE.cpu, NODE.dram, (phase,), cpu_cap, mem_cap)
@@ -95,7 +97,7 @@ class TestExecutorProperties:
         if ph.mem_mechanism.respects_cap:
             assert ph.mem_power_w <= mem_cap + 1e-6
 
-    @settings(max_examples=60, deadline=None)
+    @property_settings(60)
     @given(phase=phases, cpu_cap=cpu_caps, mem_cap=mem_caps)
     def test_times_and_powers_sane(self, phase, cpu_cap, mem_cap):
         r = execute_on_host(NODE.cpu, NODE.dram, (phase,), cpu_cap, mem_cap)
@@ -108,7 +110,7 @@ class TestExecutorProperties:
         assert ph.proc_power_w <= NODE.cpu.max_power_w + 1e-9
         assert ph.mem_power_w <= NODE.dram.max_power_w + 1e-9
 
-    @settings(max_examples=40, deadline=None)
+    @property_settings(40)
     @given(phase=phases, mem_cap=st.floats(30.0, 250.0))
     def test_perf_monotone_in_cpu_cap(self, phase, mem_cap):
         rates = [
@@ -117,7 +119,7 @@ class TestExecutorProperties:
         ]
         assert rates[0] <= rates[1] + 1e-6 and rates[1] <= rates[2] + 1e-6
 
-    @settings(max_examples=40, deadline=None)
+    @property_settings(40)
     @given(phase=phases, cpu_cap=st.floats(50.0, 400.0))
     def test_perf_monotone_in_mem_cap(self, phase, cpu_cap):
         # More memory power is NOT unconditionally better: a faster memory
@@ -140,13 +142,13 @@ class TestExecutorProperties:
             rates = [r.flops_rate for r in results]
             assert rates[0] <= rates[1] + 1e-6 and rates[1] <= rates[2] + 1e-6
 
-    @settings(max_examples=50, deadline=None)
+    @property_settings(50)
     @given(phase=phases, cpu_cap=cpu_caps, mem_cap=mem_caps)
     def test_classification_total(self, phase, cpu_cap, mem_cap):
         r = execute_on_host(NODE.cpu, NODE.dram, (phase,), cpu_cap, mem_cap)
         assert classify_cpu(r) in Scenario
 
-    @settings(max_examples=40, deadline=None)
+    @property_settings(40)
     @given(phase=phases, cap=st.floats(125.0, 300.0), ratio=st.floats(0.0, 1.0))
     def test_gpu_cap_respected(self, phase, cap, ratio):
         freq = CARD.mem.min_mhz + ratio * (CARD.mem.nominal_mhz - CARD.mem.min_mhz)
@@ -162,7 +164,7 @@ class TestExecutorProperties:
 
 
 class TestCoordProperties:
-    @settings(max_examples=120, deadline=None)
+    @property_settings(120)
     @given(critical=cpu_criticals(), budget=st.floats(1.0, 500.0))
     def test_accepted_allocations_respect_budget(self, critical, budget):
         d = coord_cpu(critical, budget)
@@ -170,13 +172,13 @@ class TestCoordProperties:
             assert d.allocation.total_w <= budget + 1e-6
             assert d.allocation.proc_w >= 0 and d.allocation.mem_w >= 0
 
-    @settings(max_examples=120, deadline=None)
+    @property_settings(120)
     @given(critical=cpu_criticals(), budget=st.floats(1.0, 500.0))
     def test_rejection_iff_below_threshold(self, critical, budget):
         d = coord_cpu(critical, budget)
         assert d.accepted == (budget >= critical.productive_threshold_w)
 
-    @settings(max_examples=120, deadline=None)
+    @property_settings(120)
     @given(critical=cpu_criticals(), budget=st.floats(1.0, 500.0))
     def test_surplus_accounting(self, critical, budget):
         d = coord_cpu(critical, budget)
@@ -185,7 +187,7 @@ class TestCoordProperties:
             assert d.allocation.proc_w == pytest.approx(critical.cpu_l1)
             assert d.allocation.mem_w == pytest.approx(critical.mem_l1)
 
-    @settings(max_examples=100, deadline=None)
+    @property_settings(100)
     @given(critical=cpu_criticals(), budget=st.floats(1.0, 500.0))
     def test_memory_priority_in_case_b(self, critical, budget):
         d = coord_cpu(critical, budget)
@@ -197,7 +199,7 @@ class TestCoordProperties:
         ):
             assert d.allocation.mem_w == pytest.approx(critical.mem_l1)
 
-    @settings(max_examples=120, deadline=None)
+    @property_settings(120)
     @given(
         critical=gpu_criticals(),
         budget=st.floats(50.0, 400.0),
@@ -208,7 +210,7 @@ class TestCoordProperties:
         assert d.allocation.total_w <= budget + 1e-6
         assert critical.mem_min - 1e-9 <= d.allocation.mem_w <= critical.mem_max + 1e-9
 
-    @settings(max_examples=80, deadline=None)
+    @property_settings(80)
     @given(critical=cpu_criticals(), budget=st.floats(1.0, 500.0))
     def test_monotone_memory_share(self, critical, budget):
         # Growing the budget never shrinks memory's share (memory is the
@@ -230,7 +232,7 @@ class TestCoordProperties:
 
 
 class TestCounterProperties:
-    @settings(max_examples=60, deadline=None)
+    @property_settings(60)
     @given(chunks=st.lists(st.floats(0.0, 60_000.0), min_size=1, max_size=20))
     def test_delta_reconstructs_total_energy(self, chunks):
         # As long as < 2^16 J (= one full register wrap) pass between
@@ -253,7 +255,7 @@ class TestCounterProperties:
 
 
 class TestSweepProperties:
-    @settings(max_examples=15, deadline=None)
+    @property_settings(15)
     @given(seed=st.integers(0, 1000), budget=st.floats(120.0, 280.0))
     def test_random_workload_sweep_invariants(self, seed, budget):
         from repro.core.sweep import sweep_cpu_allocations

@@ -1,7 +1,7 @@
 """Robustness of COORD to profiling measurement noise."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.coord import coord_cpu
@@ -13,6 +13,8 @@ from repro.hardware.platforms import ivybridge_node
 from repro.perfmodel.executor import execute_on_host
 from repro.util.seeds import spawn_rng
 from repro.workloads import cpu_workload
+
+from tests.conftest import property_settings
 
 NODE = ivybridge_node()
 
@@ -72,7 +74,7 @@ class TestCoordUnderNoise:
             )
             assert wl.performance(r) >= 0.80 * best
 
-    @settings(max_examples=40, deadline=None)
+    @property_settings(40)
     @given(noise=st.floats(0.0, 0.3), seed=st.integers(0, 100))
     def test_noisy_decisions_still_respect_budget(self, sra_clean, noise, seed):
         rng = spawn_rng(seed, "robustness-budget")

@@ -1,7 +1,7 @@
 """Power-bounded batch scheduler."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SchedulerError
@@ -9,7 +9,7 @@ from repro.hardware.platforms import ivybridge_node
 from repro.sched import Cluster, Job, JobState, PowerBoundedScheduler
 from repro.workloads import cpu_workload, gpu_workload
 
-from tests.conftest import cluster_shapes
+from tests.conftest import cluster_shapes, property_settings
 
 
 def make_cluster(n_nodes=2, bound=500.0):
@@ -41,7 +41,7 @@ class TestCluster:
                 node_factory=ivybridge_node, n_nodes=2, global_bound_w=bound
             )
 
-    @settings(max_examples=20, deadline=None)
+    @property_settings(20)
     @given(shape=cluster_shapes())
     def test_valid_shapes_always_construct(self, shape):
         cluster = Cluster(**shape)

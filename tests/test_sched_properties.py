@@ -5,7 +5,7 @@ Job/cluster generation lives in ``tests/conftest.py`` (``job_mixes``,
 """
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.hardware.platforms import ivybridge_node
@@ -13,7 +13,7 @@ from repro.sched import Cluster, Job, JobState, PowerBoundedScheduler
 from repro.sched.rebalance import RebalancingScheduler
 from repro.workloads import cpu_workload
 
-from tests.conftest import SCHED_WORKLOAD_NAMES, job_mixes
+from tests.conftest import SCHED_WORKLOAD_NAMES, job_mixes, property_settings
 
 # Profiles are per (workload, platform) and deterministic: compute them
 # once for the whole module instead of once per generated scheduler.
@@ -45,7 +45,7 @@ def run_mix(scheduler_cls, jobs, n_nodes, bound):
 
 
 class TestSchedulerProperties:
-    @settings(max_examples=25, deadline=None)
+    @property_settings(25)
     @given(jobs=job_mixes(), n_nodes=st.integers(1, 4), bound=st.floats(150.0, 900.0))
     def test_no_job_lost(self, jobs, n_nodes, bound):
         sched, stats = run_mix(PowerBoundedScheduler, jobs, n_nodes, bound)
@@ -53,13 +53,13 @@ class TestSchedulerProperties:
         terminal = {JobState.COMPLETED, JobState.REJECTED}
         assert all(r.state in terminal for r in sched.records.values())
 
-    @settings(max_examples=25, deadline=None)
+    @property_settings(25)
     @given(jobs=job_mixes(), n_nodes=st.integers(1, 4), bound=st.floats(150.0, 900.0))
     def test_global_bound_never_exceeded(self, jobs, n_nodes, bound):
         _, stats = run_mix(PowerBoundedScheduler, jobs, n_nodes, bound)
         assert stats.peak_charged_w <= bound + 1e-6
 
-    @settings(max_examples=25, deadline=None)
+    @property_settings(25)
     @given(jobs=job_mixes(), n_nodes=st.integers(1, 4), bound=st.floats(150.0, 900.0))
     def test_completed_jobs_have_consistent_times(self, jobs, n_nodes, bound):
         sched, stats = run_mix(PowerBoundedScheduler, jobs, n_nodes, bound)
@@ -70,7 +70,7 @@ class TestSchedulerProperties:
                 assert record.finish_time_s <= stats.makespan_s + 1e-9
                 assert record.granted_budget_w <= record.job.requested_budget_w + 1e-9
 
-    @settings(max_examples=20, deadline=None)
+    @property_settings(20)
     @given(jobs=job_mixes(), n_nodes=st.integers(1, 3), bound=st.floats(200.0, 700.0))
     @example(
         # Job 0's boost ends it before job 1 arrives.  Job 2 then waited
@@ -104,7 +104,7 @@ class TestSchedulerProperties:
         if base.n_completed and base.makespan_s > 0:
             assert dyn.makespan_s <= base.makespan_s * 1.05 + 1e-6
 
-    @settings(max_examples=20, deadline=None)
+    @property_settings(20)
     @given(jobs=job_mixes(), bound=st.floats(250.0, 900.0))
     def test_fcfs_start_order(self, jobs, bound):
         sched, _ = run_mix(PowerBoundedScheduler, jobs, 2, bound)

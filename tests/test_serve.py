@@ -416,6 +416,34 @@ class TestServedIdentity:
             assert reply["ok"], (op, reply)
             assert reply["result"] == expected, op
 
+    def test_adaptive_sweep_best_plans_fewer_points(self):
+        # An adaptive engine answers sweep_best through the planner: every
+        # reply (n_points and mem_freq_mhz included) equals a full engine's,
+        # while the grids are only partly executed.
+        queries = [
+            q("sweep_best", workload=name, budget_w=budget)
+            for name in ("dgemm", "stream", "sra", "bt")
+            for budget in (140.0, 180.0, 240.0)
+        ] + [
+            q("sweep_best", workload=name, platform=card, budget_w=cap)
+            for name in ("sgemm", "gpu-stream", "minife")
+            for card in ("titan-xp", "titan-v")
+            for cap in (150.0, 200.0, 250.0)
+        ]
+        full = CoordinationService(SweepEngine(mode="full"))
+        adaptive = CoordinationService(SweepEngine(mode="adaptive"))
+        expected = [full.resolve(request) for request in queries]
+        replies = [adaptive.resolve(request) for request in queries]
+        for request, want, got in zip(queries, expected, replies):
+            assert want.ok and got.ok, request.params
+            assert got.result == want.result, request.params
+        grid_points = sum(reply.result["n_points"] for reply in replies)
+        planner = adaptive.engine.planner.stats
+        assert planner.sweeps == len(queries)
+        assert planner.native_points == grid_points
+        assert adaptive.engine.stats.misses < grid_points
+        assert full.engine.stats.misses == grid_points
+
     def test_gpu_sweep_identity(self):
         card = get_platform("titan-xp")
         workload = get_workload("gpu-stream")
