@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all fuzz bench bench-smoke cache-smoke chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
+.PHONY: test test-slow test-all fuzz chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
 
 # Tier-1: the invariant linter, then the trimmed suite (pyproject
 # addopts deselect `slow`).
@@ -43,32 +43,6 @@ typecheck:
 
 # Everything the CI gate runs.
 check: lint typecheck test
-
-# Artifact benchmarks (pytest-benchmark) + the engine wall-clock reports
-# (scalar-vs-batch kernel, adaptive planner point accounting + disk
-# cold/warm).
-bench:
-	$(PYTEST) -q benchmarks/ --benchmark-only
-	$(PYTEST) -q -s benchmarks/bench_batch.py
-	$(PYTEST) -q -s benchmarks/bench_planner.py
-
-# CI smoke: the batch-vs-scalar comparison on the full fig9 grid and
-# the planner point-reduction floors, each under both REPRO_SWEEP
-# settings so the env-resolved default mode stays green either way.
-# bench_planner pins engine modes internally (full pass vs planner
-# pass), so the env sweep here exercises resolution plumbing, not the
-# assertions — those are identical in both runs by design.
-bench-smoke:
-	REPRO_SWEEP=full     $(PYTEST) -q -s benchmarks/bench_batch.py --bench-quick
-	REPRO_SWEEP=adaptive $(PYTEST) -q -s benchmarks/bench_batch.py --bench-quick
-	REPRO_SWEEP=full     $(PYTEST) -q -s benchmarks/bench_planner.py --bench-quick
-	REPRO_SWEEP=adaptive $(PYTEST) -q -s benchmarks/bench_planner.py --bench-quick
-
-# CI smoke: persistent cross-process cache reuse.  Two fresh
-# interpreters share one REPRO_CACHE_DIR; the second must be served
-# entirely from disk (zero model re-executions).
-cache-smoke:
-	$(PYTEST) -q -s benchmarks/bench_cache_reuse.py
 
 # CI smoke: the degradation contract under the canned fault plan,
 # through the CLI battery, under both REPRO_SWEEP settings (the armed

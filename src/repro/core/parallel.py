@@ -715,20 +715,6 @@ class SweepEngine:
             key, lambda: execute_on_host(cpu, dram, phases, proc_w, mem_w)
         )
 
-    def execute_gpu(
-        self,
-        card: GpuCard,
-        phases: Sequence[Phase],
-        cap_w: float,
-        mem_freq_mhz: float | None,
-    ) -> ExecutionResult:
-        """Memoized :func:`execute_on_gpu`."""
-        freq = None if mem_freq_mhz is None else float(mem_freq_mhz)
-        key = self._gpu_base(card, phases) + (float(cap_w), freq)
-        return self.cache.get_or_compute(
-            key, lambda: execute_on_gpu(card, phases, cap_w, mem_freq_mhz)
-        )
-
     # ------------------------------------------------------------------
     # scalar misses (batch path off, or a fault plan armed)
     # ------------------------------------------------------------------

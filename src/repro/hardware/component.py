@@ -75,11 +75,3 @@ class PowerBoundableComponent(ABC):
     @abstractmethod
     def max_power_w(self) -> float:
         """Maximum power the component can draw at full activity."""
-
-    def clamp_cap(self, cap_w: float) -> float:
-        """Clamp a requested cap into the representable range.
-
-        The returned value is what the hardware will actually try to
-        enforce: never below the floor, never above the maximum draw.
-        """
-        return min(max(float(cap_w), self.floor_power_w), self.max_power_w)

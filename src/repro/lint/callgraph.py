@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.lint.engine import Project, SourceFile
 
@@ -207,6 +206,3 @@ class CallGraph:
                 if callee not in origin:
                     stack.append((callee, entry))
         return origin
-
-    def walk_functions(self) -> Iterator[FunctionInfo]:
-        yield from self.functions.values()

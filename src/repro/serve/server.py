@@ -93,6 +93,23 @@ class ServeConfig:
         )
 
 
+async def _discard_through_newline(reader: asyncio.StreamReader) -> bool:
+    """Drop the rest of an oversized frame; ``False`` if the stream ends first.
+
+    Each overrun reports how many buffered bytes precede the newline (all
+    of them, when none has arrived yet); dropping exactly those keeps the
+    buffer bounded however long the frame is.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return False
+
+
 class CoordServer:
     """One listening socket fronting one warm engine stack."""
 
@@ -155,7 +172,7 @@ class CoordServer:
             self._server = None
         while self._frame_tasks:
             await asyncio.gather(*tuple(self._frame_tasks), return_exceptions=True)
-        # Idle connections sit in readline() forever; reap them so loop
+        # Idle connections sit in readuntil() forever; reap them so loop
         # teardown never cancels a handler mid-close.
         for task in tuple(self._conn_tasks):
             task.cancel()
@@ -185,8 +202,22 @@ class CoordServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, BrokenPipeError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # end of stream: the last, unterminated frame
+                except asyncio.LimitOverrunError:
+                    # A frame past the stream's line limit: answer it once,
+                    # drop the rest of it, keep serving the connection.
+                    self.frames_total += 1
+                    self.protocol_errors += 1
+                    oversized = ProtocolError("frame exceeds the server's line limit")
+                    await self._send(
+                        writer,
+                        write_lock,
+                        response_envelope(None, None, error=error_payload(oversized)),
+                    )
+                    if await _discard_through_newline(reader):
+                        continue
                     break
                 if not line:
                     break
@@ -198,9 +229,11 @@ class CoordServer:
                 )
                 self._frame_tasks.add(frame_task)
                 frame_task.add_done_callback(self._frame_tasks.discard)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the client went away; nothing left to answer
         except asyncio.CancelledError:
             # Only stop() cancels connection tasks (reaping an idle
-            # readline); finish normally so the streams protocol's
+            # read); finish normally so the streams protocol's
             # done-callback never trips over a cancelled task.
             pass
         finally:

@@ -15,7 +15,7 @@ deployment path end to end:
 
 Both processes resolve the cache directory purely from the environment
 variable, so this also smokes the ``resolve_cache_dir`` plumbing that
-the CLI relies on.  Runs in ``make cache-smoke`` / CI.
+the CLI relies on.
 """
 
 from __future__ import annotations

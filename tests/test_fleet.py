@@ -723,6 +723,7 @@ class TestFleetProperties:
         # cold replay misses every row once; a warm replay of the same
         # trace hits every row once and executes nothing.
         rows = sum(len(spec.lattice_w) for spec in cold._specs.values())
+        assert 0 < rows < 1_000
         assert (engine.stats.misses, engine.stats.hits) == (rows, 0)
         warm = FleetSimulator(
             trace, n_nodes=8, global_bound_w=2000.0, engine=engine

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
 from repro.core.parallel import (
+    CacheStats,
     MemoCache,
     PlannerState,
     SweepEngine,
@@ -250,6 +251,16 @@ class TestEnginePlumbing:
         stats = cache.stats
         assert stats.evictions == 1
         assert stats.size == 2
+
+    def test_hit_ratio_tiers_are_disjoint_and_complete(self):
+        stats = CacheStats(hits=8, misses=2, evictions=0, size=8, maxsize=16,
+                           disk_hits=3)
+        assert stats.memo_hits == 5
+        total = stats.hit_ratio + stats.disk_hit_ratio
+        assert total == pytest.approx(stats.hits / stats.lookups)
+        untouched = CacheStats(hits=0, misses=0, evictions=0, size=0, maxsize=4)
+        assert untouched.hit_ratio == 0.0
+        assert untouched.disk_hit_ratio == 0.0
 
     def test_engine_respects_shared_cache(self, ivb, sra):
         shared = MemoCache(maxsize=512)

@@ -213,6 +213,7 @@ class TestMicroBatcher:
         assert stats.flushes_depth == 1 and stats.flushes_timeout == 0
         assert {served.flush for _, served in outs} == {"depth"}
         assert {served.batch_size for _, served in outs} == {3}
+        assert stats.mean_occupancy == 3.0
 
     def test_flush_on_timeout(self):
         requests = [
@@ -538,6 +539,38 @@ class TestControlPlane:
         assert "not valid JSON" in bad["error"]["message"]
         assert good["ok"] is True  # same connection, still serving
         assert server.protocol_errors == 1
+
+    def test_oversized_frames_are_answered_and_the_connection_survives(self):
+        async def drive(server, host, port):
+            handled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            replies = []
+            try:
+                # Both frames overrun asyncio's 64 KiB line limit.
+                for size in (100_000, 1_000_000):
+                    writer.write(encode_frame(
+                        {"id": size, "op": "ping", "params": {"pad": "x" * size}}
+                    ))
+                    writer.write(encode_frame({"id": 1, "op": "ping"}))
+                    await writer.drain()
+                    replies.append(decode_response(await reader.readline()))
+                    replies.append(decode_response(await reader.readline()))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return replies, handled
+
+        server, (replies, handled) = serve(drive)
+        for oversized, pong in zip(replies[::2], replies[1::2]):
+            assert oversized["ok"] is False and oversized["id"] is None
+            assert oversized["error"]["type"] == "ProtocolError"
+            assert "line limit" in oversized["error"]["message"]
+            assert pong["ok"] is True and pong["id"] == 1
+        assert server.protocol_errors == 2
+        assert handled == []
 
     def test_unknown_op_is_a_protocol_error(self):
         async def drive(server, host, port):
