@@ -7,49 +7,41 @@ periodic cluster-wide budget re-splits (FastCap-style fair capping), and
 thousands of heterogeneous nodes.  :class:`FleetSimulator` is that
 layer, built as a hook policy on :mod:`repro.sched.events`.
 
-Scale comes from four structural decisions:
+Scale comes from five structural decisions (``docs/scheduling.md`` §4):
 
 * **Lattice tables.**  Every grant lives on a per-(profile, workload)
-  lattice of ``grant_quantum_w`` multiples spanning the workload's
-  productive threshold to its maximum useful demand — a few dozen rows
-  per pair.  The first job to touch a pair resolves its whole lattice
-  in one :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass and
-  keeps ``elapsed_s``/``energy_j`` columns, so allocation rounds and
-  re-splits are index arithmetic with no engine call.  Under an armed
-  fault plan that pass falls back to the scalar path, faults and all.
+  lattice of ``grant_quantum_w`` multiples, from the workload's
+  productive threshold to its maximum useful demand.  The first job to
+  touch a pair resolves its whole lattice in one
+  :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass (under an
+  armed fault plan, the scalar path), so allocation rounds and re-splits
+  are index arithmetic with no engine call.
+* **Columns, not objects.**  The simulator runs on the columnar
+  :class:`~repro.sched.traces.Trace` in arrival order (sorted only when
+  it is not already), so the FIFO of arrived jobs is a range of rows.
+  Each job's outcome lives in per-job columns, and
+  :attr:`FleetSimulator.records` builds a :class:`FleetRecord` only when
+  one is looked up.
 * **Held-head fast path.**  Only a completion, a re-split or an
   admission can unblock a power-blocked head, so an arrival behind a
-  held head records its round and missed-budget hold without re-running
-  the round.
-* **Merged arrivals.**  The sorted trace reaches the event loop as a
-  lazy arrival stream merged with the heap, so no arrival is ever
-  pushed and the heap holds about one event per busy node.
-* **Lazy invalidation.**  Budget re-splits re-time running jobs by
-  bumping a per-node epoch and pushing a fresh completion; stale
-  completions are detected and discarded, never processed.
-
-A round that admits one job (the common case) queues its completion
-directly; one that admits several, and a re-split that re-times
-several, queue theirs grouped by lattice in first-appearance order.
-``FleetStats.n_kernel_passes`` counts those (round, lattice) groups.
-
-The re-split policy is water-filling fair sharing: every running job is
-first guaranteed its lattice floor (its quantized productive threshold
-— feasible by construction, since each was admitted at or above it),
-then the remaining cluster budget is distributed one equal share at a
-time in node order, capped at each workload's maximum useful demand.
-Grants can shrink as well as grow between intervals; re-timing scales
-the job's remaining work by the old/new modeled rate, exactly the
-rebalancer's boost arithmetic.
+  held head records its round and hold without re-running the round.
+* **Merged arrivals.**  The trace's columns reach the event loop as a
+  lazy arrival stream merged with the heap; no arrival is pushed.
+* **Lazy invalidation.**  A re-split re-times a running job by bumping
+  its node's epoch and pushing a fresh completion; stale completions
+  are discarded.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from repro.core.allocation import PowerAllocation
 from repro.core.coord import coord_cpu
 from repro.core.parallel import SweepEngine, default_engine
 from repro.core.profiler import profile_cpu_workload
@@ -65,7 +57,7 @@ from repro.sched.events import (
     NodeWakeup,
 )
 from repro.sched.job import JobState
-from repro.sched.traces import TraceJob
+from repro.sched.traces import Trace, TraceJob
 from repro.workloads.base import Workload
 from repro.workloads.cpu_suite import cpu_workload
 
@@ -82,13 +74,14 @@ PROFILES: dict[str, Callable[[], ComputeNode]] = {
 class FleetNode:
     """One node's mutable scheduling state (deliberately tiny: the fleet
     holds thousands of these, so the heavyweight platform model lives
-    once per *profile*, not per node).  ``spec``, ``floor_w`` and
-    ``cap_w`` cache the running job's lattice and re-split bounds at
-    admission; they are meaningful only while the node is busy."""
+    once per *profile*, not per node).  ``row``, ``spec``, ``floor_w``
+    and ``cap_w`` cache the running job's trace row, lattice and re-split
+    bounds at admission; they are meaningful only while the node is busy."""
 
     index: int
     profile: str
     job_id: Optional[int] = None
+    row: int = -1
     grant_w: float = 0.0
     epoch: int = 0
     spec: Optional[_AllocSpec] = None
@@ -100,9 +93,9 @@ class FleetNode:
         return self.job_id is not None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FleetRecord:
-    """Per-job outcome record (compact: no event-log list at 100k jobs)."""
+    """One job's outcome, read off the simulator's per-job columns."""
 
     job: TraceJob
     state: JobState = JobState.PENDING
@@ -164,13 +157,44 @@ class _AllocSpec:
         return bisect_right(self.lattice_w, value_w) - 1
 
 
+class _Records(Mapping[int, FleetRecord]):
+    """``FleetSimulator.records``: job id -> :class:`FleetRecord` in trace
+    order, each record built from the simulator's columns on lookup."""
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: FleetSimulator) -> None:
+        self._sim = sim
+
+    def __len__(self) -> int:
+        return len(self._sim.trace)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._sim.trace.job_ids)
+
+    def __getitem__(self, job_id: int) -> FleetRecord:
+        sim = self._sim
+        row = sim._jobs.row_of(job_id)
+        job, state, node_index = sim._jobs[row], sim._state[row], sim._node[row]
+        if node_index < 0:  # never admitted
+            return FleetRecord(job, state, reject_reason=sim._reasons.get(row))
+        node = sim.nodes[node_index]
+        return FleetRecord(
+            job, state, node_index=node_index, profile=node.profile,
+            grant_w=sim._grant[row], start_s=sim._start[row],
+            finish_s=sim._finish[row], elapsed_s=sim._elapsed[row],
+            energy_j=sim._energy[row], n_retimes=sim._retimes[row],
+        )
+
+
 class FleetSimulator:
     """Event-driven power-coordinated scheduler over a heterogeneous fleet.
 
     Parameters
     ----------
     trace:
-        Arrivals (see :mod:`repro.sched.traces`); single-node jobs.
+        Arrivals (see :mod:`repro.sched.traces`); single-node jobs.  Any
+        sequence of :class:`TraceJob` is converted to a :class:`Trace`.
     n_nodes:
         Fleet size; node ``i`` takes ``profiles[i % len(profiles)]``.
     global_bound_w:
@@ -198,80 +222,75 @@ class FleetSimulator:
         grant_quantum_w: float = 8.0,
         engine: Optional[SweepEngine] = None,
     ) -> None:
-        if n_nodes <= 0:
-            raise ConfigurationError(f"n_nodes must be > 0, got {n_nodes}")
-        if not global_bound_w > 0.0:
-            raise ConfigurationError(
-                f"global_bound_w must be > 0, got {global_bound_w}"
-            )
-        if not grant_quantum_w > 0.0:
-            raise ConfigurationError(
-                f"grant_quantum_w must be > 0, got {grant_quantum_w}"
-            )
-        if resplit_interval_s < 0.0:
-            raise ConfigurationError(
-                f"resplit_interval_s must be >= 0, got {resplit_interval_s}"
-            )
-        if not profiles:
-            raise ConfigurationError("profiles must be non-empty")
         unknown = sorted(set(profiles) - set(PROFILES))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown profiles {unknown}; available: {sorted(PROFILES)}"
-            )
-        seen = set()
-        for job in trace:
-            if job.job_id in seen:
-                raise ConfigurationError(f"duplicate job id {job.job_id} in trace")
-            seen.add(job.job_id)
-        self.trace = tuple(trace)
+        for bad, message in (
+            (n_nodes <= 0, f"n_nodes must be > 0, got {n_nodes}"),
+            (not global_bound_w > 0.0,
+             f"global_bound_w must be > 0, got {global_bound_w}"),
+            (not grant_quantum_w > 0.0,
+             f"grant_quantum_w must be > 0, got {grant_quantum_w}"),
+            (resplit_interval_s < 0.0,
+             f"resplit_interval_s must be >= 0, got {resplit_interval_s}"),
+            (not profiles, "profiles must be non-empty"),
+            (bool(unknown),
+             f"unknown profiles {unknown}; available: {sorted(PROFILES)}"),
+        ):
+            if bad:
+                raise ConfigurationError(message)
+        self.trace = Trace.from_jobs(trace)
+        # The simulator runs on the trace's rows in arrival order: the
+        # k-th arrival dispatched is row k, so the FIFO of arrived jobs
+        # is the row range [_queue_head, _n_arrived).
+        self._jobs = jobs = self.trace.in_arrival_order()
         self.global_bound_w = float(global_bound_w)
         self.resplit_interval_s = float(resplit_interval_s)
         self.grant_quantum_w = float(grant_quantum_w)
         self._engine = engine if engine is not None else default_engine()
-        self._platforms: dict[str, ComputeNode] = {
-            name: PROFILES[name]() for name in dict.fromkeys(profiles)
-        }
         profile_cycle = list(dict.fromkeys(profiles))
+        self._platforms = {name: PROFILES[name]() for name in profile_cycle}
         self.nodes = [
             FleetNode(index=i, profile=profile_cycle[i % len(profile_cycle)])
             for i in range(n_nodes)
         ]
-        self.records: dict[int, FleetRecord] = {
-            job.job_id: FleetRecord(job=job) for job in self.trace
-        }
         self._workloads: dict[str, Workload] = {}
-        for job in self.trace:
-            if job.workload not in self._workloads:
-                try:
-                    self._workloads[job.workload] = cpu_workload(job.workload)
-                except Exception as exc:
-                    raise ConfigurationError(
-                        f"trace references unknown workload {job.workload!r}"
-                    ) from exc
+        for index in dict.fromkeys(jobs.workload_index):
+            name = jobs.workload_names[index]
+            try:
+                self._workloads[name] = cpu_workload(name)
+            except Exception as exc:
+                raise ConfigurationError(
+                    f"trace references unknown workload {name!r}"
+                ) from exc
         self._specs: dict[tuple[str, str], _AllocSpec] = {}
+        # Per-job outcome columns by row (``records``); node -1: not admitted.
+        n_jobs = len(jobs)
+        self._state = [JobState.PENDING] * n_jobs
+        self._node = array("l", [-1]) * n_jobs
+        self._retimes = array("l", [0]) * n_jobs
+        self._grant, self._start, self._finish, self._elapsed, self._energy = (
+            array("d", [0.0]) * n_jobs for _ in range(5)
+        )
+        self._reasons: dict[int, str] = {}  # rejected rows only
+        # Each admitted (so completed) job's wait, in admission order: for
+        # a time-ordered trace, trace order.
+        self._waits = array("d")
         # Run state.
         self._free: list[int] = []
-        self._arrived: list[FleetRecord] = []  # FIFO (appended in time order)
-        self._arrived_head = 0
+        self._queue_head = self._n_arrived = 0
         self._head_held = False  # the last round held the head; nothing moved since
         self._resplit_armed = False
-        self.charged_w = 0.0
-        self.peak_charged_w = 0.0
-        self._now = 0.0
-        self._makespan_s = 0.0
-        self._total_energy_j = 0.0
+        self.charged_w = self.peak_charged_w = 0.0
+        self._now = self._makespan_s = self._total_energy_j = 0.0
         self._n_completed = 0
-        self._n_rejected = 0
-        self.n_resplits = 0
-        self.n_retimed = 0
-        self.n_missed_budget = 0
-        self.n_rounds = 0
-        self.n_kernel_passes = 0
+        self.n_resplits = self.n_retimed = self.n_missed_budget = 0
+        self.n_rounds = self.n_kernel_passes = 0
 
-    # ------------------------------------------------------------------
-    # allocation lattice
-    # ------------------------------------------------------------------
+    @property
+    def records(self) -> Mapping[int, FleetRecord]:
+        """Job id -> :class:`FleetRecord`, in trace order, built on lookup."""
+        return _Records(self)
+
+    # -- allocation lattice --------------------------------------------
     def _spec(self, profile: str, workload_name: str) -> _AllocSpec:
         key = (profile, workload_name)
         spec = self._specs.get(key)
@@ -284,15 +303,13 @@ class FleetSimulator:
         lo = -(-critical.productive_threshold_w // q) * q  # ceil to lattice
         hi = -(-critical.max_demand_w // q) * q
         lattice: list[float] = []
-        proc: list[float] = []
-        mem: list[float] = []
+        allocations: list[PowerAllocation] = []
         w = lo
         while w <= hi + 1e-9:
             decision = coord_cpu(critical, w)
             if decision.accepted:
                 lattice.append(w)
-                proc.append(decision.allocation.proc_w)
-                mem.append(decision.allocation.mem_w)
+                allocations.append(decision.allocation)
             w += q
         if not lattice:
             raise SchedulerError(
@@ -300,19 +317,17 @@ class FleetSimulator:
                 f"{profile!r} (threshold {critical.productive_threshold_w:.0f} W)"
             )
         results = self._engine.host_subgrid(
-            node.cpu, node.dram, workload.phases, proc, mem
+            node.cpu, node.dram, workload.phases,
+            [a.proc_w for a in allocations], [a.mem_w for a in allocations],
         ).run(range(len(lattice)))
-        spec = _AllocSpec(
+        spec = self._specs[key] = _AllocSpec(
             lattice_w=lattice,
             elapsed_s=[r.elapsed_s for r in results],
             energy_j=[r.energy_j for r in results],
         )
-        self._specs[key] = spec
         return spec
 
-    # ------------------------------------------------------------------
-    # the allocation round
-    # ------------------------------------------------------------------
+    # -- the allocation round ------------------------------------------
     @property
     def headroom_w(self) -> float:
         return self.global_bound_w - self.charged_w
@@ -322,24 +337,23 @@ class FleetSimulator:
         tables, then queue the admitted jobs' completions."""
         self.n_rounds += 1
         admitted: list[tuple[FleetNode, float]] = []
-        while self._arrived_head < len(self._arrived) and self._free:
-            record = self._arrived[self._arrived_head]
+        jobs = self._jobs
+        names, workload_index = jobs.workload_names, jobs.workload_index
+        while self._queue_head < self._n_arrived and self._free:
+            job = self._queue_head
             node = self.nodes[self._free[0]]  # min-heap: lowest index first
-            spec = self._spec(node.profile, record.job.workload)
+            spec = self._spec(node.profile, names[workload_index[job]])
             floor_w = spec.lattice_w[0]
-            budget = record.job.budget_w
+            budget = jobs.budgets_w[job]
             limit = min(budget, self.headroom_w)
             if limit < floor_w:
                 if min(budget, self.global_bound_w) < floor_w:
                     # No lattice point under the request even on an empty
                     # cluster: the ask sits below the productive threshold.
-                    record.state = JobState.REJECTED
-                    record.reject_reason = (
+                    self._reject_head(
                         f"requested {budget:.0f} W below the productive "
                         f"floor {floor_w:.0f} W on {node.profile}"
                     )
-                    self._n_rejected += 1
-                    self._arrived_head += 1
                     continue
                 # Power-blocked: a free node exists but headroom cannot
                 # fund the head productively.  No backfill — hold.
@@ -351,7 +365,8 @@ class FleetSimulator:
             heapq.heappop(self._free)
             self.charged_w += grant
             self.peak_charged_w = max(self.peak_charged_w, self.charged_w)
-            node.job_id = record.job.job_id
+            node.job_id = jobs.job_ids[job]
+            node.row = job
             node.grant_w = grant
             node.spec = spec
             node.floor_w = floor_w
@@ -359,19 +374,16 @@ class FleetSimulator:
                 grant if budget <= limit
                 else spec.lattice_w[spec.row_at_or_below(budget)]
             )
-            record.state = JobState.RUNNING
-            record.node_index = node.index
-            record.profile = node.profile
-            record.grant_w = grant
-            record.start_s = self._now
-            record.elapsed_s = spec.elapsed_s[row]
-            record.energy_j = spec.energy_j[row]
-            record.finish_s = finish_s = self._now + record.elapsed_s
+            self._state[job] = JobState.RUNNING
+            self._node[job] = node.index
+            self._grant[job] = grant
+            self._start[job] = now = self._now
+            self._waits.append(now - jobs.submit_times_s[job])
+            self._elapsed[job] = elapsed_s = spec.elapsed_s[row]
+            self._energy[job] = spec.energy_j[row]
+            self._finish[job] = finish_s = now + elapsed_s
             admitted.append((node, finish_s))
-            self._arrived_head += 1
-        if self._arrived_head > 4096 and self._arrived_head == len(self._arrived):
-            del self._arrived[: self._arrived_head]
-            self._arrived_head = 0
+            self._queue_head += 1
         if not admitted:
             return
         self._schedule_completions(loop, admitted)
@@ -395,16 +407,16 @@ class FleetSimulator:
             node.epoch += 1
             loop.schedule(JobCompletion(finish_s, node.index, node.epoch))
 
-    # ------------------------------------------------------------------
-    # the water-filling budget re-split
-    # ------------------------------------------------------------------
+    # -- the water-filling budget re-split -----------------------------
     def _arm_resplit(self, loop: EventLoop, from_s: float) -> None:
         self._resplit_armed = True
         interval_s = self.resplit_interval_s
         loop.schedule(BudgetResplit(from_s + interval_s, interval_s=interval_s))
 
     def _resplit(self, loop: EventLoop) -> None:
-        """Re-split the cluster budget fairly across running jobs."""
+        """Water-filling: each running job gets its lattice floor, then the
+        rest of the bound is dealt one equal share at a time in node
+        order, capped at each job's ask."""
         self.n_resplits += 1
         busy = [n for n in self.nodes if n.job_id is not None]
         if not busy:
@@ -440,35 +452,31 @@ class FleetSimulator:
             new_grant = min(grant, node.cap_w)
             if abs(new_grant - node.grant_w) < q / 2.0:
                 continue
-            assert node.job_id is not None and node.spec is not None
-            record = self.records[node.job_id]
-            assert record.finish_s is not None
-            spec = node.spec
+            assert node.spec is not None
+            spec, job = node.spec, node.row
             row = spec.row_at_or_below(new_grant)
             self.charged_w += new_grant - node.grant_w
             node.grant_w = new_grant
-            record.grant_w = new_grant
+            self._grant[job] = new_grant
             # Remaining work scales with the modeled rate ratio — the
             # rebalancer's boost arithmetic, shrink or grow.
-            remaining_s = max(0.0, record.finish_s - self._now)
-            record.finish_s = finish_s = self._now + remaining_s * (
-                spec.elapsed_s[row] / record.elapsed_s
+            remaining_s = max(0.0, self._finish[job] - self._now)
+            self._finish[job] = finish_s = self._now + remaining_s * (
+                spec.elapsed_s[row] / self._elapsed[job]
             )
-            record.elapsed_s = spec.elapsed_s[row]
-            record.energy_j = spec.energy_j[row]
-            record.n_retimes += 1
+            self._elapsed[job] = spec.elapsed_s[row]
+            self._energy[job] = spec.energy_j[row]
+            self._retimes[job] += 1
             self.n_retimed += 1
             retimed.append((node, finish_s))
         self.peak_charged_w = max(self.peak_charged_w, self.charged_w)
         if retimed:
             self._schedule_completions(loop, retimed)
 
-    # ------------------------------------------------------------------
-    # SchedulerHooks
-    # ------------------------------------------------------------------
+    # -- SchedulerHooks ------------------------------------------------
     def on_arrival(self, loop: EventLoop, event: JobArrival) -> None:
         self._now = max(self._now, event.time_s)
-        self._arrived.append(self.records[event.job_id])
+        self._n_arrived += 1  # the event is row _n_arrived - 1's arrival
         if not self._free:
             return
         if self._head_held:
@@ -485,18 +493,17 @@ class FleetSimulator:
             return  # stale: the job was re-timed by a budget re-split
         self._now = max(self._now, event.time_s)
         self._head_held = False
-        assert node.job_id is not None
-        record = self.records[node.job_id]
-        record.state = JobState.COMPLETED
-        record.finish_s = event.time_s
+        job = node.row
+        self._state[job] = JobState.COMPLETED
+        self._finish[job] = event.time_s
         self._n_completed += 1
-        self._total_energy_j += record.energy_j
+        self._total_energy_j += self._energy[job]
         self._makespan_s = max(self._makespan_s, event.time_s)
         self.charged_w -= node.grant_w
         node.job_id = None
         node.grant_w = 0.0
         heapq.heappush(self._free, node.index)
-        if self._arrived_head < len(self._arrived):
+        if self._queue_head < self._n_arrived:
             self._allocation_round(loop)
 
     def on_resplit(self, loop: EventLoop, event: BudgetResplit) -> None:
@@ -505,7 +512,7 @@ class FleetSimulator:
         self._head_held = False
         self._resplit(loop)
         # Freed/shrunk power may admit held jobs at this boundary.
-        if self._arrived_head < len(self._arrived) and self._free:
+        if self._queue_head < self._n_arrived and self._free:
             self._allocation_round(loop)
         if any(n.busy for n in self.nodes):
             self._arm_resplit(loop, event.time_s)
@@ -516,42 +523,35 @@ class FleetSimulator:
     def on_drain(self, loop: EventLoop) -> bool:
         """Arrived jobs that survive a drained queue and arrival stream
         can never start."""
-        if self._arrived_head >= len(self._arrived):
+        if self._queue_head >= self._n_arrived:
             return False
-        record = self._arrived[self._arrived_head]
-        self._arrived_head += 1
-        record.state = JobState.REJECTED
-        record.reject_reason = (
-            "unschedulable: no running job will ever free enough power"
-        )
-        self._n_rejected += 1
+        self._reject_head("unschedulable: no running job will ever free enough power")
         return True
 
-    # ------------------------------------------------------------------
-    # driving
-    # ------------------------------------------------------------------
+    def _reject_head(self, reason: str) -> None:
+        """Reject the job at the head of the arrival FIFO."""
+        job = self._queue_head
+        self._queue_head += 1
+        self._state[job] = JobState.REJECTED
+        self._reasons[job] = reason
+
+    # -- driving -------------------------------------------------------
     def run(self, *, observer: Optional[EventObserver] = None) -> FleetStats:
         """Drive the whole trace; returns aggregate fleet statistics."""
         loop = EventLoop(self, observer=observer)
         self._free = [n.index for n in self.nodes]
         heapq.heapify(self._free)
-        n_events = loop.run(arrivals=(
-            JobArrival(job.submit_time_s, job.job_id)
-            for job in sorted(self.trace, key=lambda j: (j.submit_time_s, j.job_id))
-        ))
-        waits = [
-            r.wait_s
-            for r in self.records.values()
-            if r.state is JobState.COMPLETED
-        ]
+        n_events = loop.run(
+            arrivals=map(JobArrival, self._jobs.submit_times_s, self._jobs.job_ids)
+        )
         return FleetStats(
             n_nodes=len(self.nodes),
             n_jobs=len(self.trace),
             n_completed=self._n_completed,
-            n_rejected=self._n_rejected,
+            n_rejected=len(self._reasons),
             makespan_s=self._makespan_s,
             total_energy_j=self._total_energy_j,
-            mean_wait_s=sum(waits) / len(waits) if waits else 0.0,
+            mean_wait_s=sum(self._waits) / len(self._waits) if self._waits else 0.0,
             peak_charged_w=self.peak_charged_w,
             n_resplits=self.n_resplits,
             n_retimed=self.n_retimed,

@@ -40,7 +40,7 @@ from repro.hardware.pstate import PStateTable
 from repro.perfmodel.phase import Phase
 from repro.sched.job import Job
 from repro.sched.traces import (
-    TraceJob,
+    Trace,
     bursty_trace,
     diurnal_trace,
     poisson_trace,
@@ -286,7 +286,7 @@ def cluster_shapes(draw, max_nodes: int = 4) -> dict:
 
 
 @st.composite
-def fleet_traces(draw, max_jobs: int = 30) -> tuple[TraceJob, ...]:
+def fleet_traces(draw, max_jobs: int = 30) -> Trace:
     """A seeded synthetic trace from any of the three fleet generators.
 
     Drawing the *generator inputs* (not the jobs) keeps every example a

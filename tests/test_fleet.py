@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -693,6 +694,40 @@ class TestFleetProperties:
                 for j, r in sim.records.items()
             }))
         assert runs[0] == runs[1]
+
+    @property_settings(8)
+    @given(trace=fleet_traces(), n_nodes=st.integers(2, 5),
+           whole_seconds=st.booleans(), data=st.data())
+    def test_row_order_and_id_labels_do_not_matter(
+        self, trace, n_nodes, whole_seconds, data
+    ):
+        """Metamorphic: shuffle the rows and relabel the ids with a
+        strictly increasing, gapped map; the run is the same run."""
+        if whole_seconds:  # many equal submit times: ties break by id
+            trace = [dataclasses.replace(j, submit_time_s=float(int(j.submit_time_s)))
+                     for j in trace]
+        jobs = list(trace)
+        gaps = data.draw(st.lists(st.integers(1, 10**12), min_size=len(jobs),
+                                  max_size=len(jobs)))
+        relabel = dict(zip(sorted(j.job_id for j in jobs), itertools.accumulate(gaps)))
+        order = data.draw(st.permutations(range(len(jobs))))
+        shuffled = [dataclasses.replace(jobs[i], job_id=relabel[jobs[i].job_id])
+                    for i in order]
+        runs = []
+        for rows in (jobs, shuffled):
+            sim = FleetSimulator(rows, n_nodes=n_nodes, global_bound_w=700.0,
+                                 resplit_interval_s=5.0)
+            arrivals: list[int] = []
+            stats = sim.run(observer=lambda loop, e: arrivals.append(e.job_id)
+                            if e.kind is EventKind.ARRIVAL else None)
+            runs.append((sim, stats, arrivals))
+        (base, stats, arrivals), (moved, moved_stats, moved_arrivals) = runs
+        assert moved_stats == stats
+        assert moved_arrivals == [relabel[i] for i in arrivals]
+        assert list(moved.records) == [j.job_id for j in shuffled]
+        for job_id, record in base.records.items():
+            job = dataclasses.replace(record.job, job_id=relabel[job_id])
+            assert moved.records[relabel[job_id]] == dataclasses.replace(record, job=job)
 
     def test_resplit_engages_under_pressure(self):
         trace = bursty_trace(
