@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all fuzz chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab coverage lint typecheck check
+.PHONY: test test-slow test-all fuzz chaos-smoke serve-smoke fleet-smoke perf-smoke perf-ab bench-diff coverage lint typecheck check
 
 # Tier-1: the invariant linter, then the trimmed suite (pyproject
 # addopts deselect `slow`).
@@ -90,6 +90,22 @@ SEED ?= 2016
 perf-ab:
 	$(PYTHON) benchmarks/perf_ab.py --ref $(REF) \
 		--workload "$(WORKLOAD)" --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
+
+# The benchmark trajectory: `run.py compare` on the two newest
+# BENCH_<pr>.json files committed at HEAD, ordered by PR number, older
+# first, read from HEAD itself rather than the working tree.  Exit 1
+# means an end-to-end metric got worse than its bound between them.
+bench-diff:
+	@set -- $$(git ls-tree --name-only HEAD | grep -E '^BENCH_[0-9]+\.json$$' \
+		| sort -t_ -k2 -n | tail -n 2); \
+	if [ $$# -ne 2 ]; then \
+		echo "bench-diff: needs two BENCH_<pr>.json files committed at HEAD" >&2; \
+		exit 2; \
+	fi; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git show "HEAD:$$1" > "$$tmp/$$1" && git show "HEAD:$$2" > "$$tmp/$$2" && \
+	echo "run.py compare $$1 $$2" && \
+	$(PYTHON) -B benchmarks/perf/run.py compare "$$tmp/$$1" "$$tmp/$$2"
 
 # Coverage floor over the engine and fault layers.  Gated: skips with a
 # notice when pytest-cov is not installed (CI installs and enforces it).

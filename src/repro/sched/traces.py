@@ -44,9 +44,9 @@ import math
 import operator
 import random
 from array import array
-from itertools import repeat
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union, overload
 
