@@ -263,13 +263,13 @@ class FleetSimulator:
                 ) from exc
         self._specs: dict[tuple[str, str], _AllocSpec] = {}
         # Per-job outcome columns by row (``records``); node -1: not admitted.
+        # Lists where every value is a shared object (a slot costs what an
+        # array's does, stores are cheaper); arrays for new start/finish floats.
         n_jobs = len(jobs)
         self._state = [JobState.PENDING] * n_jobs
-        self._node = array("l", [-1]) * n_jobs
-        self._retimes = array("l", [0]) * n_jobs
-        self._grant, self._start, self._finish, self._elapsed, self._energy = (
-            array("d", [0.0]) * n_jobs for _ in range(5)
-        )
+        self._node, self._retimes = [-1] * n_jobs, [0] * n_jobs
+        self._grant, self._elapsed, self._energy = ([0.0] * n_jobs for _ in range(3))
+        self._start, self._finish = (array("d", [0.0]) * n_jobs for _ in range(2))
         self._reasons: dict[int, str] = {}  # rejected rows only
         # Each admitted (so completed) job's wait, in admission order: for
         # a time-ordered trace, trace order.
