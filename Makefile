@@ -93,8 +93,9 @@ perf-ab:
 
 # The benchmark trajectory: `run.py compare` on the two newest
 # BENCH_<pr>.json files committed at HEAD, ordered by PR number, older
-# first, read from HEAD itself rather than the working tree.  Exit 1
-# means an end-to-end metric got worse than its bound between them.
+# first, read from HEAD itself rather than the working tree.  It fails
+# when an end-to-end metric got worse than its bound between them, and
+# when fewer than two such files are committed.
 bench-diff:
 	@set -- $$(git ls-tree --name-only HEAD | grep -E '^BENCH_[0-9]+\.json$$' \
 		| sort -t_ -k2 -n | tail -n 2); \
