@@ -73,10 +73,13 @@ fleet-smoke:
 	REPRO_SWEEP=adaptive PYTHONPATH=src $(PYTHON) -m repro fleet \
 		--nodes 32 --gen-jobs 300 --rate 4 --interval 10
 
-# CI smoke: the perf benchmark's fleet-pressure workload at its quick
-# size (128 nodes, 5,000 jobs); exits non-zero on any failed check.
+# CI smoke: the perf benchmark at its quick size, exiting non-zero on
+# any failed check: fleet-pressure (128 nodes, 5,000 jobs; its FleetStats
+# golden) and sweeps-full (~3 s; the golden digests of the fig2, fig6
+# and fig9 answers, so CI checks them on every Python it runs).
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload fleet-pressure
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload sweeps-full
 
 # A/B of the perf benchmark: REF (checked out into a temporary git
 # worktree under $$TMPDIR) against the working tree, PAIRS alternating

@@ -7,6 +7,7 @@ GPUs) subject to ``P_cpu + P_mem ≤ P_b``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,14 @@ class PowerAllocation:
     mem_w: float
 
     def __post_init__(self) -> None:
-        watts(self.proc_w, "proc_w")
-        watts(self.mem_w, "mem_w")
+        # Sweeps build one allocation per grid point: two finite
+        # non-negative floats pass with one chained comparison, and
+        # anything else goes through watts() for its exact error.
+        p, m = self.proc_w, self.mem_w
+        if not (type(p) is float and type(m) is float
+                and math.inf > p >= 0.0 <= m < math.inf):
+            watts(p, "proc_w")
+            watts(m, "mem_w")
 
     @property
     def total_w(self) -> float:

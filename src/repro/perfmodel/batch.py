@@ -64,7 +64,7 @@ from repro.perfmodel.executor import (
     cpu_candidate_table,
     execute_on_gpu,
 )
-from repro.perfmodel.metrics import ExecutionResult, PhaseResult
+from repro.perfmodel.metrics import ExecutionResult, PhaseResult, _build_frozen
 from repro.perfmodel.phase import Phase
 from repro.util.units import watts
 
@@ -461,28 +461,36 @@ def _host_phase_batch(
     mem_mech_l = mem_mech.tolist()
     return [
         [
-            PhaseResult(
-                name=phase.name,
-                time_s=t_l[i],
-                t_compute_s=t_c_l[i],
-                t_memory_s=t_m_l[i],
-                utilization=u_l[i],
-                mem_busy=busy_l[i],
-                proc_freq_ghz=f_l[i],
-                proc_duty=d_l[i],
-                mem_throttle=level_l[i],
-                proc_mechanism=_MECHS[proc_mech_l[i]],
-                mem_mechanism=_MECHS[mem_mech_l[i]],
-                proc_power_w=pp_l[i],
-                mem_power_w=mp_l[i],
-                board_power_w=0.0,
-                flops=phase.flops,
-                bytes_moved=phase.bytes_moved,
-            )
+            _build_frozen(PhaseResult, (
+                phase.name, t_l[i], t_c_l[i], t_m_l[i], u_l[i], busy_l[i],
+                f_l[i], d_l[i], level_l[i],
+                _MECHS[proc_mech_l[i]], _MECHS[mem_mech_l[i]],
+                pp_l[i], mp_l[i], 0.0, phase.flops, phase.bytes_moved,
+            ))
             for i in range(k * r, (k + 1) * r)
         ]
         for k, phase in enumerate(cols.phases)
     ]
+
+
+def _cap_column(caps: Sequence[float], name: str) -> tuple[list[float], _F64]:
+    """``[watts(float(c), name) for c in caps]`` and its float64 array.
+
+    The column is checked once as an array, finite and non-negative.
+    Only a column that fails the check, or does not convert, is walked
+    through :func:`watts` entry by entry, which raises the error of its
+    first bad entry.
+    """
+    try:
+        values = [float(c) for c in caps]
+    except (TypeError, ValueError, OverflowError):
+        pass  # the walk below raises this entry's error, or an earlier one's
+    else:
+        column: _F64 = np.asarray(values, dtype=np.float64)
+        if np.isfinite(column).all() and (column >= 0.0).all():
+            return values, column
+    values = [watts(float(c), name) for c in caps]
+    return values, np.asarray(values, dtype=np.float64)
 
 
 class HostBatchKernel:
@@ -508,8 +516,8 @@ class HostBatchKernel:
         self._cpu = cpu
         self._dram = dram
         self._phases = tuple(phases)
-        self._proc_list = [watts(float(p), "cpu_cap_w") for p in proc_caps_w]
-        self._mem_list = [watts(float(m), "dram_cap_w") for m in mem_caps_w]
+        self._proc_list, self._proc = _cap_column(proc_caps_w, "cpu_cap_w")
+        self._mem_list, self._mem = _cap_column(mem_caps_w, "dram_cap_w")
         if len(self._proc_list) != len(self._mem_list):
             raise SweepError(
                 f"mismatched cap columns: {len(self._proc_list)} processor "
@@ -517,8 +525,6 @@ class HostBatchKernel:
             )
         if not self._phases:
             raise SweepError("cannot execute a workload with no phases")
-        self._proc: _F64 = np.asarray(self._proc_list, dtype=np.float64)
-        self._mem: _F64 = np.asarray(self._mem_list, dtype=np.float64)
         self._proc_eps: _F64 = self._proc + _CAP_EPS_W
         self._mem_eps: _F64 = self._mem + _CAP_EPS_W
         self._ladder = _DramLadder(dram, self._mem)
@@ -713,30 +719,16 @@ class HostBatchKernel:
             else:
                 code = _FLOOR
             results.append(
-                PhaseResult(
-                    name=phase.name,
-                    time_s=t,
-                    t_compute_s=t_c,
-                    t_memory_s=t_m,
-                    utilization=u,
-                    mem_busy=busy,
-                    proc_freq_ghz=freq[sel],
-                    proc_duty=duty[sel],
-                    mem_throttle=level,
-                    proc_mechanism=_MECHS[code],
-                    mem_mechanism=_MECHS[mem_mech],
-                    proc_power_w=proc_power,
-                    mem_power_w=mem_power,
-                    board_power_w=0.0,
-                    flops=phase.flops,
-                    bytes_moved=phase.bytes_moved,
-                )
+                _build_frozen(PhaseResult, (
+                    phase.name, t, t_c, t_m, u, busy,
+                    freq[sel], duty[sel], level,
+                    _MECHS[code], _MECHS[mem_mech],
+                    proc_power, mem_power, 0.0, phase.flops, phase.bytes_moved,
+                ))
             )
-        return ExecutionResult(
-            tuple(results),
-            proc_cap_w=self._proc_list[i],
-            mem_cap_w=self._mem_list[i],
-        )
+        return _build_frozen(ExecutionResult, (
+            tuple(results), self._proc_list[i], self._mem_list[i], "host",
+        ))
 
     def execute_indices(self, indices: Sequence[int]) -> list[ExecutionResult]:
         """Results for axis rows ``indices``, in the given order.
@@ -770,13 +762,11 @@ class HostBatchKernel:
                 self._cpu, self._dram, self._cols, self._table,
                 proc_eps, mem_eps, ladder, len(rows),
             )
+        # ``zip(*phase_rows)`` yields each grid row's phases in phase order.
+        proc, mem = self._proc_list, self._mem_list
         return [
-            ExecutionResult(
-                tuple(row[k] for row in phase_rows),
-                proc_cap_w=self._proc_list[i],
-                mem_cap_w=self._mem_list[i],
-            )
-            for k, i in enumerate(rows)
+            _build_frozen(ExecutionResult, (phases, proc[i], mem[i], "host"))
+            for i, phases in zip(rows, zip(*phase_rows))
         ]
 
 
@@ -885,24 +875,12 @@ def _gpu_phase_batch(
     mem_mech_l = mem_mech_codes.tolist()
     return [
         [
-            PhaseResult(
-                name=phase.name,
-                time_s=t_l[i],
-                t_compute_s=t_c_l[i],
-                t_memory_s=t_m_l[i],
-                utilization=u_l[i],
-                mem_busy=busy_l[i],
-                proc_freq_ghz=f_l[i],
-                proc_duty=1.0,
-                mem_throttle=r_l[i],
-                proc_mechanism=_MECHS[proc_mech_l[i]],
-                mem_mechanism=_MECHS[mem_mech_l[i]],
-                proc_power_w=sp_l[i],
-                mem_power_w=mp_l[i],
-                board_power_w=card.board_static_w,
-                flops=phase.flops,
-                bytes_moved=phase.bytes_moved,
-            )
+            _build_frozen(PhaseResult, (
+                phase.name, t_l[i], t_c_l[i], t_m_l[i], u_l[i], busy_l[i],
+                f_l[i], 1.0, r_l[i],
+                _MECHS[proc_mech_l[i]], _MECHS[mem_mech_l[i]],
+                sp_l[i], mp_l[i], card.board_static_w, phase.flops, phase.bytes_moved,
+            ))
             for i in range(k * r, (k + 1) * r)
         ]
         for k, phase in enumerate(cols.phases)
@@ -1019,14 +997,10 @@ class GpuBatchKernel:
                 self._card, self._cols, self._cap_eps, self._table,
                 ratio, mech, t_m, mem_base, mem_ar, len(rows),
             )
+        cap, mem_caps = self._cap, self._mem_caps
         return [
-            ExecutionResult(
-                tuple(row[k] for row in phase_rows),
-                proc_cap_w=self._cap,
-                mem_cap_w=self._mem_caps[i],
-                device="gpu",
-            )
-            for k, i in enumerate(rows)
+            _build_frozen(ExecutionResult, (phases, cap, mem_caps[i], "gpu"))
+            for i, phases in zip(rows, zip(*phase_rows))
         ]
 
 

@@ -10,11 +10,34 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.errors import ConfigurationError
 from repro.hardware.component import CappingMechanism
 
 __all__ = ["ExecutionResult", "PhaseResult"]
+
+_Row = TypeVar("_Row")
+
+
+def _build_frozen(cls: type[_Row], values: tuple[object, ...]) -> _Row:
+    """An instance of the frozen dataclass ``cls`` holding ``values``.
+
+    The batch kernels build thousands of result rows per pass, and the
+    generated frozen ``__init__`` pays one ``object.__setattr__`` per
+    field.  This fills the new instance's dict with one ``dict.update``,
+    as ``copy`` and ``pickle`` do when they restore a frozen dataclass,
+    so ``==``, ``hash``, ``repr``, ``dataclasses.fields`` and
+    ``FrozenInstanceError`` still come from the class itself.  ``values``
+    lists every field in field order, as the positional constructor
+    takes them; no ``__post_init__`` runs.  The update reads (name,
+    value) pairs, not a dict: the instance dict then keeps the class's
+    shared key table, where copying a dict's keys would cost each row
+    about 300 B more (CPython 3.11).
+    """
+    row = object.__new__(cls)
+    row.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return row
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,14 @@ class ExecutionResult:
     independently (``proc_cap_w`` and ``mem_cap_w`` are both caps), GPUs
     cap the whole board (``proc_cap_w`` is the board cap and ``mem_cap_w``
     records the memory-clock allocation *estimate*).
+
+    Most workloads have one phase, so the aggregates a sweep reads per
+    point (times, work, utilization, mechanisms, the bound check) read a
+    single phase directly.  ``sum()`` over one value performs exactly one
+    addition, its int start plus the value, so each shortcut is written
+    ``0 + x`` and matches the general expression bit for bit (``-0.0``
+    included).  Multi-phase results keep the general expressions, since
+    ``sum()`` compensates across two or more floats from Python 3.12 on.
     """
 
     phases: tuple[PhaseResult, ...]
@@ -91,14 +122,20 @@ class ExecutionResult:
     @property
     def elapsed_s(self) -> float:
         """Total wall time."""
+        if len(self.phases) == 1:
+            return 0 + self.phases[0].time_s
         return sum(p.time_s for p in self.phases)
 
     @property
     def total_flops(self) -> float:
+        if len(self.phases) == 1:
+            return 0 + self.phases[0].flops
         return sum(p.flops for p in self.phases)
 
     @property
     def total_bytes(self) -> float:
+        if len(self.phases) == 1:
+            return 0 + self.phases[0].bytes_moved
         return sum(p.bytes_moved for p in self.phases)
 
     @property
@@ -163,11 +200,15 @@ class ExecutionResult:
     @property
     def proc_mechanism(self) -> CappingMechanism:
         """Time-dominant processor capping mechanism across phases."""
+        if len(self.phases) == 1:
+            return self.phases[0].proc_mechanism
         return self._dominant([p.proc_mechanism for p in self.phases])
 
     @property
     def mem_mechanism(self) -> CappingMechanism:
         """Time-dominant memory capping mechanism across phases."""
+        if len(self.phases) == 1:
+            return self.phases[0].mem_mechanism
         return self._dominant([p.mem_mechanism for p in self.phases])
 
     @property
@@ -185,7 +226,15 @@ class ExecutionResult:
         if self.device == "gpu":
             if self.proc_cap_w is None:
                 return True
+            if len(self.phases) == 1:
+                return bool(self.phases[0].total_power_w <= self.proc_cap_w + eps)
             return all(p.total_power_w <= self.proc_cap_w + eps for p in self.phases)
+        if len(self.phases) == 1:
+            p = self.phases[0]
+            return bool(
+                (self.proc_cap_w is None or p.proc_power_w <= self.proc_cap_w + eps)
+                and (self.mem_cap_w is None or p.mem_power_w <= self.mem_cap_w + eps)
+            )
         ok = True
         if self.proc_cap_w is not None:
             ok &= all(p.proc_power_w <= self.proc_cap_w + eps for p in self.phases)
@@ -196,9 +245,15 @@ class ExecutionResult:
     @property
     def utilization(self) -> float:
         """Time-averaged compute (non-stalled) fraction."""
+        if len(self.phases) == 1:
+            p = self.phases[0]
+            return (0 + p.utilization * p.time_s) / (0 + p.time_s)
         return self._weighted([p.utilization for p in self.phases])
 
     @property
     def mem_busy(self) -> float:
         """Time-averaged memory-bus busy fraction."""
+        if len(self.phases) == 1:
+            p = self.phases[0]
+            return (0 + p.mem_busy * p.time_s) / (0 + p.time_s)
         return self._weighted([p.mem_busy for p in self.phases])

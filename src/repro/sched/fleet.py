@@ -275,6 +275,7 @@ class FleetSimulator:
         # a time-ordered trace, trace order.
         self._waits = array("d")
         # Run state.
+        self._ran = False
         self._free: list[int] = []
         self._queue_head = self._n_arrived = 0
         self._head_held = False  # the last round held the head; nothing moved since
@@ -537,7 +538,14 @@ class FleetSimulator:
 
     # -- driving -------------------------------------------------------
     def run(self, *, observer: Optional[EventObserver] = None) -> FleetStats:
-        """Drive the whole trace; returns aggregate fleet statistics."""
+        """Drive the whole trace; returns aggregate fleet statistics.
+
+        A simulator runs once: a second call raises :class:`SchedulerError`
+        and changes nothing (build a new simulator to replay a trace).
+        """
+        if self._ran:
+            raise SchedulerError("a FleetSimulator runs once; build a new one")
+        self._ran = True
         loop = EventLoop(self, observer=observer)
         self._free = [n.index for n in self.nodes]
         heapq.heapify(self._free)

@@ -1,5 +1,6 @@
 """Power allocations and allocation grids."""
 
+import numpy as np
 import pytest
 
 from repro.core.allocation import (
@@ -8,6 +9,7 @@ from repro.core.allocation import (
     bounded_allocation,
 )
 from repro.errors import PowerBoundError, SweepError, UnitError
+from repro.util.units import watts
 
 
 class TestPowerAllocation:
@@ -37,6 +39,25 @@ class TestPowerAllocation:
     def test_over_shift_rejected(self):
         with pytest.raises(UnitError):
             PowerAllocation(100.0, 50.0).shifted(-60.0)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0, -5e-324, "abc", None]
+    )
+    @pytest.mark.parametrize("field", ["proc_w", "mem_w"])
+    def test_invalid_field_raises_what_watts_raises(self, field, bad):
+        with pytest.raises(Exception) as expected:
+            watts(bad, field)
+        with pytest.raises(expected.type) as got:
+            PowerAllocation(**{"proc_w": 100.0, "mem_w": 40.0, field: bad})
+        assert str(got.value) == str(expected.value)
+
+    def test_proc_w_is_checked_first(self):
+        with pytest.raises(UnitError, match="proc_w"):
+            PowerAllocation(float("nan"), "abc")
+
+    def test_other_numbers_still_accepted(self):
+        assert PowerAllocation(100, np.float64(40.0)).total_w == 140.0
+        assert PowerAllocation(-0.0, 0.0).total_w == 0.0
 
     def test_str(self):
         assert "P_mem=50.0" in str(PowerAllocation(100.0, 50.0))

@@ -13,13 +13,18 @@ hypothesis-fuzzed synthetic platforms; the exhaustive budget matrix is
 the batch path fills the same memo cache point-by-point, so cache
 statistics and warm-sweep behaviour are indistinguishable from the scalar
 path, and ``REPRO_BATCH=0`` / ``SweepEngine(batch=False)`` remain a true
-escape hatch.
+escape hatch.  The kernels build their rows without the dataclass
+constructor, so every comparison also checks that a kernel row behaves as
+the oracle's under hashing, ``repr``, ``asdict``, pickle, copy, the disk
+codec and frozenness.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
+from repro.core.diskcache import decode_result, encode_result
 from repro.core.parallel import (
     BATCH_ENV_VAR,
     SweepEngine,
@@ -55,6 +61,7 @@ from repro.perfmodel.batch import (
 )
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.phase import Phase
+from repro.util.units import watts
 from repro.workloads import (
     cpu_workload,
     gpu_workload,
@@ -67,6 +74,14 @@ CPU_BUDGETS_FAST = (144.0, 208.0)
 GPU_CAPS_FAST = (150.0, 200.0)
 CPU_BUDGETS_FULL = (144.0, 176.0, 208.0, 240.0, 280.0)
 GPU_CAPS_FULL = (150.0, 200.0, 250.0)
+
+#: Every registered GPU workload has one phase, so a two-phase input
+#: (sgemm's phase, then minife's) covers the GPU kernel's phase stacking.
+GPU_INPUTS = [*list_gpu_workloads(), "sgemm+minife"]
+
+
+def gpu_phases(name: str) -> tuple[Phase, ...]:
+    return tuple(ph for part in name.split("+") for ph in gpu_workload(part).phases)
 
 
 def scalar_engine() -> SweepEngine:
@@ -92,6 +107,19 @@ def assert_results_identical(scalar, batch) -> None:
     assert batch.proc_power_w == scalar.proc_power_w
     assert batch.mem_power_w == scalar.mem_power_w
     assert batch.respects_bound == scalar.respects_bound
+    for want, got in ((scalar, batch), *zip(scalar.phases, batch.phases)):
+        assert type(got) is type(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        assert copy.copy(got) == want
+        first = dataclasses.fields(got)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, first, getattr(got, first))
+    assert dataclasses.asdict(batch) == dataclasses.asdict(scalar)
+    assert encode_result(batch) == encode_result(scalar)
+    assert decode_result(encode_result(batch)) == scalar
 
 
 def assert_sweeps_identical(scalar, batch) -> None:
@@ -167,19 +195,37 @@ class TestHostKernelEquivalence:
                 ivb.cpu, ivb.dram, stream.phases, [100.0, 120.0], [40.0]
             )
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0, "abc", None]
+    )
+    @pytest.mark.parametrize("column", ["proc", "mem"])
+    def test_bad_caps_raise_what_watts_raises(self, ivb, stream, column, bad):
+        """The array check defers to watts() entry by entry on failure,
+        so the first bad entry's error is raised, as before the check."""
+        good = [100.0, 120.0, 140.0]
+        caps = {"proc": list(good), "mem": list(good)}
+        caps[column][1] = bad
+        caps[column][2] = float("nan")
+        name = "cpu_cap_w" if column == "proc" else "dram_cap_w"
+        with pytest.raises(Exception) as expected:
+            [watts(float(c), name) for c in caps[column]]
+        with pytest.raises(expected.type) as got:
+            HostBatchKernel(ivb.cpu, ivb.dram, stream.phases, caps["proc"], caps["mem"])
+        assert str(got.value) == str(expected.value)
+
 
 class TestGpuKernelEquivalence:
-    @pytest.mark.parametrize("name", list_gpu_workloads())
+    @pytest.mark.parametrize("name", GPU_INPUTS)
     @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
     def test_full_registry(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
-        wl = gpu_workload(name)
+        phases = gpu_phases(name)
         freqs = [float(f) for f in card.mem.frequencies_mhz]
         for cap in GPU_CAPS_FAST:
-            batch = execute_gpu_batch(card, wl.phases, cap, freqs)
+            batch = execute_gpu_batch(card, phases, cap, freqs)
             assert len(batch) == len(freqs)
             for freq, result in zip(freqs, batch):
-                scalar = execute_on_gpu(card, wl.phases, cap, freq)
+                scalar = execute_on_gpu(card, phases, cap, freq)
                 assert_results_identical(scalar, result)
 
     @pytest.mark.slow
@@ -244,12 +290,12 @@ class TestSmallGatherEquivalence:
                 for i, result in zip(rows, kernel.execute_indices(rows)):
                     assert_results_identical(oracle[i], result)
 
-    @pytest.mark.parametrize("name", list_gpu_workloads())
+    @pytest.mark.parametrize("name", GPU_INPUTS)
     @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
     def test_gpu_gathers_match_the_vector_pass(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
         freqs = [float(f) for f in card.mem.frequencies_mhz]
-        kernel = GpuBatchKernel(card, gpu_workload(name).phases, 200.0, freqs)
+        kernel = GpuBatchKernel(card, gpu_phases(name), 200.0, freqs)
         vector = kernel.execute_indices(range(len(freqs)))
         for i in range(len(freqs)):
             (single,) = kernel.execute_indices([i])

@@ -958,6 +958,18 @@ class TestFleetValidation:
         assert stats.n_rejected == 1
         assert "productive floor" in (sim.records[1].reject_reason or "")
 
+    def test_second_run_raises_typed_and_changes_nothing(self):
+        trace = poisson_trace(n_jobs=50, rate_per_s=2.0, seed=3)
+        sim = FleetSimulator(trace, n_nodes=4, global_bound_w=600.0)
+        stats = sim.run()
+        records = dict(sim.records)
+        with pytest.raises(SchedulerError, match="runs once"):
+            sim.run()
+        assert dict(sim.records) == records
+        assert stats.n_completed + stats.n_rejected == len(trace)
+        fresh = FleetSimulator(trace, n_nodes=4, global_bound_w=600.0)
+        assert fresh.run() == stats
+
 
 # ---------------------------------------------------------------------------
 # chaos: the event core under armed fault plans
