@@ -13,7 +13,7 @@ Slurm-like batch system over simulated nodes:
   event-driven completion.
 
 Everything runs on the discrete-event core in :mod:`repro.sched.events`
-(typed events, deterministic queue, pluggable hooks); the legacy
+(typed events, deterministic queue, pluggable hooks): the batch
 schedulers are hook policies on it, and :mod:`repro.sched.fleet` scales
 the same loop to thousands of heterogeneous nodes driven by the seeded
 synthetic traces of :mod:`repro.sched.traces`.

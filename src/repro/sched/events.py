@@ -3,9 +3,8 @@
 The paper positions node-level COORD as the foundation of a cluster-wide
 power scheduler (Sections 5.1 and 8).  Scaling that loop past a handful
 of nodes needs a proper discrete-event simulation — jobs arriving from
-traces, periodic cluster-wide budget re-splits, wake-me-up-at callbacks —
-rather than the hand-rolled ``while pending or events`` loops the
-schedulers grew up with.  This module is that core:
+traces, periodic cluster-wide budget re-splits, wake-me-up-at callbacks.
+This module is that core:
 
 * four **typed events** — :class:`JobArrival`, :class:`JobCompletion`,
   :class:`BudgetResplit`, :class:`NodeWakeup` — with a fixed same-
@@ -17,13 +16,12 @@ schedulers grew up with.  This module is that core:
 * :class:`EventQueue` — a heap ordered by ``(time, kind, push order)``,
   so simultaneous events of one kind dispatch FIFO and replay is exactly
   deterministic;
-* :class:`SchedulerHooks` — the pluggable policy surface.  The legacy
+* :class:`SchedulerHooks` — the pluggable policy surface.  The batch
   :class:`~repro.sched.scheduler.PowerBoundedScheduler` and
   :class:`~repro.sched.rebalance.RebalancingScheduler` are hook policies
-  on this core (their pre-event-core loops survive as ``run_legacy()``,
-  the bit-for-bit oracle the differential battery in ``tests/test_fleet
-  .py`` compares against), and :class:`~repro.sched.fleet.FleetSimulator`
-  drives thousands of nodes through the same four hooks;
+  on this core (``tests/golden/sched_histories.json`` pins their
+  histories), and :class:`~repro.sched.fleet.FleetSimulator` drives
+  thousands of nodes through the same hooks;
 * :class:`EventLoop` — merges the heap with a time-ordered stream of
   arrivals and dispatches each event to its hook.  The stream never
   enters the heap, yet the dispatch order is exactly the one pushing the
@@ -75,10 +73,8 @@ class EventKind(enum.IntEnum):
     Completions release nodes and power before anything else happening at
     the same instant; budget re-splits then rebalance the survivors; only
     then are same-instant arrivals admitted against the settled state;
-    wake-ups run last.  This ordering is what makes the event-driven
-    re-expression of the legacy schedulers bit-for-bit faithful: their
-    hand-rolled loops popped completions before considering newly
-    arrived jobs at the same timestamp.
+    wake-ups run last.  So a job finishing at the instant another
+    arrives frees its node and watts before the arrival is considered.
     """
 
     COMPLETION = 0

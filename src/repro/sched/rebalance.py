@@ -41,7 +41,6 @@ pattern can regress by several percent.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +51,6 @@ from repro.errors import SchedulerError
 from repro.perfmodel.executor import execute_on_host
 from repro.sched.cluster import Cluster, NodeSlot
 from repro.sched.events import EventLoop, JobCompletion
-from repro.sched.job import JobState
 from repro.sched.scheduler import PowerBoundedScheduler, SchedulerStats
 
 __all__ = ["RebalanceStats", "RebalancingScheduler"]
@@ -94,8 +92,8 @@ class RebalancingScheduler(PowerBoundedScheduler):
         self.boost_order = boost_order
         self.n_boosts = 0
         self.boosted_w_total = 0.0
-        # Per-run re-timing state (reset by _begin_run): slot -> live
-        # completion epoch, and slot -> currently scheduled finish.
+        # Re-timing state: slot -> live completion epoch, and slot ->
+        # currently scheduled finish.
         self._epoch: dict[int, int] = {}
         self._finish_by_slot: dict[int, float] = {}
 
@@ -116,11 +114,7 @@ class RebalancingScheduler(PowerBoundedScheduler):
         )
         return -estimate.per_watt
 
-    def _boost_running(
-        self,
-        now_s: float,
-        finish_by_slot: dict[int, float],
-    ) -> list[tuple[int, float]]:
+    def _boost_running(self, now_s: float) -> list[tuple[int, float]]:
         """Give freed headroom to running jobs; returns re-timed finishes.
 
         Jobs are boosted in start order (FCFS fairness) up to their
@@ -175,7 +169,7 @@ class RebalancingScheduler(PowerBoundedScheduler):
             # Charge the uplift and re-time the remaining work.
             slot.charged_w += uplift
             self.peak_charged_w = max(self.peak_charged_w, self.cluster.charged_w)
-            old_finish = finish_by_slot[idx]
+            old_finish = self._finish_by_slot[idx]
             remaining = max(0.0, old_finish - now_s)
             new_finish = now_s + remaining * (old_perf / new_perf)
             record.granted_budget_w = new_grant
@@ -195,11 +189,6 @@ class RebalancingScheduler(PowerBoundedScheduler):
     # event-core hooks: boosts become re-timed completions, invalidated
     # lazily through the event epochs
     # ------------------------------------------------------------------
-    def _begin_run(self) -> None:
-        super()._begin_run()
-        self._epoch = {}
-        self._finish_by_slot = {}
-
     def _collect_stats(self) -> RebalanceStats:
         base = super()._collect_stats()
         return RebalanceStats(
@@ -227,7 +216,7 @@ class RebalancingScheduler(PowerBoundedScheduler):
             # Stale: the job was re-timed by a boost.  Sweep the queue at
             # the old finish anyway, as the unboosted run would have, so
             # a lazily held arrival is not stranded until some later
-            # completion (the legacy loop's top-of-loop sweep).
+            # completion.
             self._now = max(self._now, event.time_s)
             self._admit_available(loop)
             return
@@ -236,127 +225,9 @@ class RebalancingScheduler(PowerBoundedScheduler):
         del self._finish_by_slot[event.slot]
         # Freed power: queue progress first (pending admissions see
         # exactly the power the base scheduler would offer them), then
-        # boost the survivors with whatever headroom is left, then the
-        # legacy top-of-loop sweep before the next event dispatch.
+        # boost the survivors with whatever headroom is left, then sweep
+        # again before the next event dispatch.
         self._admit_available(loop)
-        for boost_idx, new_finish in self._boost_running(
-            self._now, self._finish_by_slot
-        ):
+        for boost_idx, new_finish in self._boost_running(self._now):
             self._push_completion(loop, boost_idx, new_finish)
         self._admit_available(loop)
-
-    # ------------------------------------------------------------------
-    # legacy loop — the bit-for-bit oracle for the differential battery
-    # (same skeleton as the base class, plus boost events and lazy
-    # invalidation of re-timed completions, whose old instants still
-    # sweep the queue)
-    # ------------------------------------------------------------------
-    def run_legacy(self) -> RebalanceStats:
-        events: list[tuple[float, int, int, int]] = []  # (finish, seq, slot, epoch)
-        slot_index = {id(s): i for i, s in enumerate(self.cluster.slots)}
-        epoch: dict[int, int] = {}
-        finish_by_slot: dict[int, float] = {}
-        self._pending.sort(key=lambda r: (r.job.submit_time_s, r.job.job_id))
-        now = 0.0
-        total_energy = 0.0
-        makespan = 0.0
-
-        def push(idx: int, finish: float) -> None:
-            epoch[idx] = epoch.get(idx, 0) + 1
-            finish_by_slot[idx] = finish
-            heapq.heappush(events, (finish, next(self._seq), idx, epoch[idx]))
-
-        def admit_pending() -> None:
-            while True:
-                available = [
-                    r for r in self._pending if r.job.submit_time_s <= now
-                ]
-                if not available:
-                    break
-                record = min(available, key=self._queue_key)
-                started = self._try_start(record, now)
-                if record.state is JobState.REJECTED:
-                    self._pending.remove(record)
-                    continue
-                if started is None:
-                    break
-                slot, finish = started
-                push(slot_index[id(slot)], finish)
-                self._pending.remove(record)
-
-        while self._pending or events:
-            admit_pending()
-            if not events:
-                if self._pending:
-                    future = [
-                        r for r in self._pending
-                        if r.job.submit_time_s > now and r.state is JobState.PENDING
-                    ]
-                    if not future:
-                        head = min(self._pending, key=self._queue_key)
-                        self._pending.remove(head)
-                        head.state = JobState.REJECTED
-                        head.reject_reason = (
-                            "unschedulable: no running job will ever free "
-                            "enough power"
-                        )
-                        head.log(head.reject_reason)
-                        continue
-                    now = min(r.job.submit_time_s for r in future)
-                    continue
-                break
-            finish, _, idx, ev_epoch = events[0]
-            if epoch.get(idx) != ev_epoch:
-                # Stale completion (the job was re-timed by a boost): the
-                # top-of-loop sweep still runs at its old instant.  On an
-                # idle cluster every queued completion is stale, so an
-                # earlier arrival is the idle advance above and goes first.
-                arrivals = [
-                    r.job.submit_time_s for r in self._pending
-                    if r.job.submit_time_s > now
-                ]
-                if (arrivals and min(arrivals) < finish
-                        and not any(s.busy for s in self.cluster.slots)):
-                    now = min(arrivals)
-                    continue
-                heapq.heappop(events)
-                now = max(now, finish)
-                continue
-            heapq.heappop(events)
-            now = max(now, finish)
-            slot = self.cluster.slots[idx]
-            job_id = slot.running_job_id
-            assert job_id is not None
-            record = self.records[job_id]
-            record.state = JobState.COMPLETED
-            record.finish_time_s = finish
-            # Energy: approximate with the final-rate run's energy (the
-            # boosted configuration dominates the job's lifetime).
-            total_energy += record.energy_j
-            makespan = max(makespan, finish)
-            for slot_idx in record.slot_indices:
-                self.cluster.release(self.cluster.slots[slot_idx])
-            del finish_by_slot[idx]
-            record.log(f"completed at t={finish:.1f}s")
-            # Freed power: queue progress first (pending admissions see
-            # exactly the power the base scheduler would offer them), then
-            # boost the survivors with whatever headroom is left — this
-            # ordering guarantees rebalancing never delays an admission.
-            admit_pending()
-            for boost_idx, new_finish in self._boost_running(now, finish_by_slot):
-                push(boost_idx, new_finish)
-
-        completed = [r for r in self.records.values() if r.state is JobState.COMPLETED]
-        rejected = [r for r in self.records.values() if r.state is JobState.REJECTED]
-        waits = [r.wait_time_s for r in completed]
-        return RebalanceStats(
-            n_completed=len(completed),
-            n_rejected=len(rejected),
-            makespan_s=makespan,
-            total_energy_j=total_energy,
-            mean_wait_s=sum(waits) / len(waits) if waits else 0.0,
-            reclaimed_w_total=self.reclaimed_w_total,
-            peak_charged_w=self.peak_charged_w,
-            n_boosts=self.n_boosts,
-            boosted_w_total=self.boosted_w_total,
-        )

@@ -25,8 +25,6 @@ from the node model.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -117,17 +115,16 @@ class PowerBoundedScheduler:
         # writes; the model runs behind it memoize into the shared engine.
         self._predict_cache: MemoCache = MemoCache(maxsize=1024)
         self._pending: list[JobRecord] = []
-        self._seq = itertools.count()
         self.reclaimed_w_total = 0.0
         self.peak_charged_w = 0.0
-        # Per-run policy state, reset by _begin_run(): the simulated
-        # clock (owned by the policy, not the event loop), stat
-        # accumulators, and the slot-identity -> index map completions
-        # are keyed by.
+        # Policy state of the one run: the simulated clock (owned by the
+        # policy, not the event loop), stat accumulators, and the
+        # slot-identity -> index map records and completions are keyed by.
+        self._ran = False
         self._now = 0.0
         self._total_energy_j = 0.0
         self._makespan_s = 0.0
-        self._slot_index: dict[int, int] = {}
+        self._slot_index = {id(s): i for i, s in enumerate(cluster.slots)}
 
     # ------------------------------------------------------------------
     # submission
@@ -241,7 +238,6 @@ class PowerBoundedScheduler:
         decision = coord_cpu(critical, grant)
         if not decision.accepted:  # pragma: no cover - advice gate precedes
             raise SchedulerError(f"COORD rejected an advised budget {grant:.0f} W")
-        slot_index = {id(s): i for i, s in enumerate(self.cluster.slots)}
         for slot in slots:
             self.cluster.charge(slot, grant, record.job.job_id)
         self.peak_charged_w = max(self.peak_charged_w, self.cluster.charged_w)
@@ -256,7 +252,7 @@ class PowerBoundedScheduler:
         )
         record.state = JobState.RUNNING
         record.node_name = primary.node.name
-        record.slot_indices = [slot_index[id(s)] for s in slots]
+        record.slot_indices = [self._slot_index[id(s)] for s in slots]
         record.granted_budget_w = grant
         record.allocation = decision.allocation
         record.start_time_s = now_s
@@ -276,29 +272,25 @@ class PowerBoundedScheduler:
         """Run the cluster until the queue drains; returns aggregate stats.
 
         Drives :class:`~repro.sched.events.EventLoop` with the scheduler
-        itself as the hook policy.  Bit-for-bit equivalent to
-        :meth:`run_legacy` (the pre-event-core loop, kept as the oracle
-        for the differential battery in ``tests/test_fleet.py``): same
-        `JobRecord` histories, same stats, same log lines.  ``observer``
-        receives every dispatched event — the property tests use it to
-        check bound/ordering invariants at event boundaries.
+        itself as the hook policy.  ``observer`` receives every
+        dispatched event — the property tests use it to check
+        bound/ordering invariants at event boundaries.  A scheduler runs
+        once: a second call raises :class:`SchedulerError` and changes
+        nothing (build a new scheduler to run more jobs).
         """
+        if self._ran:
+            raise SchedulerError(
+                f"a {type(self).__name__} runs once; build a new one"
+            )
+        self._ran = True
         loop = EventLoop(self, observer=observer)
-        self._begin_run()
+        self._pending.sort(key=lambda r: (r.job.submit_time_s, r.job.job_id))
         # Admission removes records from _pending, so stream a snapshot.
         loop.run(arrivals=[
             JobArrival(record.job.submit_time_s, job_id=record.job.job_id)
             for record in self._pending
         ])
         return self._collect_stats()
-
-    def _begin_run(self) -> None:
-        """Reset per-run policy state (clock, accumulators, slot map)."""
-        self._pending.sort(key=lambda r: (r.job.submit_time_s, r.job.job_id))
-        self._now = 0.0
-        self._total_energy_j = 0.0
-        self._makespan_s = 0.0
-        self._slot_index = {id(s): i for i, s in enumerate(self.cluster.slots)}
 
     def _collect_stats(self) -> SchedulerStats:
         completed = [r for r in self.records.values() if r.state is JobState.COMPLETED]
@@ -317,12 +309,12 @@ class PowerBoundedScheduler:
     def _admit_available(self, loop: EventLoop) -> None:
         """Head-first admission sweep over the jobs that have arrived.
 
-        Exactly the legacy loops' ``admit_pending`` closure: ordered by
-        the selected policy, stopping at the first job that must wait so
-        the policy order is never bypassed (no backfill).  Availability
-        is judged against the policy clock over the *full* pending list
-        (not arrival-event firing), so a completion-time sweep admits
-        same-instant arrivals just as the legacy loop did.
+        Ordered by the selected policy, stopping at the first job that
+        must wait so the policy order is never bypassed (no backfill).
+        Availability is judged against the policy clock over the *full*
+        pending list (not arrival-event firing), so a completion-time
+        sweep also admits the arrivals of that instant, whose events
+        dispatch after the completion.
         """
         while True:
             available = [
@@ -346,7 +338,7 @@ class PowerBoundedScheduler:
         loop.schedule(JobCompletion(finish, slot=slot_idx, epoch=0))
 
     def _complete(self, event: JobCompletion) -> JobRecord:
-        """Terminal bookkeeping for a live completion (legacy verbatim)."""
+        """Terminal bookkeeping for a live completion."""
         slot = self.cluster.slots[event.slot]
         job_id = slot.running_job_id
         assert job_id is not None
@@ -364,13 +356,12 @@ class PowerBoundedScheduler:
     def on_arrival(self, loop: EventLoop, event: JobArrival) -> None:
         """Sweep only when the cluster is idle.
 
-        The legacy loop admits arrivals lazily — at completion pops and
-        idle-advances, never mid-run — so a busy-cluster arrival must
-        wait for the next completion sweep.  An idle-cluster arrival is
-        the legacy idle-advance (``now = min future submit``); idle
-        sweeps can never log "holding" (with nothing running the grant
-        equals the feasibility bound), so dispatching one sweep per
-        arrival instead of one per distinct time is log-invisible.
+        Admission is lazy: it runs at completions and when an arrival
+        finds the cluster idle, never mid-run, so an arrival on a busy
+        cluster waits for the next completion sweep.  An idle sweep can
+        never log "holding" (with nothing running the grant equals the
+        feasibility bound), so sweeping once per arrival rather than once
+        per distinct arrival time changes no log line.
         """
         if any(slot.busy for slot in self.cluster.slots):
             return
@@ -389,7 +380,7 @@ class PowerBoundedScheduler:
         """No wake-up callbacks in the static schedulers."""
 
     def on_drain(self, loop: EventLoop) -> bool:
-        """Nothing queued: reject the unschedulable head, legacy-style."""
+        """Nothing queued: reject the unschedulable head, one per drain."""
         if not self._pending:
             return False
         self._admit_available(loop)
@@ -405,85 +396,3 @@ class PowerBoundedScheduler:
         )
         head.log(head.reject_reason)
         return True
-
-    # ------------------------------------------------------------------
-    # legacy loop — the bit-for-bit oracle for the differential battery
-    # ------------------------------------------------------------------
-    def run_legacy(self) -> SchedulerStats:
-        """The pre-event-core hand-rolled loop, kept verbatim as oracle."""
-        events: list[tuple[float, int, int]] = []  # (finish, seq, slot index)
-        slot_index = {id(s): i for i, s in enumerate(self.cluster.slots)}
-        self._pending.sort(key=lambda r: (r.job.submit_time_s, r.job.job_id))
-        now = 0.0
-        total_energy = 0.0
-        makespan = 0.0
-
-        def admit_pending() -> None:
-            nonlocal now
-            # Head-first admission among the jobs that have arrived,
-            # ordered by the selected policy; stop at the first that must
-            # wait so the policy order is never bypassed (no backfill).
-            while True:
-                available = [
-                    r for r in self._pending if r.job.submit_time_s <= now
-                ]
-                if not available:
-                    break
-                record = min(available, key=self._queue_key)
-                started = self._try_start(record, now)
-                if record.state is JobState.REJECTED:
-                    self._pending.remove(record)
-                    continue
-                if started is None:
-                    break
-                slot, finish = started
-                heapq.heappush(events, (finish, next(self._seq), slot_index[id(slot)]))
-                self._pending.remove(record)
-
-        while self._pending or events:
-            admit_pending()
-            if not events:
-                if self._pending:
-                    future = [r for r in self._pending
-                              if r.job.submit_time_s > now and r.state is JobState.PENDING]
-                    if not future:
-                        # Head-of-line job can never start: nothing running,
-                        # nothing arriving — treat as rejected to avoid hanging.
-                        head = min(self._pending, key=self._queue_key)
-                        self._pending.remove(head)
-                        head.state = JobState.REJECTED
-                        head.reject_reason = (
-                            "unschedulable: no running job will ever free "
-                            "enough power"
-                        )
-                        head.log(head.reject_reason)
-                        continue
-                    now = min(r.job.submit_time_s for r in future)
-                    continue
-                break
-            finish, _, idx = heapq.heappop(events)
-            now = max(now, finish)
-            slot = self.cluster.slots[idx]
-            job_id = slot.running_job_id
-            assert job_id is not None
-            record = self.records[job_id]
-            record.state = JobState.COMPLETED
-            record.finish_time_s = finish
-            total_energy += record.energy_j
-            makespan = max(makespan, finish)
-            for slot_idx in record.slot_indices:
-                self.cluster.release(self.cluster.slots[slot_idx])
-            record.log(f"completed at t={finish:.1f}s")
-
-        completed = [r for r in self.records.values() if r.state is JobState.COMPLETED]
-        rejected = [r for r in self.records.values() if r.state is JobState.REJECTED]
-        waits = [r.wait_time_s for r in completed]
-        return SchedulerStats(
-            n_completed=len(completed),
-            n_rejected=len(rejected),
-            makespan_s=makespan,
-            total_energy_j=total_energy,
-            mean_wait_s=sum(waits) / len(waits) if waits else 0.0,
-            reclaimed_w_total=self.reclaimed_w_total,
-            peak_charged_w=self.peak_charged_w,
-        )

@@ -1,14 +1,14 @@
-"""The fleet battery: event core locked to the legacy schedulers.
+"""The fleet battery: the event core, its policies and the fleet.
 
-Three layers of lockdown for the discrete-event rebuild of
-``repro.sched``:
+Three layers of lockdown for the discrete-event ``repro.sched``:
 
-1. **Differential**: the event-driven ``run()`` must reproduce the
-   legacy hand-rolled loops (kept as ``run_legacy()``) —
+1. **Differential**: the batch schedulers' ``run()`` must reproduce the
+   committed histories of ``tests/golden/sched_histories.json`` —
    `JobRecord` histories, `SchedulerStats`, and the per-job event logs —
-   **bit-for-bit**, on both CPU platform registries, FCFS and
-   rebalancing, with and without surplus reclaim, plus a hypothesis
-   fuzz over shared job-mix/cluster-shape strategies.
+   **bit-for-bit**, on both CPU platform registries, FCFS, SJF and
+   rebalancing, with and without surplus reclaim, plus a seeded corpus
+   over the shared job-mix/cluster-shape ranges (cases and regeneration
+   in ``tests/test_sched_golden.py``).
 2. **Properties**: no event dispatches out of timestamp order; charged
    power never exceeds the global bound at any event boundary; every
    arrived job reaches a terminal state; seeded traces replay
@@ -83,21 +83,19 @@ from tests.test_sched_golden import (
     snapshot,
 )
 
-def _assert_bit_identical(name: str):
-    """run() and run_legacy() both reproduce a named golden case."""
-    check(name, "run_legacy")
-    return check(name)
 
+# ---------------------------------------------------------------------------
+# the batch schedulers against their committed histories
+# ---------------------------------------------------------------------------
 
 def _assert_corpus_matches(scheduler_cls) -> None:
     names = corpus_names(scheduler_cls)
     assert len(names) >= CORPUS_SIZE
-    for runner in ("run", "run_legacy"):
-        assert mismatches(names, runner) == [], runner
+    assert mismatches(names) == []
 
 
 class TestDifferentialBattery:
-    """run() == run_legacy() == the committed histories
+    """run() reproduces the committed histories
     (``tests/golden/sched_histories.json``), bit for bit, both registries."""
 
     @pytest.mark.parametrize("platform", sorted(PLATFORMS))
@@ -106,34 +104,30 @@ class TestDifferentialBattery:
     )
     @pytest.mark.parametrize("mix", list(BATTERY_MIXES))
     def test_bit_identical_histories(self, platform, scheduler_cls, mix):
-        _assert_bit_identical(f"{mix}-{scheduler_cls.__name__}-{platform}")
+        check(f"{mix}-{scheduler_cls.__name__}-{platform}")
 
     @pytest.mark.parametrize("platform", sorted(PLATFORMS))
     def test_surplus_reclaim_engages_and_matches(self, platform):
-        sched, stats = _assert_bit_identical(
-            f"reclaim-PowerBoundedScheduler-{platform}"
-        )
+        sched, stats = check(f"reclaim-PowerBoundedScheduler-{platform}")
         assert stats.reclaimed_w_total > 0.0
         assert any("trimmed" in line for r in sched.records.values()
                    for line in r.events)
 
     @pytest.mark.parametrize("platform", sorted(PLATFORMS))
     def test_no_reclaim_when_asks_are_modest(self, platform):
-        _, stats = _assert_bit_identical(f"modest-asks-{platform}")
+        _, stats = check(f"modest-asks-{platform}")
         assert stats.reclaimed_w_total == 0.0
 
     def test_holding_logs_match(self):
-        sched, _ = _assert_bit_identical(
-            "contention-PowerBoundedScheduler-ivybridge"
-        )
+        sched, _ = check("contention-PowerBoundedScheduler-ivybridge")
         assert any("holding" in line for r in sched.records.values()
                    for line in r.events)
 
     def test_sjf_order_matches(self):
-        _assert_bit_identical("sjf")
+        check("sjf")
 
     def test_rebalancer_boosts_and_stale_events_match(self):
-        sched, stats = _assert_bit_identical("boosts-and-stale-completions")
+        sched, stats = check("boosts-and-stale-completions")
         # A boost re-times a completion, so the event queue held a stale
         # completion the core had to discard — the laziest invalidation
         # path is on the differential record too.
@@ -145,17 +139,17 @@ class TestDifferentialBattery:
         # Job 0's boost moves its finish from 26.38 s to 18.96 s; job 2
         # (arrived t=20 on a busy cluster) is admitted by the sweep at
         # the stale 26.38 s instant, not at job 1's completion (41.2 s).
-        sched, _ = _assert_bit_identical("stale-instant-sweep")
+        sched, _ = check("stale-instant-sweep")
         boosted = sched.records[0]
         assert any("boosted" in line for line in boosted.events)
         assert boosted.finish_time_s < 19.0
         assert sched.records[2].start_time_s == pytest.approx(26.380016051364365)
 
     def test_elasticity_boost_order_matches(self):
-        _assert_bit_identical("elasticity")
+        check("elasticity")
 
     def test_unschedulable_head_matches(self):
-        sched, stats = _assert_bit_identical("unschedulable-head")
+        sched, stats = check("unschedulable-head")
         assert stats.n_rejected == 1
         record = sched.records[1]
         assert "unschedulable" in (record.reject_reason or "")
@@ -165,17 +159,15 @@ class TestDifferentialBattery:
         # job 2's 42 W boost at 16.5 s leaves job 4 a 181 W grant where
         # plain FCFS gives it 223 W, and rebalancing runs 5.5% longer.
         # Fixing it moves the rebalancer's entry and these asserts.
-        base, base_stats = _assert_bit_identical(
-            "held-boost-PowerBoundedScheduler"
-        )
-        dyn, dyn_stats = _assert_bit_identical("held-boost-RebalancingScheduler")
+        base, base_stats = check("held-boost-PowerBoundedScheduler")
+        dyn, dyn_stats = check("held-boost-RebalancingScheduler")
         assert "by 42 W" in dyn.records[2].events[2]
         assert "(P_proc=107.0 W, P_mem=116.0 W)" in base.records[4].events[1]
         assert "(P_proc=109.2 W, P_mem=71.9 W)" in dyn.records[4].events[1]
         assert dyn_stats.makespan_s > base_stats.makespan_s * 1.05
 
     def test_fuzzed_mixes_fcfs(self):
-        _assert_bit_identical("fuzz-example")
+        check("fuzz-example")
         _assert_corpus_matches(PowerBoundedScheduler)
 
     def test_fuzzed_mixes_rebalancing(self):
@@ -866,7 +858,7 @@ def _fleet_op():
 
 
 def _scheduler_op():
-    """The legacy policies on the event core (RAPL flows through here)."""
+    """The batch policies on the event core (RAPL flows through here)."""
     cluster = Cluster(
         node_factory=ivybridge_node, n_nodes=2, global_bound_w=500.0
     )

@@ -6,10 +6,17 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.hardware.platforms import ivybridge_node
-from repro.sched import Cluster, Job, JobState, PowerBoundedScheduler
+from repro.sched import (
+    Cluster,
+    Job,
+    JobState,
+    PowerBoundedScheduler,
+    RebalancingScheduler,
+)
 from repro.workloads import cpu_workload, gpu_workload
 
 from tests.conftest import cluster_shapes, property_settings
+from tests.test_sched_golden import snapshot
 
 
 def make_cluster(n_nodes=2, bound=500.0):
@@ -183,3 +190,44 @@ class TestScheduling:
         assert stats.mean_wait_s > 0  # second job queued behind the first
         assert sched.records[1].turnaround_s > sched.records[0].turnaround_s
         assert stats.throughput_jobs_per_hour > 0
+
+
+class TestSingleRun:
+    """A scheduler runs once; a second run() raises and changes nothing."""
+
+    SCHEDULERS = [PowerBoundedScheduler, RebalancingScheduler]
+
+    @staticmethod
+    def _ran(scheduler_cls):
+        sched = scheduler_cls(make_cluster(n_nodes=2, bound=500.0))
+        for job in (Job(1, cpu_workload("ft"), 150.0, submit_time_s=0.0),
+                    Job(2, cpu_workload("mg"), 180.0, submit_time_s=0.0),
+                    Job(3, cpu_workload("ft"), 200.0, submit_time_s=5.0)):
+            sched.submit(job)
+        stats = sched.run()
+        assert stats.n_completed == 3 and stats.makespan_s > 0.0
+        return sched
+
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_second_run_raises_typed_and_changes_nothing(self, scheduler_cls):
+        sched = self._ran(scheduler_cls)
+        records = snapshot(sched)
+        counters = (sched.reclaimed_w_total, sched.peak_charged_w)
+        with pytest.raises(SchedulerError, match="runs once"):
+            sched.run()
+        assert snapshot(sched) == records
+        assert (sched.reclaimed_w_total, sched.peak_charged_w) == counters
+        assert sched.cluster.charged_w == 0.0
+
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_late_submission_does_not_rerun_the_clock(self, scheduler_cls):
+        # A second run used to restart the clock at 0 and start job 9 at
+        # its submit time, before the first run's makespan.
+        sched = self._ran(scheduler_cls)
+        records = snapshot(sched)
+        sched.submit(Job(9, cpu_workload("ft"), 150.0, submit_time_s=1.0))
+        with pytest.raises(SchedulerError, match="runs once"):
+            sched.run()
+        late = sched.records[9]
+        assert late.state is JobState.PENDING and late.start_time_s is None
+        assert {k: v for k, v in snapshot(sched).items() if k != 9} == records

@@ -84,7 +84,7 @@ def case(scheduler_cls, platform: str, jobs, *, n_nodes: int, bound: float,
     }
 
 
-def replay(inputs: dict, runner: str = "run"):
+def replay(inputs: dict):
     """Submit a case's jobs to a fresh scheduler and run it."""
     cluster = Cluster(
         node_factory=PLATFORMS[inputs["platform"]],
@@ -96,7 +96,7 @@ def replay(inputs: dict, runner: str = "run"):
     for job_id, workload, budget_w, submit_s, n_nodes in inputs["jobs"]:
         sched.submit(Job(job_id, cpu_workload(workload), budget_w,
                          submit_time_s=submit_s, n_nodes=n_nodes))
-    return sched, getattr(sched, runner)()
+    return sched, sched.run()
 
 
 def snapshot(sched) -> dict:
@@ -318,23 +318,23 @@ def corpus_names(scheduler_cls) -> list[str]:
     return [name for name in golden() if name.startswith(prefix)]
 
 
-def replay_case(name: str, runner: str = "run"):
+def replay_case(name: str):
     """Replay a golden case: ``(sched, stats, matches the golden)``."""
     entry = golden()[name]
-    sched, stats = replay(entry["inputs"], runner)
+    sched, stats = replay(entry["inputs"])
     want = {"stats": entry["stats"], "history_sha256": entry["history_sha256"]}
     return sched, stats, outcome(sched, stats) == want
 
 
-def mismatches(names, runner: str = "run") -> list[str]:
+def mismatches(names) -> list[str]:
     """The cases among ``names`` whose replay differs from the golden."""
-    return [name for name in names if not replay_case(name, runner)[2]]
+    return [name for name in names if not replay_case(name)[2]]
 
 
-def check(name: str, runner: str = "run"):
+def check(name: str):
     """Replay a named case; assert its golden entry; return (sched, stats)."""
     assert golden()[name]["inputs"] == NAMED_CASES[name], f"{name}: inputs moved"
-    sched, stats, matched = replay_case(name, runner)
+    sched, stats, matched = replay_case(name)
     assert matched, name
     return sched, stats
 
@@ -370,7 +370,7 @@ if __name__ == "__main__":
         cases.update(draw_corpus(scheduler_cls))
     entries = []
     for name, inputs in cases.items():
-        sched, stats = replay(inputs, "run_legacy")
+        sched, stats = replay(inputs)
         entry = {"inputs": inputs, **outcome(sched, stats)}
         entries.append(f"  {json.dumps(name)}: {json.dumps(entry)}")
     GOLDEN.parent.mkdir(exist_ok=True)

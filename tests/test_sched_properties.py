@@ -8,12 +8,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.hardware.platforms import ivybridge_node
+from repro.hardware.platforms import haswell_node, ivybridge_node
 from repro.sched import Cluster, Job, JobState, PowerBoundedScheduler
 from repro.sched.rebalance import RebalancingScheduler
 from repro.workloads import cpu_workload
 
-from tests.conftest import SCHED_WORKLOAD_NAMES, job_mixes, property_settings
+from tests.conftest import (
+    SCHED_WORKLOAD_NAMES,
+    cluster_shapes,
+    job_mixes,
+    property_settings,
+)
+from tests.test_sched_golden import profiles
 
 # Profiles are per (workload, platform) and deterministic: compute them
 # once for the whole module instead of once per generated scheduler.
@@ -114,3 +120,32 @@ class TestSchedulerProperties:
         started.sort(key=lambda r: (r.job.submit_time_s, r.job.job_id))
         starts = [r.start_time_s for r in started]
         assert starts == sorted(starts)
+
+    @property_settings(20)
+    @given(jobs=job_mixes(multi_node=True), shape=cluster_shapes(),
+           scheduler_cls=st.sampled_from(
+               (PowerBoundedScheduler, RebalancingScheduler)),
+           order=st.sampled_from(("fcfs", "sjf")))
+    def test_stats_agree_with_records(self, jobs, shape, scheduler_cls, order):
+        sched = scheduler_cls(Cluster(**shape), order=order)
+        platform = (
+            "haswell" if shape["node_factory"] is haswell_node else "ivybridge"
+        )
+        sched._profile_cache.update(profiles(platform))
+        for job in jobs:
+            sched.submit(job)
+        stats = sched.run()
+        records = list(sched.records.values())
+        completed = [r for r in records if r.state is JobState.COMPLETED]
+        assert stats.n_completed == len(completed)
+        assert stats.n_rejected == sum(
+            r.state is JobState.REJECTED for r in records)
+        assert stats.makespan_s == max(
+            (r.finish_time_s for r in completed), default=0.0)
+        assert stats.total_energy_j == pytest.approx(
+            sum(r.energy_j for r in completed), rel=1e-12)
+        waits = [r.start_time_s - r.job.submit_time_s for r in completed]
+        assert stats.mean_wait_s == pytest.approx(
+            sum(waits) / len(waits) if waits else 0.0, rel=1e-12)
+        # Cluster.charge admits a grant up to 1e-9 W past the headroom.
+        assert stats.peak_charged_w <= shape["global_bound_w"] + 1e-9
