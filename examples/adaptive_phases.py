@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
-"""Adaptive power coordination driven by detected phase changes.
+"""Adaptive power coordination: one COORD allocation per phase.
 
 Closes the loop the paper's Section 6.2 points at: multi-phase codes want
-different allocations per phase.  This example
-
-1. runs a multi-phase NPB code under a static COORD allocation,
-2. detects its phase boundaries *from the power meter alone* (CUSUM change
-   points — no application instrumentation),
-3. re-coordinates per phase and compares throughput.
+different allocations per phase.  This example runs a multi-phase NPB
+code under a static COORD allocation, re-coordinates per phase and
+compares throughput.
 
 Run: ``python examples/adaptive_phases.py [workload] [budget]``
 (multi-phase workloads: bt, sp, lu, ft, mg)
@@ -16,13 +13,7 @@ Run: ``python examples/adaptive_phases.py [workload] [budget]``
 import sys
 
 from repro.core.adaptive import adaptive_vs_static
-from repro.core.coord import coord_cpu
-from repro.core.profiler import profile_cpu_workload
 from repro.hardware.platforms import ivybridge_node
-from repro.perfmodel.executor import execute_on_host
-from repro.perfmodel.phasedetect import detect_phase_changes
-from repro.perfmodel.power_trace import sample_power_trace
-from repro.util.tables import format_table
 from repro.workloads import cpu_workload
 
 
@@ -38,32 +29,8 @@ def main() -> None:
     print(f"Workload: {workload} ({len(workload.phases)} phases), "
           f"budget {budget:.0f} W\n")
 
-    # Static run + meter-only phase detection.
-    critical = profile_cpu_workload(node.cpu, node.dram, workload)
-    decision = coord_cpu(critical, budget)
-    result = execute_on_host(
-        node.cpu, node.dram, workload.phases,
-        decision.allocation.proc_w, decision.allocation.mem_w,
-    )
-    trace = sample_power_trace(result, dt_s=0.02)
-    changes = detect_phase_changes(trace, slack_w=1.0, threshold_ws=6.0)
-
-    boundaries = []
-    acc = 0.0
-    for phase in result.phases[:-1]:
-        acc += phase.time_s
-        boundaries.append(acc)
-    print(format_table(
-        ["detected at (s)", "direction", "old level (W)", "new level (W)"],
-        [(c.time_s, c.direction, c.baseline_w, c.new_level_w) for c in changes],
-        float_spec=".1f",
-        title=f"meter-detected phase changes (true boundaries: "
-              f"{', '.join(f'{b:.1f}s' for b in boundaries)})",
-    ))
-
-    # Per-phase adaptation.
     cmp = adaptive_vs_static(node.cpu, node.dram, workload, budget)
-    print(f"\nstatic COORD:    {cmp.static_perf:10.4g} {workload.metric_unit}")
+    print(f"static COORD:    {cmp.static_perf:10.4g} {workload.metric_unit}")
     print(f"per-phase COORD: {cmp.adaptive_perf:10.4g} {workload.metric_unit}")
     print(f"adaptation gain: {(cmp.speedup - 1) * 100:+.1f}%")
     print("\nper-phase allocations:")

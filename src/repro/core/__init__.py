@@ -97,7 +97,6 @@ from repro.core.efficiency import (
 )
 from repro.core.online import OnlineShiftResult, online_power_shift
 from repro.core.optimize import GoldenSectionResult, golden_section_optimal
-from repro.core.coord_probing import coord_cpu_probing
 from repro.core.elasticity import ElasticityEstimate, power_elasticity, rank_by_elasticity
 from repro.core.coord_hetero import (
     HeteroAllocation,
@@ -161,7 +160,6 @@ __all__ = [
     "classify_gpu",
     "coord_biglittle",
     "coord_cpu",
-    "coord_cpu_probing",
     "coord_gpu",
     "coord_hybrid",
     "cpu_budget_curve",

@@ -12,10 +12,10 @@ The points are independent — the model is a pure function of
   scalar oracle and an order of magnitude faster on a single core;
   disable with ``REPRO_BATCH=0`` or ``SweepEngine(batch=False)``;
 * **memoization** — ``(platform, phases, allocation) → ExecutionResult``
-  is cached in a bounded LRU shared by sweeps, budget curves, COORD
-  probing, and the cluster scheduler, so the repeated budgets in budget
-  curves and the scheduler's per-application predictions never re-execute
-  an identical point.  The batch path fills the same cache point-by-point
+  is cached in a bounded LRU shared by sweeps, budget curves and the
+  cluster scheduler, so the repeated budgets in budget curves and the
+  scheduler's per-application predictions never re-execute an identical
+  point.  The batch path fills the same cache point-by-point
   from its array results, so warm-cache behaviour and key reuse are
   unchanged.
 
@@ -699,7 +699,7 @@ class SweepEngine:
         return ("gpu", fingerprint(card), fingerprint(tuple(phases)))
 
     # ------------------------------------------------------------------
-    # single points (memoized; used by schedulers and COORD probing)
+    # single points (memoized; used by the SJF scheduler's predictions)
     # ------------------------------------------------------------------
     def execute_host(
         self,

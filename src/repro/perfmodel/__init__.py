@@ -13,40 +13,22 @@ paper's six CPU scenario categories and three GPU categories.
 """
 
 from repro.perfmodel.phase import Phase, scale_phases, total_bytes, total_flops
-from repro.perfmodel.roofline import (
-    arithmetic_intensity,
-    attainable_flops,
-    phase_time_s,
-    ridge_intensity,
-)
 from repro.perfmodel.metrics import ExecutionResult, PhaseResult
 from repro.perfmodel.batch import execute_gpu_batch, execute_host_batch
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.hetero import execute_on_biglittle
-from repro.perfmodel.phasedetect import (
-    CusumDetector,
-    PhaseChange,
-    detect_phase_changes,
-)
 from repro.perfmodel.power_trace import PowerTrace, sample_power_trace
 
 __all__ = [
-    "CusumDetector",
     "ExecutionResult",
     "Phase",
-    "PhaseChange",
     "PhaseResult",
     "PowerTrace",
-    "arithmetic_intensity",
-    "attainable_flops",
-    "detect_phase_changes",
     "execute_gpu_batch",
     "execute_host_batch",
     "execute_on_biglittle",
     "execute_on_gpu",
     "execute_on_host",
-    "phase_time_s",
-    "ridge_intensity",
     "sample_power_trace",
     "scale_phases",
     "total_bytes",
