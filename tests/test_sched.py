@@ -221,8 +221,8 @@ class TestSingleRun:
 
     @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
     def test_late_submission_does_not_rerun_the_clock(self, scheduler_cls):
-        # A second run used to restart the clock at 0 and start job 9 at
-        # its submit time, before the first run's makespan.
+        # Without the guard a second run restarts the clock at 0 and
+        # starts job 9 at its submit time, before the first run's makespan.
         sched = self._ran(scheduler_cls)
         records = snapshot(sched)
         sched.submit(Job(9, cpu_workload("ft"), 150.0, submit_time_s=1.0))

@@ -13,29 +13,8 @@ from repro.sched import Cluster, Job, JobState, PowerBoundedScheduler
 from repro.sched.rebalance import RebalancingScheduler
 from repro.workloads import cpu_workload
 
-from tests.conftest import (
-    SCHED_WORKLOAD_NAMES,
-    cluster_shapes,
-    job_mixes,
-    property_settings,
-)
+from tests.conftest import cluster_shapes, job_mixes, property_settings
 from tests.test_sched_golden import profiles
-
-# Profiles are per (workload, platform) and deterministic: compute them
-# once for the whole module instead of once per generated scheduler.
-_NODE = ivybridge_node()
-_PROFILES: dict = {}
-
-
-def _profiles():
-    if not _PROFILES:
-        from repro.core.profiler import profile_cpu_workload
-
-        for name in SCHED_WORKLOAD_NAMES:
-            _PROFILES[name] = profile_cpu_workload(
-                _NODE.cpu, _NODE.dram, cpu_workload(name)
-            )
-    return _PROFILES
 
 
 def run_mix(scheduler_cls, jobs, n_nodes, bound):
@@ -43,7 +22,7 @@ def run_mix(scheduler_cls, jobs, n_nodes, bound):
         node_factory=ivybridge_node, n_nodes=n_nodes, global_bound_w=bound
     )
     sched = scheduler_cls(cluster)
-    sched._profile_cache.update(_profiles())
+    sched._profile_cache.update(profiles("ivybridge"))
     for job in jobs:
         sched.submit(job)
     stats = sched.run()
