@@ -130,7 +130,16 @@ class PowerBoundedScheduler:
     # submission
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> JobRecord:
-        """Queue a job; returns its mutable scheduling record."""
+        """Queue a job; returns its mutable scheduling record.
+
+        A finished scheduler takes no more jobs: after :meth:`run` this
+        raises :class:`SchedulerError` and changes nothing.
+        """
+        if self._ran:
+            raise SchedulerError(
+                f"job {job.job_id}: a {type(self).__name__} takes jobs only "
+                "before it runs; build a new one"
+            )
         if job.workload.device != "cpu":
             raise SchedulerError(
                 f"job {job.job_id}: the batch scheduler runs host workloads; "

@@ -221,13 +221,14 @@ class TestSingleRun:
 
     @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
     def test_late_submission_does_not_rerun_the_clock(self, scheduler_cls):
-        # Without the guard a second run restarts the clock at 0 and
-        # starts job 9 at its submit time, before the first run's makespan.
+        # A job submitted after run() would never run and no stats would
+        # count it, so a finished scheduler refuses it before recording it.
         sched = self._ran(scheduler_cls)
         records = snapshot(sched)
-        sched.submit(Job(9, cpu_workload("ft"), 150.0, submit_time_s=1.0))
+        with pytest.raises(SchedulerError, match="only before it runs"):
+            sched.submit(Job(9, cpu_workload("ft"), 150.0, submit_time_s=1.0))
+        assert 9 not in sched.records and not sched._pending
+        assert snapshot(sched) == records
         with pytest.raises(SchedulerError, match="runs once"):
             sched.run()
-        late = sched.records[9]
-        assert late.state is JobState.PENDING and late.start_time_s is None
-        assert {k: v for k, v in snapshot(sched).items() if k != 9} == records
+        assert snapshot(sched) == records
