@@ -62,7 +62,6 @@ from repro.perfmodel.executor import (
     _CAP_EPS_W,
     _MAX_JOINT_ITERS,
     cpu_candidate_table,
-    execute_on_gpu,
 )
 from repro.perfmodel.metrics import ExecutionResult, PhaseResult, _build_frozen
 from repro.perfmodel.phase import Phase
@@ -79,12 +78,6 @@ __all__ = [
 _F64 = NDArray[np.float64]
 _I64 = NDArray[np.int64]
 _Bool = NDArray[np.bool_]
-
-#: Gather size at or below which the GPU kernel answers with the scalar
-#: governor instead of the vector pass: a 1-2 row gather spends more on
-#: array setup than the per-point oracle spends resolving, and the two
-#: are locked bit-for-bit, so the dispatch is invisible in the outputs.
-_GPU_GATHER_CROSSOVER = 2
 
 #: Virtual-row count (axis rows x phases) at or below which the host
 #: kernel resolves rows one at a time in plain Python instead of the
@@ -905,8 +898,6 @@ class GpuBatchKernel:
     ) -> None:
         self._card = card
         self._phases = tuple(phases)
-        self._cap_in = float(cap_w)
-        self._freqs_in = [float(f) for f in mem_freqs_mhz]
         self._cap = card.validate_cap(cap_w)
         if not self._phases:
             raise SweepError("cannot execute a workload with no phases")
@@ -971,18 +962,6 @@ class GpuBatchKernel:
         rows = [int(i) for i in indices]
         if not rows:
             return []
-        if len(rows) * self._cols.p <= _GPU_GATHER_CROSSOVER:
-            # Below the crossover (in virtual rows — the scalar governor
-            # pays per phase, the stacked pass does not) the vector
-            # pass's fixed cost exceeds the scalar one: dispatch to the
-            # per-point oracle, whose outputs this kernel is bit-for-bit
-            # locked to anyway.
-            return [
-                execute_on_gpu(
-                    self._card, self._phases, self._cap_in, self._freqs_in[i]
-                )
-                for i in rows
-            ]
         gather = np.asarray(rows, dtype=np.intp)
         if self._row_offsets is not None:
             gather = (self._row_offsets + gather).ravel()

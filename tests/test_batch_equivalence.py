@@ -254,17 +254,17 @@ class TestGpuKernelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# small gathers: the scalar transcriptions behind the gather crossovers
+# small gathers: the host scalar transcription behind the gather crossover
 # ---------------------------------------------------------------------------
 
 class TestSmallGatherEquivalence:
-    """Gathers small enough to skip the vector pass.
+    """Small gathers against the per-point oracle.
 
     At or below ``_HOST_GATHER_CROSSOVER`` virtual rows (rows x phases)
     the host kernel resolves each row with its own scalar transcription
-    of the model; the GPU kernel hands gathers of up to two rows to the
-    scalar governor.  Gather sizes straddle the host crossover, so
-    multi-phase workloads run on both sides of it.
+    of the model.  Gather sizes straddle that crossover, so multi-phase
+    workloads run on both sides of it.  The GPU kernel runs every
+    gather, down to one row, through its vector pass.
     """
 
     @pytest.mark.parametrize("name", list_cpu_workloads())
@@ -292,17 +292,18 @@ class TestSmallGatherEquivalence:
 
     @pytest.mark.parametrize("name", GPU_INPUTS)
     @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
-    def test_gpu_gathers_match_the_vector_pass(self, request, platform_fixture, name):
+    def test_gpu_gathers_match_the_oracle(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
         freqs = [float(f) for f in card.mem.frequencies_mhz]
-        kernel = GpuBatchKernel(card, gpu_phases(name), 200.0, freqs)
-        vector = kernel.execute_indices(range(len(freqs)))
+        phases = gpu_phases(name)
+        kernel = GpuBatchKernel(card, phases, 200.0, freqs)
+        oracle = [execute_on_gpu(card, phases, 200.0, f) for f in freqs]
         for i in range(len(freqs)):
             (single,) = kernel.execute_indices([i])
-            assert_results_identical(vector[i], single)
+            assert_results_identical(oracle[i], single)
             pair = kernel.execute_indices([i, len(freqs) - 1 - i])
-            assert_results_identical(vector[i], pair[0])
-            assert_results_identical(vector[len(freqs) - 1 - i], pair[1])
+            assert_results_identical(oracle[i], pair[0])
+            assert_results_identical(oracle[len(freqs) - 1 - i], pair[1])
 
 
 # ---------------------------------------------------------------------------
