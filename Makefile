@@ -45,32 +45,34 @@ typecheck:
 check: lint typecheck test
 
 # CI smoke: the degradation contract under the canned fault plan,
-# through the CLI battery, under both REPRO_SWEEP settings (the armed
-# engine path must hold whichever sweep strategy the env resolves).
+# through the CLI battery, with --sweep-mode full and --sweep-mode
+# adaptive (the armed engine path must hold whichever sweep strategy
+# the battery's sweep checks run).
 # Exit is nonzero iff the contract is violated.
 chaos-smoke:
-	REPRO_SWEEP=full     PYTHONPATH=src $(PYTHON) -m repro chaos \
+	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode full \
 		--plan examples/faults/chaos_smoke.json --scale smoke
-	REPRO_SWEEP=adaptive PYTHONPATH=src $(PYTHON) -m repro chaos \
+	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode adaptive \
 		--plan examples/faults/chaos_smoke.json --scale smoke
 
 # CI smoke: the coordination server end-to-end — bind an ephemeral
 # port, drive a concurrent TCP burst through the micro-batcher, verify
 # every reply and spot-check bit-identity against the direct library
-# call — under both REPRO_SWEEP settings (the served answers must not
-# depend on which sweep strategy the env resolves).
+# call — with --sweep-mode full and --sweep-mode adaptive (the served
+# answers must not depend on the served engine's sweep strategy).
 serve-smoke:
-	REPRO_SWEEP=full     PYTHONPATH=src $(PYTHON) -m repro serve --smoke
-	REPRO_SWEEP=adaptive PYTHONPATH=src $(PYTHON) -m repro serve --smoke
+	PYTHONPATH=src $(PYTHON) -m repro serve --smoke --sweep-mode full
+	PYTHONPATH=src $(PYTHON) -m repro serve --smoke --sweep-mode adaptive
 
 # CI smoke: the fleet simulator end-to-end through the CLI — a small
 # synthetic trace over a heterogeneous fleet with periodic budget
-# re-splits — under both REPRO_SWEEP settings (grant lattices resolve
-# through the engine, so both strategies must drive the fleet green).
+# re-splits — with --sweep-mode full and --sweep-mode adaptive (grant
+# lattices resolve through the engine, so both strategies must drive
+# the fleet green).
 fleet-smoke:
-	REPRO_SWEEP=full     PYTHONPATH=src $(PYTHON) -m repro fleet \
+	PYTHONPATH=src $(PYTHON) -m repro fleet --sweep-mode full \
 		--nodes 32 --gen-jobs 300 --rate 4 --interval 10
-	REPRO_SWEEP=adaptive PYTHONPATH=src $(PYTHON) -m repro fleet \
+	PYTHONPATH=src $(PYTHON) -m repro fleet --sweep-mode adaptive \
 		--nodes 32 --gen-jobs 300 --rate 4 --interval 10
 
 # CI smoke: the perf benchmark at its quick size, exiting non-zero on

@@ -14,22 +14,23 @@ Subcommands:
   simulator (``docs/scheduling.md``);
 * ``serve`` — run the micro-batched coordination server.
 
-Fault plans can also be armed globally for any command by pointing the
-``REPRO_FAULTS`` environment variable at a plan JSON file; resolution
-happens here in :func:`main` (never inside the engine) so the library
-layers stay environment-free.
+Settings enter through flags only, with one exception: pointing the
+``REPRO_FAULTS`` environment variable at a plan JSON file arms that
+fault plan for any command.  It is read here in :func:`main`, the one
+place the package reads the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from repro import __version__
 from repro.config import to_json
 from repro.core.coord import coord_cpu
-from repro.core.parallel import SweepEngine
+from repro.core.parallel import SWEEP_MODES, SweepEngine
 from repro.core.coord_gpu import apply_gpu_decision, coord_gpu
 from repro.core.profiler import profile_cpu_workload, profile_gpu_workload
 from repro.core.sweep import sweep_cpu_allocations, sweep_gpu_allocations
@@ -43,6 +44,7 @@ from repro.hardware.nvml import NvmlDevice
 from repro.hardware.platforms import get_platform, list_platforms
 from repro.lint.cli import add_lint_arguments, run_from_args as run_lint_from_args
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
+from repro.serve.server import ServeConfig
 from repro.util.ascii_plot import sparkline
 from repro.util.tables import format_table
 from repro.workloads import get_workload, list_workloads
@@ -108,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: fig9)",
     )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.add_argument(
+        "--sweep-mode", choices=SWEEP_MODES, default="full",
+        help="sweep strategy of the battery's sweep checks (default: full)",
+    )
 
     p = sub.add_parser(
         "fleet",
@@ -151,30 +157,33 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Long-lived allocation daemon: newline-delimited JSON over TCP, "
             "concurrent queries coalesced into micro-batched kernel passes "
-            "against one warm engine.  Every REPRO_SERVE_* environment knob "
-            "is overridable by the matching flag.  See docs/serving.md."
+            "against one warm engine.  See docs/serving.md."
         ),
     )
-    p.add_argument("--host", default=None, help="bind address (default: $REPRO_SERVE_HOST, else 127.0.0.1)")
-    p.add_argument("--port", type=int, default=None, help="bind port, 0 for ephemeral (default: $REPRO_SERVE_PORT, else 7077)")
     p.add_argument(
-        "--max-batch", type=int, default=None,
+        "--host", default=ServeConfig.host, help="bind address (default: %(default)s)"
+    )
+    p.add_argument(
+        "--port", type=int, default=ServeConfig.port,
+        help="bind port, 0 for ephemeral (default: %(default)s)",
+    )
+    p.add_argument(
+        "--max-batch", type=int, default=ServeConfig.max_batch,
         help="flush the admission queue at this depth; 1 disables batching "
-             "(default: $REPRO_SERVE_MAX_BATCH, else 32)",
+             "(default: %(default)s)",
     )
     p.add_argument(
-        "--max-wait-us", type=int, default=None,
+        "--max-wait-us", type=int, default=ServeConfig.max_wait_us,
         help="flush the admission queue after this many microseconds "
-             "(default: $REPRO_SERVE_MAX_WAIT_US, else 2000)",
+             "(default: %(default)s)",
     )
     p.add_argument(
-        "--resolvers", type=int, default=None,
-        help="resolver threads draining flushes (default: $REPRO_SERVE_RESOLVERS, else 1)",
+        "--resolvers", type=int, default=ServeConfig.n_resolvers,
+        help="resolver threads draining flushes (default: %(default)s)",
     )
     p.add_argument(
-        "--stats-interval", type=float, default=None,
-        help="seconds between stats log lines, 0 disables "
-             "(default: $REPRO_SERVE_STATS_INTERVAL, else 0)",
+        "--stats-interval", type=float, default=ServeConfig.stats_interval_s,
+        help="seconds between stats log lines, 0 disables (default: %(default)s)",
     )
     p.add_argument(
         "--smoke", action="store_true",
@@ -190,23 +199,28 @@ def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
         help="sweep workers; only 1 is accepted (sweeps run in the calling thread)",
     )
     p.add_argument(
-        "--sweep-mode", choices=("full", "adaptive"), default=None,
+        "--sweep-mode", choices=SWEEP_MODES, default=None,
         help="sweep strategy: 'full' grids or the adaptive planner "
-             "(default: $REPRO_SWEEP, else full)",
+             "(default: full)",
     )
     p.add_argument(
         "--cache-dir", default=None,
-        help="persistent cross-process sweep cache root "
-             "(default: $REPRO_CACHE_DIR, else no disk cache)",
+        help="persistent cross-process sweep cache root (default: no disk cache)",
     )
 
 
 def _make_engine(args: argparse.Namespace) -> SweepEngine | None:
-    if args.jobs is None and args.sweep_mode is None and args.cache_dir is None:
-        return None
-    return SweepEngine(
-        n_jobs=args.jobs, mode=args.sweep_mode, cache_dir=args.cache_dir
-    )
+    """An engine built from the engine flags given; ``None`` if none is."""
+    given = {
+        name: value
+        for name, value in (
+            ("n_jobs", args.jobs),
+            ("mode", args.sweep_mode),
+            ("cache_dir", args.cache_dir),
+        )
+        if value is not None
+    }
+    return SweepEngine(**given) if given else None
 
 
 def _resolve(workload_name: str, platform_name: str | None):
@@ -326,7 +340,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.contract import run_chaos
 
     plan = FaultPlan.load(args.plan)
-    report = run_chaos(plan, scale=args.scale)
+    report = run_chaos(plan, scale=args.scale, mode=args.sweep_mode)
     if args.json:
         import json
 
@@ -397,37 +411,25 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import ServeConfig, run_server, run_smoke
+    from repro.serve.server import run_server, run_smoke
 
-    base = ServeConfig.from_env()
     config = ServeConfig(
-        host=args.host if args.host is not None else base.host,
-        port=args.port if args.port is not None else base.port,
-        max_batch=args.max_batch if args.max_batch is not None else base.max_batch,
-        max_wait_us=(
-            args.max_wait_us if args.max_wait_us is not None else base.max_wait_us
-        ),
-        stats_interval_s=(
-            args.stats_interval
-            if args.stats_interval is not None
-            else base.stats_interval_s
-        ),
-        n_resolvers=args.resolvers if args.resolvers is not None else base.n_resolvers,
+        host=args.host,
+        port=args.port,
+        max_batch=args.max_batch,
+        max_wait_us=args.max_wait_us,
+        stats_interval_s=args.stats_interval,
+        n_resolvers=args.resolvers,
     )
+    engine = _make_engine(args)
     if args.smoke:
         # Smoke always binds an ephemeral port: CI runs must not collide.
         run_smoke(
-            ServeConfig(
-                host=config.host,
-                port=0,
-                max_batch=config.max_batch,
-                max_wait_us=config.max_wait_us,
-                stats_interval_s=0.0,
-                n_resolvers=config.n_resolvers,
-            )
+            dataclasses.replace(config, port=0, stats_interval_s=0.0),
+            engine=engine,
         )
         return 0
-    run_server(config, engine=_make_engine(args))
+    run_server(config, engine=engine)
     return 0
 
 
@@ -460,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     ``REPRO_FAULTS=<plan.json>`` arms the named fault plan process-wide
     for the duration of the command — the library never reads the
     environment itself (``chaos`` ignores the variable: its battery arms
-    its own injectors from ``--plan``).
+    its own injectors from ``--plan``).  Every other setting is a flag.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

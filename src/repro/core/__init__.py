@@ -19,8 +19,6 @@ hardware and execution substrates:
 
 from repro.core.allocation import PowerAllocation, allocation_grid
 from repro.core.parallel import (
-    CACHE_DIR_ENV_VAR,
-    SWEEP_MODE_ENV_VAR,
     CacheStats,
     MemoCache,
     PlannerState,
@@ -28,8 +26,6 @@ from repro.core.parallel import (
     SweepEngine,
     default_engine,
     fingerprint,
-    resolve_cache_dir,
-    resolve_mode,
     set_default_engine,
     use_engine,
 )
@@ -120,7 +116,6 @@ __all__ = [
     "BalancePoint",
     "BudgetAdvice",
     "BudgetVerdict",
-    "CACHE_DIR_ENV_VAR",
     "CacheIntegrityWarning",
     "CacheStats",
     "CoordDecision",
@@ -146,7 +141,6 @@ __all__ = [
     "PlannerState",
     "PlannerStats",
     "PowerAllocation",
-    "SWEEP_MODE_ENV_VAR",
     "Scenario",
     "SweepEngine",
     "adaptive_coord",
@@ -189,8 +183,6 @@ __all__ = [
     "profile_gpu_workload",
     "profile_phases",
     "rank_by_elasticity",
-    "resolve_cache_dir",
-    "resolve_mode",
     "scenario_spans",
     "set_default_engine",
     "sweep_biglittle",

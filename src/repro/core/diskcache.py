@@ -4,7 +4,8 @@ The in-memory :class:`~repro.core.parallel.MemoCache` dies with its
 process, so every experiment run, benchmark repeat, and pool worker
 starts cold even though the model is a pure function of content-
 fingerprinted keys.  This module adds an opt-in disk tier
-(``REPRO_CACHE_DIR`` / ``--cache-dir``) with three hard requirements:
+(``SweepEngine(cache_dir=...)`` / ``--cache-dir``) with three hard
+requirements:
 
 * **atomicity** — concurrent writers (pool workers, parallel CI jobs)
   must never corrupt the store.  Each flush writes a brand-new segment

@@ -10,7 +10,7 @@ The points are independent — the model is a pure function of
   resolved in one NumPy pass by the batch kernel
   (:mod:`repro.perfmodel.batch`), which is bit-for-bit equivalent to the
   scalar oracle and an order of magnitude faster on a single core;
-  disable with ``REPRO_BATCH=0`` or ``SweepEngine(batch=False)``;
+  disable with ``SweepEngine(batch=False)``;
 * **memoization** — ``(platform, phases, allocation) → ExecutionResult``
   is cached in a bounded LRU shared by sweeps, budget curves and the
   cluster scheduler, so the repeated budgets in budget curves and the
@@ -43,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -81,39 +80,22 @@ from repro.perfmodel.metrics import ExecutionResult
 from repro.perfmodel.phase import Phase
 
 __all__ = [
-    "BATCH_ENV_VAR",
-    "CACHE_DIR_ENV_VAR",
     "CacheStats",
     "MemoCache",
     "PlannerState",
     "PlannerStats",
-    "SWEEP_MODE_ENV_VAR",
     "SubgridExecutor",
     "SweepEngine",
     "default_engine",
     "fingerprint",
     "freeze",
-    "resolve_batch",
-    "resolve_cache_dir",
-    "resolve_mode",
     "set_default_engine",
     "use_engine",
 ]
 
-#: Environment escape hatch for the vectorized kernel (``0``/``false``/
-#: ``no``/``off`` force every point through the scalar executor).
-BATCH_ENV_VAR = "REPRO_BATCH"
-
-#: Environment override for the sweep planning mode (``full`` executes
-#: every grid point; ``adaptive`` routes budget curves and best-point
-#: queries through :mod:`repro.core.planner`).
-SWEEP_MODE_ENV_VAR = "REPRO_SWEEP"
-
-#: Environment opt-in for the persistent cross-process result cache
-#: (:mod:`repro.core.diskcache`); unset or empty disables the disk tier.
-CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
-
-#: Recognized sweep planning modes.
+#: Recognized sweep planning modes (``full`` executes every grid point;
+#: ``adaptive`` routes budget curves and best-point queries through
+#: :mod:`repro.core.planner`).
 SWEEP_MODES = ("full", "adaptive")
 
 #: Default bound on the shared execution cache (entries, LRU-evicted).
@@ -378,48 +360,6 @@ class MemoCache:
 
 
 # ---------------------------------------------------------------------------
-# environment resolution
-# ---------------------------------------------------------------------------
-
-#: ``REPRO_BATCH`` values that disable the vectorized kernel.
-_BATCH_OFF = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_batch(batch: bool | None = None) -> bool:
-    """Resolve the batch-kernel switch: explicit > ``REPRO_BATCH`` > on."""
-    if batch is not None:
-        return bool(batch)
-    env = os.environ.get(BATCH_ENV_VAR)
-    if env is not None and env.strip():
-        return env.strip().lower() not in _BATCH_OFF
-    return True
-
-
-def resolve_mode(mode: str | None = None) -> str:
-    """Resolve the sweep mode: explicit > ``REPRO_SWEEP`` > ``"full"``."""
-    if mode is None:
-        env = os.environ.get(SWEEP_MODE_ENV_VAR)
-        mode = env.strip() if env is not None and env.strip() else "full"
-    mode = str(mode).strip().lower()
-    if mode not in SWEEP_MODES:
-        raise SweepError(
-            f"sweep mode must be one of {SWEEP_MODES}, got {mode!r} "
-            f"(check {SWEEP_MODE_ENV_VAR})"
-        )
-    return mode
-
-
-def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path | None:
-    """Resolve the disk-cache root: explicit > ``REPRO_CACHE_DIR`` > off."""
-    if cache_dir is None:
-        env = os.environ.get(CACHE_DIR_ENV_VAR)
-        if env is None or not env.strip():
-            return None
-        cache_dir = env.strip()
-    return Path(cache_dir).expanduser()
-
-
-# ---------------------------------------------------------------------------
 # planner bookkeeping (counters + warm-start hints, shared across sweeps)
 # ---------------------------------------------------------------------------
 
@@ -612,24 +552,22 @@ class SweepEngine:
         hint and stash memories; ignored if an explicit ``cache``
         instance is shared in (the planner then takes that cache's bound).
     batch:
-        ``True`` resolves sweep cache misses through the vectorized kernel
-        (:mod:`repro.perfmodel.batch`); ``False`` forces the scalar
-        executor, point by point.  ``None`` (default) resolves via
-        :func:`resolve_batch` (``REPRO_BATCH`` env override, else on).
+        ``True`` (default) resolves sweep cache misses through the
+        vectorized kernel (:mod:`repro.perfmodel.batch`); ``False``
+        forces the scalar executor, point by point.
     mode:
-        ``"full"`` executes every grid point (the oracle behaviour);
-        ``"adaptive"`` routes budget curves and best-point queries
-        through the structure-aware planner (:mod:`repro.core.planner`),
-        which returns identical answers from a fraction of the points.
-        ``None`` (default) resolves via :func:`resolve_mode`
-        (``REPRO_SWEEP`` env override, else ``"full"``).
+        ``"full"`` (default) executes every grid point (the oracle
+        behaviour); ``"adaptive"`` routes budget curves and best-point
+        queries through the structure-aware planner
+        (:mod:`repro.core.planner`), which returns identical answers from
+        a fraction of the points.  Anything else raises
+        :class:`~repro.errors.SweepError`.
     cache_dir:
         Opt-in root for the persistent cross-process result cache
         (:mod:`repro.core.diskcache`); the memo cache then reads through
         to disk on misses and writes through on stores.  ``None``
-        (default) resolves via :func:`resolve_cache_dir`
-        (``REPRO_CACHE_DIR`` env override, else no disk tier).  Mutually
-        exclusive with an explicit ``cache`` instance.
+        (default) means no disk tier.  Mutually exclusive with an
+        explicit ``cache`` instance.
     faults:
         An explicit :class:`~repro.faults.plan.FaultPlan` (or a shared
         :class:`~repro.faults.injector.FaultInjector`) scoping fault
@@ -651,8 +589,8 @@ class SweepEngine:
         backend: str = "thread",
         cache_size: int = DEFAULT_CACHE_SIZE,
         cache: MemoCache | None = None,
-        batch: bool | None = None,
-        mode: str | None = None,
+        batch: bool = True,
+        mode: str = "full",
         cache_dir: str | Path | None = None,
         faults: "FaultPlan | FaultInjector | None" = None,
     ) -> None:
@@ -665,18 +603,21 @@ class SweepEngine:
             raise SweepError(
                 "pass either an explicit cache instance or cache_dir, not both"
             )
-        self.mode = resolve_mode(mode)
+        if mode not in SWEEP_MODES:
+            raise SweepError(
+                f"sweep mode must be one of {SWEEP_MODES}, got {mode!r}"
+            )
+        self.mode = mode
         self.disk_cache: DiskCache | None = None
         if cache is not None:
             self.cache = cache
             self.disk_cache = cache.backing
         else:
-            resolved_dir = resolve_cache_dir(cache_dir)
-            if resolved_dir is not None:
-                self.disk_cache = DiskCache(resolved_dir)
+            if cache_dir is not None:
+                self.disk_cache = DiskCache(Path(cache_dir).expanduser())
             self.cache = MemoCache(cache_size, backing=self.disk_cache)
         self.planner = PlannerState(self.cache.stats.maxsize)
-        self.batch = resolve_batch(batch)
+        self.batch = batch
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.faults: FaultInjector | None = faults
@@ -966,10 +907,9 @@ _DEFAULT_ENGINE: SweepEngine | None = None
 def default_engine() -> SweepEngine:
     """The process-wide engine sweeps use when none is passed explicitly.
 
-    Created lazily with the default cache bound and the environment's
-    ``REPRO_BATCH``/``REPRO_SWEEP``/``REPRO_CACHE_DIR`` settings; replace
-    it with :func:`set_default_engine` or scope a replacement with
-    :func:`use_engine`.
+    Created lazily as ``SweepEngine()`` (batch kernel, full sweeps, no
+    disk tier); replace it with :func:`set_default_engine` or scope a
+    replacement with :func:`use_engine`.
     """
     global _DEFAULT_ENGINE
     with _DEFAULT_LOCK:

@@ -56,17 +56,12 @@ def run_experiment(
     fast: bool = False,
     *,
     engine: SweepEngine | None = None,
-    mode: str | None = None,
-    cache_dir: str | None = None,
 ) -> ExperimentReport:
     """Run one experiment by artifact id.
 
     ``engine`` routes the experiment's sweeps through an explicit
-    :class:`SweepEngine` (memo cache); ``mode`` (``"full"``/``"adaptive"``)
-    and ``cache_dir`` (persistent disk cache root) are shorthands that
-    build one.  With none of them, sweeps fall back to the process-wide
-    default engine, which honours the ``REPRO_SWEEP`` and
-    ``REPRO_CACHE_DIR`` environment variables.
+    :class:`SweepEngine` (its mode, memo cache and disk tier); without
+    one, sweeps fall back to the process-wide default engine.
     """
     try:
         runner = EXPERIMENTS[experiment_id]
@@ -74,8 +69,6 @@ def run_experiment(
         raise ReproError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    if engine is None and (mode is not None or cache_dir is not None):
-        engine = SweepEngine(mode=mode, cache_dir=cache_dir)
     report = runner(fast=fast, engine=engine)
     if engine is not None:
         engine.flush()

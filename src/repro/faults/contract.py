@@ -127,7 +127,7 @@ class ChaosReport:
 
 @dataclass(frozen=True)
 class _Scale:
-    """Grid sizes for one battery scale."""
+    """Grid sizes for one battery scale, and the sweep mode it runs in."""
 
     cpu_workloads: tuple[str, ...]
     gpu_workloads: tuple[str, ...]
@@ -135,6 +135,7 @@ class _Scale:
     caps_w: tuple[float, ...]
     step_w: float
     freq_stride: int
+    mode: str = "full"
 
 
 def _scale_config(scale: str) -> _Scale:
@@ -257,7 +258,7 @@ def _check_cpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     node = ivybridge_node()
 
     def op() -> tuple[Any, DegradationReport | None]:
-        engine = SweepEngine()
+        engine = SweepEngine(mode=cfg.mode)
         curves = {
             name: cpu_budget_curve(
                 node.cpu,
@@ -279,7 +280,7 @@ def _check_gpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     caps = tuple(c for c in cfg.caps_w if card.min_cap_w <= c <= card.max_cap_w)
 
     def op() -> tuple[Any, DegradationReport | None]:
-        engine = SweepEngine()
+        engine = SweepEngine(mode=cfg.mode)
         curves = {
             name: gpu_budget_curve(
                 card,
@@ -456,14 +457,18 @@ _BATTERY: tuple[Callable[[FaultPlan, _Scale], ChaosCheck], ...] = (
 )
 
 
-def run_chaos(plan: FaultPlan, *, scale: str = "smoke") -> ChaosReport:
+def run_chaos(
+    plan: FaultPlan, *, scale: str = "smoke", mode: str = "full"
+) -> ChaosReport:
     """Run the full chaos battery for ``plan``; never raises on faults.
 
     ``scale`` picks the grid: ``"smoke"`` is the CI-sized battery,
     ``"fig9"`` sweeps the paper's Figure 9 budgets and caps on both
-    registries.  The returned report's :attr:`~ChaosReport.ok` is the
-    contract verdict (the CLI turns it into the exit code).
+    registries.  ``mode`` is the :class:`SweepEngine` sweep mode of the
+    two sweep-curve checks (``"full"`` or ``"adaptive"``).  The returned
+    report's :attr:`~ChaosReport.ok` is the contract verdict (the CLI
+    turns it into the exit code).
     """
-    cfg = _scale_config(scale)
+    cfg = dataclasses.replace(_scale_config(scale), mode=mode)
     checks = tuple(check(plan, cfg) for check in _BATTERY)
     return ChaosReport(plan=plan, scale=scale, checks=checks)

@@ -42,10 +42,10 @@ class LintError(ReproError):
 #: the full-sweep oracle), and the disk-cache codecs must round-trip
 #: results without consulting any ambient state.  The planner *drivers*
 #: (``plan_cpu_sweep`` etc.) are deliberately absent: they resolve the
-#: process-default engine and sweep mode, which is environment-aware by
-#: design.  Disk *I/O* likewise stays out: it lives behind ``DiskCache``
-#: instance methods, which the memoized call graph never reaches
-#: directly.  The gather kernels' ``execute_indices`` methods are rooted
+#: process-default engine, which ``set_default_engine``/``use_engine``
+#: swap at run time by design.  Disk *I/O* likewise stays out: it lives
+#: behind ``DiskCache`` instance methods, which the memoized call graph
+#: never reaches directly.  The gather kernels' ``execute_indices`` methods are rooted
 #: explicitly too: the engine reaches them through
 #: ``batch_execute_indices`` on an opaque kernel receiver, an attribute
 #: call the graph cannot resolve on its own, yet they are the exact code

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -40,38 +39,10 @@ from repro.serve.service import CoordinationService
 
 __all__ = ["ServeConfig", "CoordServer", "run_server", "run_smoke"]
 
-#: Environment knobs, all overridable by CLI flags.
-ENV_HOST = "REPRO_SERVE_HOST"
-ENV_PORT = "REPRO_SERVE_PORT"
-ENV_MAX_BATCH = "REPRO_SERVE_MAX_BATCH"
-ENV_MAX_WAIT_US = "REPRO_SERVE_MAX_WAIT_US"
-ENV_STATS_INTERVAL = "REPRO_SERVE_STATS_INTERVAL"
-ENV_RESOLVERS = "REPRO_SERVE_RESOLVERS"
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a number, got {raw!r}") from None
-
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Resolved server configuration (flags > environment > defaults)."""
+    """Server configuration; ``repro serve`` takes its flag defaults from here."""
 
     host: str = "127.0.0.1"
     port: int = 7077
@@ -79,18 +50,6 @@ class ServeConfig:
     max_wait_us: int = 2000
     stats_interval_s: float = 0.0
     n_resolvers: int = 1
-
-    @classmethod
-    def from_env(cls) -> "ServeConfig":
-        """Defaults with every ``REPRO_SERVE_*`` override applied."""
-        return cls(
-            host=os.environ.get(ENV_HOST, cls.host) or cls.host,
-            port=_env_int(ENV_PORT, cls.port),
-            max_batch=_env_int(ENV_MAX_BATCH, cls.max_batch),
-            max_wait_us=_env_int(ENV_MAX_WAIT_US, cls.max_wait_us),
-            stats_interval_s=_env_float(ENV_STATS_INTERVAL, cls.stats_interval_s),
-            n_resolvers=_env_int(ENV_RESOLVERS, cls.n_resolvers),
-        )
 
 
 async def _discard_through_newline(reader: asyncio.StreamReader) -> bool:
@@ -386,11 +345,13 @@ _SMOKE_QUERIES: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
-async def _smoke(config: ServeConfig, n_clients: int) -> dict[str, Any]:
+async def _smoke(
+    config: ServeConfig, n_clients: int, engine: SweepEngine | None
+) -> dict[str, Any]:
     from repro.serve.client import ServeClient
     from repro.serve.service import CoordinationService
 
-    server = CoordServer(config)
+    server = CoordServer(config, engine=engine)
     host, port = await server.start()
 
     async def one_client(index: int) -> list[dict[str, Any]]:
@@ -405,16 +366,21 @@ async def _smoke(config: ServeConfig, n_clients: int) -> dict[str, Any]:
     bad = [r for r in replies if not r.get("ok")]
     degraded = sum(1 for r in replies if r.get("degraded"))
 
-    # Bit-identity spot check against a direct library call on a cold
-    # engine — the served envelope must carry the exact same numbers.
+    # Bit-identity spot checks against direct library calls on a cold
+    # full-mode engine — a COORD answer and a sweep answer, which the
+    # served engine resolves in its own mode and disk tier, must carry
+    # the exact same numbers.
     from repro.serve.protocol import Request
 
-    spot_op, spot_params = _SMOKE_QUERIES[0]
+    spots = (_SMOKE_QUERIES[0], _SMOKE_QUERIES[3])  # coord, sweep_best
     direct = CoordinationService(SweepEngine())
-    want = direct.resolve(Request(id=None, op=spot_op, params=spot_params)).result
+    wants = [
+        direct.resolve(Request(id=None, op=op, params=params)).result
+        for op, params in spots
+    ]
     async with await ServeClient.connect(host, port) as client:
-        got = (await client.request(spot_op, spot_params)).get("result")
-    identical = got == want
+        gots = [(await client.request(op, params)).get("result") for op, params in spots]
+    identical = gots == wants
 
     async with await ServeClient.connect(host, port) as client:
         stats = (await client.request("stats"))["result"]
@@ -430,14 +396,21 @@ async def _smoke(config: ServeConfig, n_clients: int) -> dict[str, Any]:
     }
 
 
-def run_smoke(config: ServeConfig, *, n_clients: int = 24) -> None:
+def run_smoke(
+    config: ServeConfig,
+    *,
+    n_clients: int = 24,
+    engine: SweepEngine | None = None,
+) -> None:
     """Start a server, drive a concurrent burst over TCP, shut down clean.
 
-    Raises :class:`ServeError` on any failed reply or identity drift, so
-    the CI target fails loudly.  Under an armed fault plan, degraded
-    replies are expected and reported, not fatal — that is the contract.
+    The server runs on ``engine`` (a fresh default engine when ``None``),
+    the one ``repro serve --smoke`` builds from its engine flags.  Raises
+    :class:`ServeError` on any failed reply or identity drift, so the CI
+    target fails loudly.  Under an armed fault plan, degraded replies are
+    expected and reported, not fatal — that is the contract.
     """
-    outcome = asyncio.run(_smoke(config, n_clients))
+    outcome = asyncio.run(_smoke(config, n_clients, engine))
     print(
         "repro serve --smoke: "
         f"{outcome['replies']} replies, {outcome['failed']} failed, "

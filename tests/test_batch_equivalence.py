@@ -12,8 +12,7 @@ hypothesis-fuzzed synthetic platforms; the exhaustive budget matrix is
 ``@pytest.mark.slow``.  The harness also locks the engine-level contract:
 the batch path fills the same memo cache point-by-point, so cache
 statistics and warm-sweep behaviour are indistinguishable from the scalar
-path, and ``REPRO_BATCH=0`` / ``SweepEngine(batch=False)`` remain a true
-escape hatch.  The kernels build their rows without the dataclass
+path, and ``SweepEngine(batch=False)`` remains a true escape hatch.  The kernels build their rows without the dataclass
 constructor, so every comparison also checks that a kernel row behaves as
 the oracle's under hashing, ``repr``, ``asdict``, pickle, copy, the disk
 codec and frozenness.
@@ -33,12 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
 from repro.core.diskcache import decode_result, encode_result
-from repro.core.parallel import (
-    BATCH_ENV_VAR,
-    SweepEngine,
-    resolve_batch,
-    use_engine,
-)
+from repro.core.parallel import SweepEngine, use_engine
 from repro.core.scenario import classify_cpu, classify_gpu
 from repro.core.sweep import (
     AllocationSweep,
@@ -552,28 +546,6 @@ class TestEngineContract:
             assert engine.batch is True
             batch = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0)
         assert_sweeps_identical(scalar, batch)
-
-    def test_resolve_batch_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "0")
-        assert resolve_batch(True) is True
-        monkeypatch.setenv(BATCH_ENV_VAR, "1")
-        assert resolve_batch(False) is False
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
-    def test_resolve_batch_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv(BATCH_ENV_VAR, value)
-        assert resolve_batch() is False
-        assert SweepEngine().batch is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "weird"])
-    def test_resolve_batch_env_enables(self, monkeypatch, value):
-        monkeypatch.setenv(BATCH_ENV_VAR, value)
-        assert resolve_batch() is True
-
-    def test_resolve_batch_defaults_on(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV_VAR, raising=False)
-        assert resolve_batch() is True
-        assert SweepEngine().batch is True
 
 
 # ---------------------------------------------------------------------------

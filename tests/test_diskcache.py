@@ -29,12 +29,7 @@ from repro.core.diskcache import (
     digest_key,
     encode_result,
 )
-from repro.core.parallel import (
-    CACHE_DIR_ENV_VAR,
-    MemoCache,
-    SweepEngine,
-    resolve_cache_dir,
-)
+from repro.core.parallel import MemoCache, SweepEngine
 from repro.core.sweep import sweep_cpu_allocations
 from repro.errors import SweepError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, use_faults
@@ -472,15 +467,12 @@ class TestTwoTierCache:
         with pytest.raises(SweepError):
             SweepEngine(cache=MemoCache(8), cache_dir=tmp_path)
 
-    def test_env_var_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        assert resolve_cache_dir(None) is None
+    def test_env_var_resolution(self, tmp_path):
+        """The disk tier resolves from ``cache_dir`` alone, never the environment."""
         assert SweepEngine().disk_cache is None
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        assert resolve_cache_dir(None) == tmp_path
-        engine = SweepEngine()
+        engine = SweepEngine(cache_dir=tmp_path)
         assert engine.disk_cache is not None
         assert engine.disk_cache.root == tmp_path
-        # Explicit argument wins over the environment.
-        other = tmp_path / "explicit"
-        assert SweepEngine(cache_dir=other).disk_cache.root == other
+        # A string root (the CLI's --cache-dir) names the same directory.
+        other = tmp_path / "from-flag"
+        assert SweepEngine(cache_dir=str(other)).disk_cache.root == other

@@ -24,6 +24,7 @@ from repro.errors import (
     MeterReadError,
     NvmlReadError,
     ProfilingDegradedError,
+    SweepError,
     TransientReadError,
     WorkerRetryExhaustedError,
 )
@@ -654,28 +655,29 @@ def _classification(report) -> dict[str, str]:
 
 
 class TestChaosUnderAdaptivePlanner:
-    """``REPRO_SWEEP=adaptive`` must not move a single chaos verdict.
+    """``run_chaos(mode="adaptive")`` must not move a single chaos verdict.
 
-    The sweep-curve checks route through the adaptive planner when the
-    engine resolves ``"adaptive"`` mode from the environment, so this
-    locks the full battery — all eight checks — to classify identically
-    to the full-sweep run for the empty plan and for every single-kind
-    battery.
+    The sweep-curve checks route through the adaptive planner on an
+    adaptive engine, so this locks the full battery — all eight checks —
+    to classify identically to the full-sweep run for the empty plan and
+    for every single-kind battery.
     """
 
     @pytest.mark.parametrize(
         "kind", [None] + list(FaultKind),
         ids=["empty"] + [k.name for k in FaultKind],
     )
-    def test_battery_classifies_identically(self, kind, monkeypatch):
+    def test_battery_classifies_identically(self, kind):
         plan = (
             FaultPlan.empty() if kind is None
             else plan_for(_KIND_SITE[kind], kind, probability=0.3)
         )
-        monkeypatch.delenv("REPRO_SWEEP", raising=False)
         full = run_chaos(plan, scale="smoke")
-        monkeypatch.setenv("REPRO_SWEEP", "adaptive")
-        adaptive = run_chaos(plan, scale="smoke")
+        adaptive = run_chaos(plan, scale="smoke", mode="adaptive")
         assert len(adaptive.checks) == 8
         assert _classification(adaptive) == _classification(full)
         assert adaptive.ok is full.ok
+
+    def test_mode_reaches_the_sweep_engines(self):
+        with pytest.raises(SweepError, match="sweep mode"):
+            run_chaos(FaultPlan.empty(), scale="smoke", mode="turbo")

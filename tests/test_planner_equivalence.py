@@ -6,7 +6,7 @@ plateau bracket, budget-curve arrays — must equal what the full-grid
 oracle sweeps report, with exact float equality and no tolerances, while
 executing a fraction of the native grid.  These tests lock that contract
 across the full workload registries on every shipped platform, through
-the mode-aware dispatchers and the ``REPRO_SWEEP`` switch, on
+the mode-aware dispatchers and the engine's ``mode`` switch, on
 hypothesis-fuzzed synthetic platforms, and on the registry cases known
 to trip the structure-violation fallback.
 """
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.parallel import SWEEP_MODE_ENV_VAR, SweepEngine, resolve_mode
+from repro.core.parallel import SweepEngine
 from repro.core.planner import (
     adaptive_cpu_budget_curve,
     adaptive_gpu_budget_curve,
@@ -263,7 +263,7 @@ class TestFallback:
 
 
 # ---------------------------------------------------------------------------
-# mode-aware dispatch: engine mode, env var, entry points
+# mode-aware dispatch: engine mode, entry points
 # ---------------------------------------------------------------------------
 
 class TestModeDispatch:
@@ -272,18 +272,6 @@ class TestModeDispatch:
         assert SweepEngine(mode="adaptive").mode == "adaptive"
         with pytest.raises(SweepError):
             SweepEngine(mode="turbo")
-
-    def test_env_var_selects_adaptive(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_MODE_ENV_VAR, "adaptive")
-        assert resolve_mode(None) == "adaptive"
-        assert SweepEngine().mode == "adaptive"
-        # Explicit argument wins over the environment.
-        assert SweepEngine(mode="full").mode == "full"
-
-    def test_env_var_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_MODE_ENV_VAR, "fastest")
-        with pytest.raises(SweepError):
-            resolve_mode(None)
 
     def test_sweep_cpu_best_identical_across_modes(self, has, dgemm):
         full = sweep_cpu_best(

@@ -1,6 +1,8 @@
 """Public API surface: every exported name resolves and is documented."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,45 @@ class TestExports:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+
+class TestEnvironment:
+    """Settings enter through arguments; only the CLI reads the environment."""
+
+    ENV_ACCESS = frozenset({"environ", "getenv", "putenv"})
+
+    def test_only_the_cli_reads_the_environment(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel == "cli.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            os_names = {"os"} | {
+                alias.asname
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+                if alias.name == "os" and alias.asname
+            }
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in self.ENV_ACCESS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in os_names
+                ):
+                    found.append(f"{rel}:{node.lineno}: os.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    found.extend(
+                        f"{rel}:{node.lineno}: from os import {alias.name}"
+                        for alias in node.names
+                        if alias.name in self.ENV_ACCESS
+                    )
+        assert not found, found
 
 
 class TestExamplesRun:

@@ -3,7 +3,7 @@
 The server's whole contract is "the wire adds nothing": every served
 answer must be bit-identical to the direct library call, whatever the
 batching, dedup, or fault weather.  This module locks that contract
-stage by stage — the protocol codec, config resolution, the coalescer's
+stage by stage — the protocol codec, knob validation, the coalescer's
 flush triggers and dedup accounting, served-vs-library identity over
 real TCP (full and adaptive engines, CPU and GPU ops), the control
 plane, and the chaos pass: an armed fault plan may degrade individual
@@ -42,15 +42,8 @@ from repro.serve.protocol import (
     error_payload,
     response_envelope,
 )
-from repro.serve.server import (
-    ENV_MAX_BATCH,
-    ENV_MAX_WAIT_US,
-    ENV_PORT,
-    ENV_RESOLVERS,
-    CoordServer,
-    ServeConfig,
-    run_smoke,
-)
+from repro.cli import main
+from repro.serve.server import CoordServer, ServeConfig, run_smoke
 from repro.serve.service import CoordinationService
 from repro.workloads import get_workload
 
@@ -168,27 +161,6 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 
 class TestServeConfig:
-    def test_defaults(self, monkeypatch):
-        for name in (ENV_PORT, ENV_MAX_BATCH, ENV_MAX_WAIT_US, ENV_RESOLVERS):
-            monkeypatch.delenv(name, raising=False)
-        config = ServeConfig.from_env()
-        assert config == ServeConfig()
-        assert config.max_batch == 32
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(ENV_PORT, "0")
-        monkeypatch.setenv(ENV_MAX_BATCH, "64")
-        monkeypatch.setenv(ENV_MAX_WAIT_US, "500")
-        monkeypatch.setenv(ENV_RESOLVERS, "2")
-        config = ServeConfig.from_env()
-        assert (config.port, config.max_batch) == (0, 64)
-        assert (config.max_wait_us, config.n_resolvers) == (500, 2)
-
-    def test_bad_env_value_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setenv(ENV_MAX_BATCH, "many")
-        with pytest.raises(ServeError, match=ENV_MAX_BATCH):
-            ServeConfig.from_env()
-
     @pytest.mark.parametrize(
         "kwargs", [{"max_batch": 0}, {"max_wait_us": -1}, {"n_resolvers": 0}]
     )
@@ -720,3 +692,13 @@ class TestSmokeHarness:
         out = capsys.readouterr().out
         assert "0 failed" in out
         assert "identical=True" in out
+
+    def test_run_smoke_serves_from_the_given_engine(self, capsys):
+        engine = SweepEngine(mode="adaptive")
+        run_smoke(ServeConfig(port=0, max_batch=8), n_clients=6, engine=engine)
+        assert "identical=True" in capsys.readouterr().out
+        assert engine.planner.stats.sweeps > 0
+
+    def test_cli_smoke_rejects_more_jobs(self, capsys):
+        assert main(["serve", "--smoke", "--jobs", "4"]) == 2
+        assert "error: sweeps resolve in the calling thread" in capsys.readouterr().err
