@@ -59,10 +59,17 @@ chaos-smoke:
 # port, drive a concurrent TCP burst through the micro-batcher, verify
 # every reply and spot-check bit-identity against the direct library
 # call — with --sweep-mode full and --sweep-mode adaptive (the served
-# answers must not depend on the served engine's sweep strategy).
+# answers must not depend on the served engine's sweep strategy).  Then
+# the same burst under the canned fault plan, in both modes: the armed
+# flushes resolve every request on its own, and a reply may be degraded
+# or a typed fault error but never any other error.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke --sweep-mode full
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke --sweep-mode adaptive
+	REPRO_FAULTS=examples/faults/chaos_smoke.json PYTHONPATH=src \
+		$(PYTHON) -m repro serve --smoke --sweep-mode full
+	REPRO_FAULTS=examples/faults/chaos_smoke.json PYTHONPATH=src \
+		$(PYTHON) -m repro serve --smoke --sweep-mode adaptive
 
 # CI smoke: the fleet simulator end-to-end through the CLI — a small
 # synthetic trace over a heterogeneous fleet with periodic budget

@@ -44,7 +44,7 @@ from repro.hardware.nvml import NvmlDevice
 from repro.hardware.platforms import get_platform, list_platforms
 from repro.lint.cli import add_lint_arguments, run_from_args as run_lint_from_args
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
-from repro.serve.server import ServeConfig
+from repro.serve.config import ServeConfig
 from repro.util.ascii_plot import sparkline
 from repro.util.tables import format_table
 from repro.workloads import get_workload, list_workloads

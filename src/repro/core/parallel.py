@@ -63,9 +63,8 @@ from repro.errors import (
     WorkerRetryExhaustedError,
     WorkerTimeoutError,
 )
-from repro.faults.injector import FaultInjector
-from repro.faults.injector import active as _faults_active
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.injector import FaultInjector, armed
+from repro.faults.plan import FaultKind
 from repro.faults.report import DegradationReport
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
@@ -253,8 +252,8 @@ class MemoCache:
     Values are expected to be immutable (frozen dataclasses), which makes
     sharing a cached :class:`ExecutionResult` across callers safe.
 
-    An optional ``backing`` :class:`~repro.core.diskcache.DiskCache`
-    turns this into the memory tier of a two-level cache: memory misses
+    A ``backing`` :class:`~repro.core.diskcache.DiskCache` turns this
+    into the memory tier of a two-level cache: memory misses
     fall through to disk (counted in ``stats.disk_hits`` and promoted
     back into memory), and stores write through so other processes can
     go warm.  Evicting an entry from the bounded memory tier never loses
@@ -276,11 +275,6 @@ class MemoCache:
         self._misses = 0
         self._evictions = 0
         self._disk_hits = 0
-
-    @property
-    def backing(self) -> DiskCache | None:
-        """The disk tier behind this cache, if any."""
-        return self._backing
 
     def lookup(self, key: Hashable) -> tuple[bool, object | None]:
         """``(hit, value)`` for ``key``; counts the lookup either way.
@@ -396,8 +390,8 @@ class PlannerState:
     plan completed without falling back.  Budget curves and repeated
     experiment sweeps use the hints to probe near the previous optimum.
 
-    Hints and stash are LRUs of ``maxsize`` entries each (the engine
-    passes its memo bound): the stash keeps one completed plan per budget,
+    Hints and stash are LRUs of ``maxsize`` entries each (an engine
+    builds them at its memo bound): the stash keeps one completed plan per budget,
     and a long-lived server takes its budgets from clients.  Every
     remembered value is exact, so an eviction costs re-execution, never
     a different answer.
@@ -481,9 +475,10 @@ class SubgridExecutor:
     :class:`MemoCache` (reading through to disk when configured) and
     every miss is stored back point-by-point, so hit/miss counters, disk
     promotion, and warm-cache behaviour are the same for whole grids and
-    sub-grids.  With the batch path disabled — or a fault plan armed,
-    which the vectorized kernel cannot honor — misses run through the
-    engine's scalar :meth:`~SweepEngine._run_batch` path, faults and all.
+    sub-grids.  With the batch path disabled — or a fault plan armed
+    (:func:`~repro.faults.injector.armed`), which the vectorized kernel
+    cannot honor — misses run through the engine's scalar
+    :meth:`~SweepEngine._run_batch` path, faults and all.
     """
 
     def __init__(
@@ -522,7 +517,7 @@ class SubgridExecutor:
             if not hit:
                 missing.append(i)
         if missing:
-            if engine.batch and engine._worker_injector() is None:
+            if engine.batch and armed() is None:
                 if self._kernel is None:
                     self._kernel = self._kernel_factory()
                 results = batch_execute_indices(self._kernel, missing)
@@ -547,10 +542,6 @@ class SweepEngine:
         Accepted only as ``None``/``1`` and ``"thread"``, the values
         existing callers pass: every request resolves in the calling
         thread.  Any other value raises :class:`~repro.errors.SweepError`.
-    cache_size:
-        LRU bound of the engine's :class:`MemoCache` and of its planner's
-        hint and stash memories; ignored if an explicit ``cache``
-        instance is shared in (the planner then takes that cache's bound).
     batch:
         ``True`` (default) resolves sweep cache misses through the
         vectorized kernel (:mod:`repro.perfmodel.batch`); ``False``
@@ -566,20 +557,18 @@ class SweepEngine:
         Opt-in root for the persistent cross-process result cache
         (:mod:`repro.core.diskcache`); the memo cache then reads through
         to disk on misses and writes through on stores.  ``None``
-        (default) means no disk tier.  Mutually exclusive with an
-        explicit ``cache`` instance.
-    faults:
-        An explicit :class:`~repro.faults.plan.FaultPlan` (or a shared
-        :class:`~repro.faults.injector.FaultInjector`) scoping fault
-        injection to this engine's sweeps; ``None`` (default) consults
-        the process-wide injector armed via
-        :func:`repro.faults.injector.use_faults` (the CLI arms it from
-        ``REPRO_FAULTS``).  With faults armed, sweep points run through
-        the scalar executor under the worker-fault schedule with
-        deterministic resubmission; results are bit-identical to the
-        clean run or :class:`~repro.errors.WorkerRetryExhaustedError` is
-        raised after the plan's ``max_attempts`` failed attempts at one
-        point.
+        (default) means no disk tier.
+
+    The memo cache and the planner's hint and stash memories are LRUs of
+    :data:`DEFAULT_CACHE_SIZE` entries each.
+
+    Faults are armed process-wide, never per engine: under a non-empty
+    plan armed with :func:`repro.faults.injector.use_faults` (the CLI
+    arms it from ``REPRO_FAULTS``), sweep points run through the scalar
+    executor under the worker-fault schedule with deterministic
+    resubmission; results are bit-identical to the clean run or
+    :class:`~repro.errors.WorkerRetryExhaustedError` is raised after the
+    plan's ``max_attempts`` failed attempts at one point.
     """
 
     def __init__(
@@ -587,40 +576,26 @@ class SweepEngine:
         n_jobs: int | None = None,
         *,
         backend: str = "thread",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        cache: MemoCache | None = None,
         batch: bool = True,
         mode: str = "full",
         cache_dir: str | Path | None = None,
-        faults: "FaultPlan | FaultInjector | None" = None,
     ) -> None:
         if n_jobs not in (None, 1) or backend != "thread":
             raise SweepError(
                 "sweeps resolve in the calling thread: n_jobs must be 1 and "
                 f"backend 'thread', got n_jobs={n_jobs!r}, backend={backend!r}"
             )
-        if cache is not None and cache_dir is not None:
-            raise SweepError(
-                "pass either an explicit cache instance or cache_dir, not both"
-            )
         if mode not in SWEEP_MODES:
             raise SweepError(
                 f"sweep mode must be one of {SWEEP_MODES}, got {mode!r}"
             )
         self.mode = mode
-        self.disk_cache: DiskCache | None = None
-        if cache is not None:
-            self.cache = cache
-            self.disk_cache = cache.backing
-        else:
-            if cache_dir is not None:
-                self.disk_cache = DiskCache(Path(cache_dir).expanduser())
-            self.cache = MemoCache(cache_size, backing=self.disk_cache)
-        self.planner = PlannerState(self.cache.stats.maxsize)
+        self.disk_cache = (
+            DiskCache(Path(cache_dir).expanduser()) if cache_dir is not None else None
+        )
+        self.cache = MemoCache(backing=self.disk_cache)
+        self.planner = PlannerState()
         self.batch = batch
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
-        self.faults: FaultInjector | None = faults
         #: Resubmission log for the last faulted sweeps; recovered worker
         #: faults are recorded here without tainting the results (which
         #: stay bit-identical to the clean run by construction).
@@ -667,24 +642,10 @@ class SweepEngine:
         Each row runs through the per-point executor; with a fault plan
         armed, under the worker-fault schedule of :meth:`_run_batch_faulted`.
         """
-        injector = self._worker_injector()
+        injector = armed()
         if injector is not None:
             return self._run_batch_faulted(point, rows, injector)
         return [point(i) for i in rows]
-
-    def _worker_injector(self) -> FaultInjector | None:
-        """The injector governing sweep workers, or ``None`` when disarmed.
-
-        An engine-scoped injector (``SweepEngine(faults=...)``) wins over
-        the process-wide one armed via
-        :func:`repro.faults.injector.use_faults`; an empty plan counts as
-        disarmed so the zero-cost clean path (the batch kernel) stays in
-        use.
-        """
-        injector = self.faults if self.faults is not None else _faults_active()
-        if injector is None or injector.plan.is_empty:
-            return None
-        return injector
 
     def _run_batch_faulted(
         self,

@@ -72,6 +72,7 @@ from repro.core.sweep import (
     sweep_cpu_allocations,
     sweep_gpu_allocations,
 )
+from repro.faults.injector import armed
 from repro.hardware.component import CappingMechanism
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
@@ -468,7 +469,7 @@ def _plan(
     # returned outright.  Disabled while a fault plan is armed: armed runs
     # must re-execute through the scalar path (and never poison the stash).
     replay_key = hint_key + (float(budget_w),)
-    clean_run = engine._worker_injector() is None
+    clean_run = armed() is None
     if clean_run:
         prior = engine.planner.stashed(replay_key)
         if prior is not None:

@@ -33,6 +33,7 @@ from repro.faults.injector import (
     FaultInjector,
     active,
     arm,
+    armed,
     disarm,
     use_faults,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "FaultSpec",
     "active",
     "arm",
+    "armed",
     "backoff_schedule_s",
     "coordinate_cpu_resilient",
     "coordinate_gpu_resilient",

@@ -30,6 +30,7 @@ __all__ = [
     "FaultInjector",
     "active",
     "arm",
+    "armed",
     "disarm",
     "use_faults",
 ]
@@ -156,6 +157,21 @@ def active() -> Optional[FaultInjector]:
     """
     with _ACTIVE_LOCK:
         return _ACTIVE
+
+
+def armed() -> Optional[FaultInjector]:
+    """The active injector when its plan is non-empty, else None.
+
+    The one test of "armed" for every gate that trades a clean fast path
+    for the fault schedule: the engine's batch kernel and plan replay,
+    the resilient profilers' majority vote, the service's profile memo,
+    prefetch and COORD shortcut, and the batcher's coalescing.  An empty
+    plan fires nothing, so it keeps every clean path.
+    """
+    injector = active()
+    if injector is None or injector.plan.is_empty:
+        return None
+    return injector
 
 
 def arm(plan_or_injector: FaultPlan | FaultInjector) -> FaultInjector:

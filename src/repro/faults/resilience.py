@@ -4,8 +4,9 @@ These wrappers are the fault-aware front doors to profiling, COORD, and
 the online controller.  Each returns ``(result, DegradationReport)`` and
 upholds the degradation contract:
 
-* with no injector armed they delegate straight to the clean
-  implementation and return an empty report — zero-cost disarm;
+* with no non-empty plan armed (:func:`~repro.faults.injector.armed`)
+  they delegate straight to the clean implementation and return an
+  empty report — zero-cost disarm;
 * under an armed plan the result is either bit-identical to the clean
   run (recovered faults are recorded but do not taint the report) or the
   report is marked ``degraded`` / a :class:`~repro.errors.FaultError`
@@ -42,7 +43,7 @@ from repro.core.profiler import (
     profile_gpu_workload,
 )
 from repro.errors import FaultError, ProfilingDegradedError, ReproError
-from repro.faults.injector import FaultInjector, active
+from repro.faults.injector import FaultInjector, active, armed
 from repro.faults.policies import strict_majority
 from repro.faults.report import DegradationReport
 from repro.hardware.cpu import CpuDomain
@@ -112,7 +113,7 @@ def profile_cpu_resilient(
 ) -> tuple[CpuCriticalPowers, DegradationReport]:
     """Profile a CPU workload, defending against profiling noise bursts."""
     report = DegradationReport()
-    injector = active()
+    injector = armed()
     if injector is None:
         return profile_cpu_workload(cpu, dram, workload), report
     repeats = injector.plan.profile_repeats
@@ -128,7 +129,7 @@ def profile_gpu_resilient(
 ) -> tuple[GpuCriticalPowers, DegradationReport]:
     """Profile a GPU workload, defending against profiling noise bursts."""
     report = DegradationReport()
-    injector = active()
+    injector = armed()
     if injector is None:
         return profile_gpu_workload(card, workload), report
     repeats = injector.plan.profile_repeats

@@ -20,44 +20,45 @@ See ``docs/serving.md`` for the protocol, the batching knobs, and the
 latency-SLO methodology.
 """
 
-from repro.serve.batching import BatchStats, MicroBatcher
-from repro.serve.client import ServeClient, request_sync
-from repro.serve.protocol import (
-    CONTROL_OPS,
-    PROTOCOL_VERSION,
-    QUERY_OPS,
-    Request,
-    ServedInfo,
-    canonical_key,
-    decode_request,
-    decode_response,
-    encode_frame,
-    error_payload,
-    response_envelope,
-)
-from repro.serve.server import CoordServer, ServeConfig, run_server, run_smoke
-from repro.serve.service import CoordinationService, Resolution
+from __future__ import annotations
 
-__all__ = [
-    "BatchStats",
-    "CONTROL_OPS",
-    "CoordServer",
-    "CoordinationService",
-    "MicroBatcher",
-    "PROTOCOL_VERSION",
-    "QUERY_OPS",
-    "Request",
-    "Resolution",
-    "ServeClient",
-    "ServeConfig",
-    "ServedInfo",
-    "canonical_key",
-    "decode_request",
-    "decode_response",
-    "encode_frame",
-    "error_payload",
-    "request_sync",
-    "response_envelope",
-    "run_server",
-    "run_smoke",
-]
+from typing import Any
+
+#: Every export -> the submodule that defines it.  Exports resolve
+#: lazily (PEP 562), so importing one submodule (the CLI reads
+#: ``ServeConfig``'s defaults for every verb) loads neither the server
+#: nor asyncio.
+_LAZY = {
+    "BatchStats": "repro.serve.batching",
+    "MicroBatcher": "repro.serve.batching",
+    "ServeClient": "repro.serve.client",
+    "request_sync": "repro.serve.client",
+    "ServeConfig": "repro.serve.config",
+    "CONTROL_OPS": "repro.serve.protocol",
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "QUERY_OPS": "repro.serve.protocol",
+    "Request": "repro.serve.protocol",
+    "ServedInfo": "repro.serve.protocol",
+    "canonical_key": "repro.serve.protocol",
+    "decode_request": "repro.serve.protocol",
+    "decode_response": "repro.serve.protocol",
+    "encode_frame": "repro.serve.protocol",
+    "error_payload": "repro.serve.protocol",
+    "response_envelope": "repro.serve.protocol",
+    "CoordServer": "repro.serve.server",
+    "run_server": "repro.serve.server",
+    "run_smoke": "repro.serve.server",
+    "CoordinationService": "repro.serve.service",
+    "Resolution": "repro.serve.service",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

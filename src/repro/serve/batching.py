@@ -22,11 +22,12 @@ bounds the queueing delay added to any request (an SLO floor), and
 serving — the baseline the benchmark compares against.
 
 With a fault plan armed, coalescing is disabled for the whole flush:
-requests resolve individually, in admission order, so each consumes its
-own slice of the deterministic fault schedule and owns its own
-degradation classification (PR 5 contract).  Identical queries are
-*not* deduplicated in that mode — two clients may legitimately receive
-different degradation outcomes for the same query.
+requests are keyed by position instead of by fingerprint, so they
+resolve individually, in admission order, each consuming its own slice
+of the deterministic fault schedule and owning its own degradation
+classification.  Identical queries are *not* deduplicated in that mode —
+two clients may legitimately receive different degradation outcomes for
+the same query.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ class MicroBatcher:
         self,
         service: CoordinationService,
         *,
-        max_batch: int = 32,
-        max_wait_us: int = 2000,
-        n_resolvers: int = 1,
+        max_batch: int,
+        max_wait_us: int,
+        n_resolvers: int,
     ) -> None:
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {max_batch}")
@@ -170,68 +171,43 @@ class MicroBatcher:
         reason: str,
     ) -> None:
         loop = asyncio.get_running_loop()
-        coalesce = not self.service.faults_armed()
-        if coalesce:
-            # Dedup: the first request with a given fingerprint resolves;
-            # its twins share the resolution object (and the answer).
-            order: list[str] = []
-            unique: dict[str, Request] = {}
-            for request, _ in batch:
-                key = canonical_key(request.op, request.params)
-                if key not in unique:
-                    unique[key] = request
-                    order.append(key)
-            n_unique = len(unique)
-            try:
-                resolved, passes = await loop.run_in_executor(
-                    self._executor, self._resolve_unique, [unique[k] for k in order]
-                )
-            except Exception as exc:  # pragma: no cover - resolver crash guard
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
-            self.stats.prefetch_passes += passes
-            by_key = dict(zip(order, resolved))
-            seen: set[str] = set()
-            for request, future in batch:
-                key = canonical_key(request.op, request.params)
-                deduped = key in seen
-                seen.add(key)
-                info = ServedInfo(
-                    batch_size=len(batch),
-                    n_unique=n_unique,
-                    flush=reason,
-                    deduped=deduped,
-                )
-                if deduped:
-                    self.stats.deduped += 1
-                self.stats.resolved += 1
-                if not future.done():
-                    future.set_result((by_key[key], info))
+        # Dedup: the first request with a given key resolves; its twins
+        # share the resolution object (and the answer).  Armed, every
+        # request is keyed by its position, so none has a twin.
+        keys: list[str | int]
+        if self.service.faults_armed():
+            keys = list(range(len(batch)))
         else:
-            # Faults armed: strict per-request resolution, admission order.
-            try:
-                resolved, _ = await loop.run_in_executor(
-                    self._executor,
-                    self._resolve_unique,
-                    [request for request, _ in batch],
-                )
-            except Exception as exc:  # pragma: no cover - resolver crash guard
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
-            for (request, future), resolution in zip(batch, resolved):
-                info = ServedInfo(
-                    batch_size=len(batch),
-                    n_unique=len(batch),
-                    flush=reason,
-                    deduped=False,
-                )
-                self.stats.resolved += 1
+            keys = [canonical_key(request.op, request.params) for request, _ in batch]
+        unique: dict[str | int, Request] = {}
+        for key, (request, _) in zip(keys, batch):
+            unique.setdefault(key, request)
+        try:
+            resolved, passes = await loop.run_in_executor(
+                self._executor, self._resolve_unique, list(unique.values())
+            )
+        except Exception as exc:  # pragma: no cover - resolver crash guard
+            for _, future in batch:
                 if not future.done():
-                    future.set_result((resolution, info))
+                    future.set_exception(exc)
+            return
+        self.stats.prefetch_passes += passes
+        by_key = dict(zip(unique, resolved))
+        seen: set[str | int] = set()
+        for key, (_, future) in zip(keys, batch):
+            deduped = key in seen
+            seen.add(key)
+            info = ServedInfo(
+                batch_size=len(batch),
+                n_unique=len(unique),
+                flush=reason,
+                deduped=deduped,
+            )
+            if deduped:
+                self.stats.deduped += 1
+            self.stats.resolved += 1
+            if not future.done():
+                future.set_result((by_key[key], info))
 
     def _resolve_unique(
         self, requests: list[Request]

@@ -20,12 +20,13 @@ import asyncio
 import contextlib
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, TextIO
 
+from repro import errors
 from repro.core.parallel import SweepEngine
-from repro.errors import ProtocolError, ServeError
+from repro.errors import FaultError, ProtocolError, ServeError
 from repro.serve.batching import MicroBatcher
+from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
     CONTROL_OPS,
     PROTOCOL_VERSION,
@@ -38,18 +39,6 @@ from repro.serve.protocol import (
 from repro.serve.service import CoordinationService
 
 __all__ = ["ServeConfig", "CoordServer", "run_server", "run_smoke"]
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Server configuration; ``repro serve`` takes its flag defaults from here."""
-
-    host: str = "127.0.0.1"
-    port: int = 7077
-    max_batch: int = 32
-    max_wait_us: int = 2000
-    stats_interval_s: float = 0.0
-    n_resolvers: int = 1
 
 
 async def _discard_through_newline(reader: asyncio.StreamReader) -> bool:
@@ -345,6 +334,17 @@ _SMOKE_QUERIES: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
+def _is_fault_error(reply: dict[str, Any]) -> bool:
+    """True when ``reply`` failed with a typed :class:`FaultError`."""
+    error: dict[str, Any] = reply.get("error") or {}
+    cls = getattr(errors, str(error.get("type")), None)
+    return bool(
+        error.get("family") == "repro"
+        and isinstance(cls, type)
+        and issubclass(cls, FaultError)
+    )
+
+
 async def _smoke(
     config: ServeConfig, n_clients: int, engine: SweepEngine | None
 ) -> dict[str, Any]:
@@ -363,7 +363,7 @@ async def _smoke(
 
     burst = await asyncio.gather(*(one_client(i) for i in range(n_clients)))
     replies = [reply for per_client in burst for reply in per_client]
-    bad = [r for r in replies if not r.get("ok")]
+    errored = [r for r in replies if not r.get("ok")]
     degraded = sum(1 for r in replies if r.get("degraded"))
 
     # Bit-identity spot checks against direct library calls on a cold
@@ -386,13 +386,18 @@ async def _smoke(
         stats = (await client.request("stats"))["result"]
         await client.request("shutdown")
     await server.serve_until_shutdown()
+    # A typed fault error is an outcome the contract allows, but only
+    # while a plan is armed.
+    faults_armed = stats["server"]["faults_armed"]
+    typed = sum(1 for r in errored if faults_armed and _is_fault_error(r))
     return {
         "replies": len(replies),
-        "failed": len(bad),
+        "failed": len(errored) - typed,
+        "typed": typed,
         "degraded": degraded,
         "identical": identical,
         "mean_occupancy": stats["batcher"]["mean_occupancy"],
-        "faults_armed": stats["server"]["faults_armed"],
+        "faults_armed": faults_armed,
     }
 
 
@@ -407,13 +412,15 @@ def run_smoke(
     The server runs on ``engine`` (a fresh default engine when ``None``),
     the one ``repro serve --smoke`` builds from its engine flags.  Raises
     :class:`ServeError` on any failed reply or identity drift, so the CI
-    target fails loudly.  Under an armed fault plan, degraded replies are
-    expected and reported, not fatal — that is the contract.
+    target fails loudly.  Under an armed fault plan, degraded replies and
+    typed :class:`~repro.errors.FaultError` replies are expected and
+    counted, not fatal — that is the contract; any other error fails.
     """
     outcome = asyncio.run(_smoke(config, n_clients, engine))
     print(
         "repro serve --smoke: "
         f"{outcome['replies']} replies, {outcome['failed']} failed, "
+        f"{outcome['typed']} typed fault errors, "
         f"{outcome['degraded']} degraded, "
         f"identical={outcome['identical']}, "
         f"occupancy={outcome['mean_occupancy']:.1f}, "

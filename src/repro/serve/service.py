@@ -51,7 +51,7 @@ from repro.core.sweep import (
     sweep_gpu_allocations,
 )
 from repro.errors import ProtocolError, ReproError
-from repro.faults.injector import FaultInjector, active as _faults_active
+from repro.faults.injector import armed
 from repro.faults.report import DegradationReport
 from repro.faults.resilience import (
     coordinate_cpu_resilient,
@@ -184,22 +184,15 @@ class CoordinationService:
     # ------------------------------------------------------------------
     # fault awareness
     # ------------------------------------------------------------------
-    def _injector(self) -> FaultInjector | None:
-        """The armed injector governing this resolution, if any."""
-        injector = self.engine.faults if self.engine.faults is not None else _faults_active()
-        if injector is None or injector.plan.is_empty:
-            return None
-        return injector
-
     def faults_armed(self) -> bool:
-        """True when a non-empty fault plan governs this service.
+        """True when a non-empty fault plan is armed (:func:`armed`).
 
         The batcher consults this per flush: under an armed plan,
         request coalescing (prefetch *and* dedup) is disabled so each
         query consumes its own slice of the deterministic fault schedule
         and owns its own degradation classification.
         """
-        return self._injector() is not None
+        return armed() is not None
 
     # ------------------------------------------------------------------
     # micro-batch prefetch (the coalesced kernel pass)
@@ -221,7 +214,7 @@ class CoordinationService:
         deliberately swallowed: the per-query path reproduces them with
         proper per-reply classification.
         """
-        if self._injector() is not None or self.engine.mode == "adaptive":
+        if self.faults_armed() or self.engine.mode == "adaptive":
             return 0
         if not self.engine.batch:
             return 0
@@ -327,7 +320,8 @@ class CoordinationService:
     ) -> tuple[CpuCriticalPowers | GpuCriticalPowers, DegradationReport]:
         """The resilient profile, memoized only when provably clean."""
         key = ("profile", workload.device, platform.name, workload.name)
-        if self._injector() is None:
+        clean = not self.faults_armed()
+        if clean:
             hit, value = self._profiles.lookup(key)
             if hit:
                 return value, DegradationReport()  # type: ignore[return-value]
@@ -337,7 +331,7 @@ class CoordinationService:
             )
         else:
             critical, report = profile_gpu_resilient(platform, workload)
-        if self._injector() is None and report.clean:
+        if clean and report.clean:
             self._profiles.store(key, critical)
         return critical, report
 
@@ -361,7 +355,7 @@ class CoordinationService:
     ) -> tuple[dict[str, Any], DegradationReport]:
         budget_w = _float_param(request, "budget_w")
         decision: CoordDecision
-        if self._injector() is not None:
+        if self.faults_armed():
             # Armed: the resilient wrapper owns the repeat/vote schedule.
             if workload.device == "cpu":
                 decision, report = coordinate_cpu_resilient(

@@ -79,8 +79,8 @@ def gpu_phases(name: str) -> tuple[Phase, ...]:
 
 
 def scalar_engine() -> SweepEngine:
-    """The oracle: scalar executor, cache too small to serve hits."""
-    return SweepEngine(cache_size=1, batch=False)
+    """The oracle: a fresh scalar-executor engine, its cache empty."""
+    return SweepEngine(batch=False)
 
 
 def batch_engine() -> SweepEngine:
@@ -497,20 +497,13 @@ class TestEngineContract:
         assert warm.hits == stats.hits + len(first.points)
 
     def test_batch_and_scalar_share_cache_keys(self, ivb, sra):
-        """A batch-warmed cache fully serves a scalar-path engine."""
-        from repro.core.parallel import MemoCache
-
-        shared = MemoCache(maxsize=512)
-        sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(cache=shared, batch=True),
-        )
-        misses = shared.stats.misses
-        sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(cache=shared, batch=False),
-        )
-        assert shared.stats.misses == misses
+        """A batch-warmed cache fully serves the scalar path."""
+        engine = SweepEngine(batch=True)
+        sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=engine)
+        misses = engine.stats.misses
+        engine.batch = False
+        sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=engine)
+        assert engine.stats.misses == misses
 
     def test_duplicate_allocations_execute_once(self, ivb, stream):
         engine = batch_engine()

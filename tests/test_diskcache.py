@@ -31,7 +31,6 @@ from repro.core.diskcache import (
 )
 from repro.core.parallel import MemoCache, SweepEngine
 from repro.core.sweep import sweep_cpu_allocations
-from repro.errors import SweepError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, use_faults
 from repro.hardware.component import CappingMechanism
 from repro.perfmodel.metrics import ExecutionResult, PhaseResult
@@ -462,10 +461,6 @@ class TestTwoTierCache:
         )
         engine.flush()
         assert list(tmp_path.glob("seg-*.jsonl"))
-
-    def test_cache_and_cache_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SweepError):
-            SweepEngine(cache=MemoCache(8), cache_dir=tmp_path)
 
     def test_env_var_resolution(self, tmp_path):
         """The disk tier resolves from ``cache_dir`` alone, never the environment."""

@@ -34,6 +34,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     active,
+    armed,
     backoff_schedule_s,
     retry_transient,
     strict_majority,
@@ -320,30 +321,29 @@ class TestWorkerFaults:
         clean = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
         )
-        engine = SweepEngine(
-            faults=plan_for(
-                "parallel.worker", FaultKind.WORKER_CRASH,
-                probability=0.3,
-            ),
+        engine = SweepEngine()
+        plan = plan_for(
+            "parallel.worker", FaultKind.WORKER_CRASH, probability=0.3
         )
-        faulted = sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=engine
-        )
+        with use_faults(plan) as injector:
+            faulted = sweep_cpu_allocations(
+                ivb.cpu, ivb.dram, stream, 176.0, engine=engine
+            )
         assert sweep_signature(faulted) == sweep_signature(clean)
-        assert engine.faults.events()  # the schedule did fire
+        assert injector.events()  # the schedule did fire
         assert not engine.fault_report.degraded
         assert any(
             e.action == "resubmitted" for e in engine.fault_report.events
         )
 
     def test_retry_exhaustion_is_typed(self, ivb, stream):
-        engine = SweepEngine(
-            faults=plan_for(
-                "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0
-            ),
+        plan = plan_for(
+            "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0
         )
-        with pytest.raises(WorkerRetryExhaustedError) as excinfo:
-            sweep_cpu_allocations(ivb.cpu, ivb.dram, stream, 176.0, engine=engine)
+        with use_faults(plan), pytest.raises(WorkerRetryExhaustedError) as excinfo:
+            sweep_cpu_allocations(
+                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
+            )
         assert excinfo.value.attempts == 3  # the plan's max_attempts
         assert isinstance(excinfo.value, FaultError)
 
@@ -363,8 +363,9 @@ class TestWorkerFaults:
 
     def test_empty_plan_keeps_batch_path(self, ivb, stream):
         # An armed-but-empty plan must not force the serial fallback.
-        engine = SweepEngine(faults=FaultPlan.empty())
-        assert engine._worker_injector() is None
+        with use_faults(FaultPlan.empty()) as injector:
+            assert active() is injector
+            assert armed() is None
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +560,16 @@ class TestBatchedPlannerFallback:
     """Armed worker plans force the planner's scalar path (PR 5 contract).
 
     The vectorized kernel has no per-task boundary to inject worker
-    faults at, so a ``SubgridExecutor`` on an engine whose worker
-    injector is armed must resolve point-by-point through the scalar
-    executor — where crash/timeout schedules fire, retries resubmit, and
-    exhaustion raises typed errors — while still producing the clean
-    run's exact answer when every fault recovers.
+    faults at, so a ``SubgridExecutor`` under an armed worker plan must
+    resolve point-by-point through the scalar executor — where
+    crash/timeout schedules fire, retries resubmit, and exhaustion raises
+    typed errors — while still producing the clean run's exact answer
+    when every fault recovers.
     """
 
-    def _armed_engine(self, **plan_kwargs) -> SweepEngine:
-        return SweepEngine(
-            batch=True,
-            faults=plan_for("parallel.worker", FaultKind.WORKER_CRASH,
-                            **plan_kwargs),
-        )
+    @staticmethod
+    def _crash_plan(**plan_kwargs) -> FaultPlan:
+        return plan_for("parallel.worker", FaultKind.WORKER_CRASH, **plan_kwargs)
 
     def test_armed_cpu_plan_bypasses_batch_kernel(self, ivb, stream,
                                                   monkeypatch):
@@ -585,14 +583,15 @@ class TestBatchedPlannerFallback:
         monkeypatch.setattr(
             "repro.core.parallel.batch_execute_indices", forbidden
         )
-        engine = self._armed_engine(probability=0.3)
-        planned = plan_cpu_sweep(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=engine
-        )
+        engine = SweepEngine(batch=True)
+        with use_faults(self._crash_plan(probability=0.3)) as injector:
+            planned = plan_cpu_sweep(
+                ivb.cpu, ivb.dram, stream, 176.0, engine=engine
+            )
         assert planned.best == clean.best
         assert planned.plateau == clean.plateau
         assert planned.perf_max == clean.perf_max
-        assert engine.faults.events()  # the schedule did fire
+        assert injector.events()  # the schedule did fire
         assert any(
             e.action == "resubmitted" for e in engine.fault_report.events
         )
@@ -609,8 +608,10 @@ class TestBatchedPlannerFallback:
             "repro.core.parallel.batch_execute_indices",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("batched")),
         )
-        engine = self._armed_engine(probability=0.3)
-        planned = plan_gpu_sweep(card, wl, 200.0, engine=engine)
+        with use_faults(self._crash_plan(probability=0.3)):
+            planned = plan_gpu_sweep(
+                card, wl, 200.0, engine=SweepEngine(batch=True)
+            )
         assert planned.best == clean.best
         assert planned.plateau == clean.plateau
 
@@ -636,14 +637,13 @@ class TestBatchedPlannerFallback:
         assert calls  # at least the probe stage went through the kernel
 
     def test_exhaustion_on_batched_planner_is_typed(self, ivb, stream):
-        engine = SweepEngine(
-            batch=True,
-            faults=plan_for(
-                "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0
-            ),
+        plan = plan_for(
+            "parallel.worker", FaultKind.WORKER_TIMEOUT, probability=1.0
         )
-        with pytest.raises(WorkerRetryExhaustedError):
-            plan_cpu_sweep(ivb.cpu, ivb.dram, stream, 176.0, engine=engine)
+        with use_faults(plan), pytest.raises(WorkerRetryExhaustedError):
+            plan_cpu_sweep(
+                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(batch=True)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import allocation_grid
 from repro.core.parallel import (
+    DEFAULT_CACHE_SIZE,
     CacheStats,
     MemoCache,
     PlannerState,
@@ -38,6 +39,7 @@ from repro.core.parallel import (
 from repro.core.planner import plan_cpu_sweep, plan_gpu_sweep
 from repro.core.sweep import cpu_budget_curve, sweep_cpu_allocations
 from repro.errors import SweepError
+from repro.faults import FaultPlan
 from repro.perfmodel.executor import execute_on_host
 from tests.conftest import property_settings, seeded_rng
 
@@ -161,13 +163,27 @@ class TestEnginePlumbing:
         SweepEngine(n_jobs=None)
         SweepEngine(n_jobs=1, backend="thread")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"faults": FaultPlan.empty()}, {"cache": MemoCache(8)}, {"cache_size": 16}],
+        ids=["faults", "cache", "cache_size"],
+    )
+    def test_deleted_arguments_raise_type_error(self, kwargs):
+        # Faults arm only through use_faults, and every engine owns its
+        # cache at the default bound.
+        with pytest.raises(TypeError):
+            SweepEngine(**kwargs)
+
     def test_planner_memory_is_bounded_by_the_memo_bound(self, ivb, dgemm):
         # The stash keeps one completed plan per budget, and a server
         # takes its budgets from clients: both planner maps are LRUs at
         # the engine's memo bound, and evicting from them never moves
         # an answer.
         budgets = np.arange(120.0, 320.0)
-        engine = SweepEngine(mode="adaptive", cache_size=16)
+        engine = SweepEngine(mode="adaptive")
+        assert engine.planner._stash.stats.maxsize == DEFAULT_CACHE_SIZE
+        assert engine.planner._hints.stats.maxsize == DEFAULT_CACHE_SIZE
+        engine.planner = PlannerState(maxsize=16)
         planned = cpu_budget_curve(ivb.cpu, ivb.dram, dgemm, budgets, engine=engine)
         assert len(engine.planner._stash) <= 16
         assert len(engine.planner._hints) <= 16
@@ -261,19 +277,6 @@ class TestEnginePlumbing:
         untouched = CacheStats(hits=0, misses=0, evictions=0, size=0, maxsize=4)
         assert untouched.hit_ratio == 0.0
         assert untouched.disk_hit_ratio == 0.0
-
-    def test_engine_respects_shared_cache(self, ivb, sra):
-        shared = MemoCache(maxsize=512)
-        sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(cache=shared),
-        )
-        misses = shared.stats.misses
-        sweep_cpu_allocations(
-            ivb.cpu, ivb.dram, sra, 176.0,
-            engine=SweepEngine(cache=shared, batch=False),
-        )
-        assert shared.stats.misses == misses  # second engine fully served
 
     def test_memoized_single_point_matches_direct(self, ivb, minife, sgemm):
         engine = SweepEngine()

@@ -93,6 +93,28 @@ class TestEnvironment:
         assert not found, found
 
 
+class TestImportCost:
+    def test_cli_import_loads_neither_asyncio_nor_the_server(self):
+        """Every verb imports the CLI; only ``repro serve`` pays for asyncio."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).parent.parent)
+        code = (
+            "import sys, repro.cli; "
+            "print([m for m in ('asyncio', 'repro.serve.server') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-B", "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestExamplesRun:
     """Every shipped example executes cleanly (smoke integration)."""
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import asyncio
 import io
+import re
 
 import pytest
 
 from repro.core.coord import coord_cpu
 from repro.core.parallel import SweepEngine
+from repro.core.planner import plan_cpu_sweep
 from repro.core.sweep import (
     cpu_budget_curve,
     sweep_cpu_allocations,
@@ -43,7 +45,7 @@ from repro.serve.protocol import (
     response_envelope,
 )
 from repro.cli import main
-from repro.serve.server import CoordServer, ServeConfig, run_smoke
+from repro.serve.server import CoordServer, ServeConfig, _is_fault_error, run_smoke
 from repro.serve.service import CoordinationService
 from repro.workloads import get_workload
 
@@ -75,13 +77,15 @@ def serve(coro_fn, *, config: ServeConfig | None = None, engine=None):
     return asyncio.run(main())
 
 
-def run_batched(requests, *, max_batch, max_wait_us, engine=None):
+def run_batched(requests, *, max_batch, max_wait_us, engine=None, service=None):
     """Submit ``requests`` concurrently through one MicroBatcher."""
 
     async def main():
-        service = CoordinationService(engine)
+        nonlocal service
+        if service is None:
+            service = CoordinationService(engine)
         batcher = MicroBatcher(
-            service, max_batch=max_batch, max_wait_us=max_wait_us
+            service, max_batch=max_batch, max_wait_us=max_wait_us, n_resolvers=1
         )
         try:
             outs = await asyncio.gather(*(batcher.submit(r) for r in requests))
@@ -165,8 +169,9 @@ class TestServeConfig:
         "kwargs", [{"max_batch": 0}, {"max_wait_us": -1}, {"n_resolvers": 0}]
     )
     def test_batcher_rejects_bad_knobs(self, kwargs):
+        knobs = {"max_batch": 32, "max_wait_us": 2000, "n_resolvers": 1}
         with pytest.raises(ServeError):
-            MicroBatcher(CoordinationService(), **kwargs)
+            MicroBatcher(CoordinationService(), **{**knobs, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +271,14 @@ class TestMicroBatcher:
         assert service.prefetch(requests) == 0
 
     def test_prefetch_is_skipped_while_faults_are_armed(self):
-        service = CoordinationService(
-            SweepEngine(mode="full", faults=CHAOS_PLAN)
-        )
-        assert service.faults_armed()
+        service = CoordinationService(SweepEngine(mode="full"))
         requests = [
             q("sweep_best", 0, workload="dgemm", budget_w=120.0, step_w=STEP_W),
             q("sweep_best", 1, workload="dgemm", budget_w=140.0, step_w=STEP_W),
         ]
-        assert service.prefetch(requests) == 0
+        with use_faults(CHAOS_PLAN):
+            assert service.faults_armed()
+            assert service.prefetch(requests) == 0
 
     def test_use_faults_context_arms_an_engineless_service(self):
         service = CoordinationService()
@@ -673,13 +677,78 @@ class TestChaos:
         requests = [
             q("coord", i, workload="dgemm", budget_w=180.0) for i in range(4)
         ]
-        outs, stats = run_batched(
-            requests, max_batch=4, max_wait_us=10**7,
-            engine=SweepEngine(faults=CHAOS_PLAN),
-        )
+        with use_faults(CHAOS_PLAN):
+            outs, stats = run_batched(requests, max_batch=4, max_wait_us=10**7)
         assert stats.deduped == 0
         assert [served.deduped for _, served in outs] == [False] * 4
         assert {served.n_unique for _, served in outs} == {4}
+
+
+class TestArmedAgreesInEveryLayer:
+    """Engine, planner, service and batcher read one predicate for "armed".
+
+    Under a non-empty plan armed through ``use_faults``, each layer takes
+    its fault-aware path; under an armed empty plan, each keeps its clean
+    fast path.  A layer that decided "armed" on its own could put a
+    served ``coord`` on the armed branch with no fault schedule behind
+    it, which answers clean while claiming per-request isolation.
+    """
+
+    @pytest.mark.parametrize(
+        "plan, is_armed",
+        [(TestChaos.NOISY_PROFILE_PLAN, True), (FaultPlan.empty(), False)],
+        ids=["plan", "empty"],
+    )
+    def test_every_layer_reads_the_same_state(self, plan, is_armed, monkeypatch):
+        from repro.core import parallel as parallel_mod
+
+        kernel_calls = []
+        original = parallel_mod.batch_execute_indices
+
+        def counting(kernel, rows):
+            kernel_calls.append(len(rows))
+            return original(kernel, rows)
+
+        monkeypatch.setattr("repro.core.parallel.batch_execute_indices", counting)
+        node = get_platform("ivybridge")
+        dgemm = get_workload("dgemm")
+        coords = [q("coord", i, workload="dgemm", budget_w=180.0) for i in range(3)]
+        planned_engine = SweepEngine(mode="adaptive")
+        service = CoordinationService(SweepEngine())
+        with use_faults(plan) as injector:
+            # engine: a sub-grid miss
+            SweepEngine().host_subgrid(
+                node.cpu, node.dram, dgemm.phases, [100.0, 120.0], [40.0, 48.0]
+            ).run([0, 1])
+            subgrid_kernel_calls = len(kernel_calls)
+            # planner: the replay stash (read back below, disarmed)
+            plan_cpu_sweep(node.cpu, node.dram, dgemm, 176.0, engine=planned_engine)
+            # service and batcher: a flush of duplicate coord queries
+            assert service.faults_armed() is is_armed
+            calls_before = injector.calls("profiler.sample")
+            outs, stats = run_batched(
+                coords, max_batch=3, max_wait_us=10**7, service=service
+            )
+            calls_after = injector.calls("profiler.sample")
+        replayed = plan_cpu_sweep(
+            node.cpu, node.dram, dgemm, 176.0, engine=planned_engine
+        )
+        profile_memo = service.stats_snapshot()["profiles"]
+        if is_armed:
+            assert subgrid_kernel_calls == 0
+            assert replayed.stats.executed_points > 0  # no stash was written
+            assert calls_after > calls_before
+            assert profile_memo["hits"] + profile_memo["misses"] == 0
+            assert stats.deduped == 0
+            assert {served.n_unique for _, served in outs} == {3}
+            assert all(not resolution.ok for resolution, _ in outs)
+        else:
+            assert subgrid_kernel_calls == 1
+            assert replayed.stats.executed_points == 0  # replayed from the stash
+            assert profile_memo["misses"] == 1
+            assert stats.deduped == 2
+            assert {served.n_unique for _, served in outs} == {1}
+            assert all(resolution.ok for resolution, _ in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +767,30 @@ class TestSmokeHarness:
         run_smoke(ServeConfig(port=0, max_batch=8), n_clients=6, engine=engine)
         assert "identical=True" in capsys.readouterr().out
         assert engine.planner.stats.sweeps > 0
+
+    def test_run_smoke_counts_typed_fault_errors_under_a_plan(self, capsys):
+        # Profiling never certifies under saturating noise, so the burst's
+        # profile and coord queries earn typed ProfilingDegradedError
+        # replies: counted as typed outcomes, not as failures.
+        with use_faults(TestChaos.NOISY_PROFILE_PLAN):
+            run_smoke(ServeConfig(port=0, max_batch=8), n_clients=8)
+        out = capsys.readouterr().out
+        assert "0 failed" in out
+        assert "faults_armed=True" in out
+        assert re.search(r"\b4 typed fault errors\b", out), out
+
+    @pytest.mark.parametrize(
+        "error, typed",
+        [
+            ({"type": "ProfilingDegradedError", "family": "repro"}, True),
+            ({"type": "WorkerRetryExhaustedError", "family": "repro"}, True),
+            ({"type": "ProtocolError", "family": "repro"}, False),
+            ({"type": "ValueError", "family": "internal"}, False),
+            ({"type": "NoSuchError", "family": "repro"}, False),
+        ],
+    )
+    def test_only_fault_errors_count_as_typed(self, error, typed):
+        assert _is_fault_error({"ok": False, "error": error}) is typed
 
     def test_cli_smoke_rejects_more_jobs(self, capsys):
         assert main(["serve", "--smoke", "--jobs", "4"]) == 2
