@@ -278,6 +278,18 @@ class TestEnginePlumbing:
         assert untouched.hit_ratio == 0.0
         assert untouched.disk_hit_ratio == 0.0
 
+    def test_engine_respects_shared_cache(self, tmp_path, ivb, sra):
+        # Engines share results through a common cache_dir: what a batch
+        # engine stored fully serves a scalar engine, with no miss.
+        first = SweepEngine(cache_dir=tmp_path)
+        warmed = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=first)
+        first.flush()
+        second = SweepEngine(cache_dir=tmp_path, batch=False)
+        served = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=second)
+        assert second.stats.misses == 0  # second engine fully served
+        assert second.stats.disk_hits == len(warmed.points)
+        assert served.points == warmed.points
+
     def test_memoized_single_point_matches_direct(self, ivb, minife, sgemm):
         engine = SweepEngine()
         direct = execute_on_host(ivb.cpu, ivb.dram, sgemm.phases, 120.0, 40.0)
