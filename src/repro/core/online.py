@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.core.allocation import PowerAllocation
 from repro.errors import ConfigurationError
 from repro.faults.injector import active as _faults_active
+from repro.faults.report import DegradationReport
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
 from repro.perfmodel.executor import execute_on_host
@@ -50,27 +51,27 @@ class OnlineShiftResult:
         return self.epochs
 
 
-def _bottleneck_signal(utilization: float, mem_busy: float) -> float:
-    """Positive → memory-bound (shift watts to memory); negative → CPU-bound.
+def _bottleneck_signal(utilization: float, mem_busy: float) -> tuple[float, bool]:
+    """The signal, and whether injected noise perturbed it.
 
+    Positive → memory-bound (shift watts to memory); negative → CPU-bound.
     Fault-injection site ``"online.signal"``: an armed NOISE fault
     perturbs the reading additively — modeling the jittery counters a
     real feedback controller steers on.  The controller's *measurements*
     of candidate allocations stay clean (each epoch's performance is the
     model's true value); only the steering signal degrades, so a noisy
     run still returns a valid, bound-respecting allocation — possibly a
-    suboptimal one, which :func:`repro.faults.resilience.online_shift_resilient`
-    surfaces as a typed degradation.
+    suboptimal one, which :func:`online_power_shift` reports as a typed
+    degradation.
     """
     signal = mem_busy - utilization
     injector = _faults_active()
     if injector is not None:
         event = injector.check("online.signal")
         if event is not None:
-            signal += event.amplitude * injector.noise(
-                "online.signal", event.call_index
-            )
-    return signal
+            noise = injector.noise("online.signal", event.call_index)
+            return signal + event.amplitude * noise, True
+    return signal, False
 
 
 def online_power_shift(
@@ -85,6 +86,7 @@ def online_power_shift(
     max_epochs: int = 40,
     mem_floor_w: float = 16.0,
     proc_floor_w: float = 8.0,
+    report: DegradationReport | None = None,
 ) -> OnlineShiftResult:
     """Run the feedback power-shifting controller to convergence.
 
@@ -93,6 +95,11 @@ def online_power_shift(
     signal, and shifts ``step`` watts toward the starved domain.  A sign
     flip halves the step; the loop ends when the step underflows
     ``min_step_w`` or the epoch budget is spent.
+
+    When any epoch steered on a noise-perturbed signal, ``report``
+    receives one degrading ``"noisy-signal"`` event: the allocation is
+    valid but may be suboptimal relative to the clean run.  ``report``
+    is an output only; it changes no result.
     """
     budget_w = watts(budget_w, "budget_w")
     check_positive(initial_step_w, "initial_step_w")
@@ -110,6 +117,7 @@ def online_power_shift(
     best_alloc = PowerAllocation(budget_w - mem_w, mem_w)
     best_perf: float | None = None
     trajectory: list[PowerAllocation] = []
+    noisy_epochs = 0
 
     epochs = 0
     for epochs in range(1, max_epochs + 1):
@@ -125,7 +133,8 @@ def online_power_shift(
         if (best_perf is None or perf > best_perf) and result.respects_bound:
             best_perf, best_alloc = perf, alloc
 
-        signal = _bottleneck_signal(result.utilization, result.mem_busy)
+        signal, noisy = _bottleneck_signal(result.utilization, result.mem_busy)
+        noisy_epochs += noisy
         sign = 1 if signal > 0.02 else (-1 if signal < -0.02 else 0)
         if sign == 0:
             break  # balanced: neither domain clearly starved
@@ -145,6 +154,17 @@ def online_power_shift(
         )
         best_perf = workload.performance(result)
 
+    if noisy_epochs and report is not None:
+        report.record(
+            "online.signal",
+            "noisy-signal",
+            attempts=noisy_epochs,
+            detail=(
+                f"{noisy_epochs} epoch(s) steered on a perturbed "
+                f"bottleneck signal; allocation valid but possibly suboptimal"
+            ),
+            degrades=True,
+        )
     return OnlineShiftResult(
         allocation=best_alloc,
         performance=best_perf,

@@ -15,20 +15,24 @@ GPU profiling needs just two runs per application (``P_tot_max`` at the
 default cap, ``P_tot_ref`` at the minimum SM pairing clock) plus per-card
 constants.
 
-Each profile is two steps: ``measure_*_workload`` returns the values as
-sampled, and ``*_critical_powers`` clamps them into their documented
-order and attaches the hardware constants.  The resilient entry points
-(:mod:`repro.faults.resilience`) vote between the two steps, because
-the clamps can map distinct noisy samples onto one value.
+Each profile is two steps: ``_measure_*_workload`` returns the values as
+sampled, and ``_*_critical_powers`` clamps them into their documented
+order and attaches the hardware constants.  With a fault plan armed,
+:func:`_voted` certifies the measurement by majority vote between the
+two steps, because the clamps can map distinct noisy samples onto one
+value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import TypeVar
 
-from repro.errors import ProfilingError
+from repro.errors import FaultError, ProfilingDegradedError, ProfilingError, ReproError
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
-from repro.faults.injector import active as _faults_active
+from repro.faults.injector import active as _faults_active, armed
+from repro.faults.policies import strict_majority
+from repro.faults.report import DegradationReport
 from repro.hardware.component import CappingMechanism
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
@@ -38,17 +42,12 @@ from repro.perfmodel.executor import execute_on_host
 from repro.perfmodel.phase import Phase
 from repro.workloads.base import Workload
 
-__all__ = [
-    "cpu_critical_powers",
-    "gpu_critical_powers",
-    "measure_cpu_workload",
-    "measure_gpu_workload",
-    "profile_cpu_workload",
-    "profile_gpu_workload",
-]
+__all__ = ["profile_cpu_workload", "profile_gpu_workload"]
 
 #: Bisection resolution for the P-state boundary, in watts.
 _BISECT_TOL_W = 0.25
+
+_Sample = TypeVar("_Sample", bound=tuple[float, ...])
 
 
 def _measured(value: float) -> float:
@@ -58,9 +57,8 @@ def _measured(value: float) -> float:
     An armed NOISE fault multiplies the measurement by
     ``1 + amplitude * u`` with a deterministic ``u ∈ [-1, 1)`` — modeling
     a meter glitch or an interfering co-runner during the profiling run.
-    Disarmed, the value passes through untouched.  The resilient entry
-    points (:mod:`repro.faults.resilience`) defend by majority vote over
-    repeated measurements.
+    Disarmed, the value passes through untouched.  The profilers defend
+    by majority vote over repeated measurements (:func:`_voted`).
     """
     injector = _faults_active()
     if injector is None:
@@ -79,26 +77,84 @@ def _any_throttled(result) -> bool:
     )
 
 
+def _voted(
+    measure: Callable[[], _Sample], report: DegradationReport | None
+) -> _Sample:
+    """One measurement, or the strict majority of repeats when armed.
+
+    With no non-empty plan armed (:func:`repro.faults.armed`) this is a
+    single call of ``measure``.  Armed, ``measure`` runs
+    ``plan.profile_repeats`` times and only a bit-identical strict
+    majority is trusted; anything weaker raises
+    :class:`~repro.errors.ProfilingDegradedError`, carrying each
+    sample's first value (``cpu_l1`` or ``tot_max``).  Under the NOISE
+    model each perturbed raw sample is distinct (draws are keyed to
+    unique call indices) while clean samples repeat exactly, so the
+    winner is the clean measurement.  A repeat that noise derails (a
+    perturbed ``cpu_l1`` moves the bisection's upper end) yields no
+    sample but still counts against the majority.  When some repeats
+    lost the vote, ``report`` receives one non-degrading
+    ``"majority-vote"`` event.
+    """
+    injector = armed()
+    if injector is None:
+        return measure()
+    total = injector.plan.profile_repeats
+    samples: list[_Sample] = []
+    for _ in range(total):
+        try:
+            samples.append(measure())
+        except FaultError:
+            raise
+        except ReproError:
+            continue
+    winner = strict_majority(samples, total=total)
+    if winner is None:
+        raise ProfilingDegradedError(
+            "profiler.sample", tuple(float(s[0]) for s in samples)
+        )
+    disagreeing = total - samples.count(winner)
+    if disagreeing and report is not None:
+        report.record(
+            "profiler.sample",
+            "majority-vote",
+            attempts=total,
+            detail=(
+                f"{disagreeing} of {total} profiling repeat(s) were "
+                f"noisy; strict majority certified the clean measurement"
+            ),
+        )
+    return winner
+
+
 def profile_cpu_workload(
     cpu: CpuDomain,
     dram: DramDomain,
     workload: Workload,
+    *,
+    report: DegradationReport | None = None,
 ) -> CpuCriticalPowers:
-    """Extract the seven critical power values for a CPU workload."""
-    return cpu_critical_powers(cpu, dram, measure_cpu_workload(cpu, dram, workload))
+    """Extract the seven critical power values for a CPU workload.
+
+    Under an armed fault plan the measurement is certified by majority
+    vote (:func:`_voted`).  ``report`` only receives the vote's event;
+    it changes no result.
+    """
+    if workload.device != "cpu":
+        raise ProfilingError(
+            f"workload {workload.name!r} targets {workload.device!r}, not cpu"
+        )
+    measured = _voted(lambda: _measure_cpu_workload(cpu, dram, workload), report)
+    return _cpu_critical_powers(cpu, dram, measured)
 
 
-def measure_cpu_workload(
+def _measure_cpu_workload(
     cpu: CpuDomain,
     dram: DramDomain,
     workload: Workload,
 ) -> tuple[float, float, float, float, float]:
     """The five measured CPU critical powers, as sampled:
     ``(cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2)``."""
-    if workload.device != "cpu":
-        raise ProfilingError(
-            f"workload {workload.name!r} targets {workload.device!r}, not cpu"
-        )
     phases = workload.phases
     uncapped_cpu = cpu.max_power_w + 1.0
     uncapped_mem = dram.max_power_w + 1.0
@@ -137,12 +193,12 @@ def measure_cpu_workload(
     return cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2
 
 
-def cpu_critical_powers(
+def _cpu_critical_powers(
     cpu: CpuDomain,
     dram: DramDomain,
     measured: tuple[float, float, float, float, float],
 ) -> CpuCriticalPowers:
-    """Order the :func:`measure_cpu_workload` values and add the floors."""
+    """Order the :func:`_measure_cpu_workload` values and add the floors."""
     cpu_l1, cpu_l2, cpu_l3, mem_l1, mem_l2 = measured
     cpu_l4 = cpu.floor_power_w
     mem_l3 = dram.floor_power_w
@@ -199,20 +255,31 @@ def _pinned_gpu_total_w(
     return total_e / total_t
 
 
-def profile_gpu_workload(card: GpuCard, workload: Workload) -> GpuCriticalPowers:
-    """Extract the GPU COORD parameters for a workload on a card."""
-    return gpu_critical_powers(card, measure_gpu_workload(card, workload))
+def profile_gpu_workload(
+    card: GpuCard,
+    workload: Workload,
+    *,
+    report: DegradationReport | None = None,
+) -> GpuCriticalPowers:
+    """Extract the GPU COORD parameters for a workload on a card.
 
-
-def measure_gpu_workload(
-    card: GpuCard, workload: Workload
-) -> tuple[float, float, float]:
-    """The three measured GPU total powers, as sampled:
-    ``(tot_max, tot_ref, tot_min)``."""
+    Under an armed fault plan the measurement is certified by majority
+    vote (:func:`_voted`).  ``report`` only receives the vote's event;
+    it changes no result.
+    """
     if workload.device != "gpu":
         raise ProfilingError(
             f"workload {workload.name!r} targets {workload.device!r}, not gpu"
         )
+    measured = _voted(lambda: _measure_gpu_workload(card, workload), report)
+    return _gpu_critical_powers(card, measured)
+
+
+def _measure_gpu_workload(
+    card: GpuCard, workload: Workload
+) -> tuple[float, float, float]:
+    """The three measured GPU total powers, as sampled:
+    ``(tot_max, tot_ref, tot_min)``."""
     phases = workload.phases
     tot_max = _measured(
         _pinned_gpu_total_w(
@@ -232,10 +299,10 @@ def measure_gpu_workload(
     return tot_max, tot_ref, tot_min
 
 
-def gpu_critical_powers(
+def _gpu_critical_powers(
     card: GpuCard, measured: tuple[float, float, float]
 ) -> GpuCriticalPowers:
-    """Cap and order the :func:`measure_gpu_workload` values and add the
+    """Cap and order the :func:`_measure_gpu_workload` values and add the
     card's memory constants."""
     tot_max, tot_ref, tot_min = measured
     # "Total power when no cap is imposed": the driver still enforces the

@@ -7,20 +7,21 @@ The subsystem has two halves:
   :func:`use_faults`, consulted by named hook points threaded through the
   hardware and engine layers.  Fully deterministic: the same plan against
   the same call sequence fires the same faults;
-* **response** (:mod:`~repro.faults.policies`,
-  :mod:`~repro.faults.resilience`, :mod:`~repro.faults.report`) — bounded
-  retries, majority-vote profiling, quarantine-and-rebuild, and worker
-  resubmission, all upholding one contract: under any fault plan a public
-  API either returns a result bit-identical to the clean run or
-  raises/reports a typed degradation.  Never a silently wrong allocation.
+* **response** (:mod:`~repro.faults.policies`, :mod:`~repro.faults.report`)
+  — bounded retries, majority-vote profiling, quarantine-and-rebuild, and
+  worker resubmission, each applied at the layer where its fault lands
+  (the meter, NVML, the profilers, the disk cache, the sweep engine), all
+  upholding one contract: under any fault plan a public API either
+  returns a result bit-identical to the clean run or raises/reports a
+  typed degradation.  Never a silently wrong allocation.
 
 :mod:`~repro.faults.contract` turns that invariant into an executable
 check (the ``repro chaos`` CLI verb and the ``tests/test_faults.py``
 suite drive it).
 
-The resilience and contract layers import :mod:`repro.core`, which in
-turn imports the instrumented engine — so this package keeps them lazy
-(PEP 562) to stay importable from deep inside the layers it instruments.
+The contract layer imports :mod:`repro.core`, which in turn imports the
+instrumented engine — so this package keeps it lazy (PEP 562) to stay
+importable from deep inside the layers it instruments.
 """
 
 from __future__ import annotations
@@ -57,12 +58,7 @@ __all__ = [
     "arm",
     "armed",
     "backoff_schedule_s",
-    "coordinate_cpu_resilient",
-    "coordinate_gpu_resilient",
     "disarm",
-    "online_shift_resilient",
-    "profile_cpu_resilient",
-    "profile_gpu_resilient",
     "retry_transient",
     "run_chaos",
     "strict_majority",
@@ -71,11 +67,6 @@ __all__ = [
 
 #: Lazily resolved exports → the submodule that defines them.
 _LAZY = {
-    "coordinate_cpu_resilient": "repro.faults.resilience",
-    "coordinate_gpu_resilient": "repro.faults.resilience",
-    "online_shift_resilient": "repro.faults.resilience",
-    "profile_cpu_resilient": "repro.faults.resilience",
-    "profile_gpu_resilient": "repro.faults.resilience",
     "ChaosCheck": "repro.faults.contract",
     "ChaosReport": "repro.faults.contract",
     "run_chaos": "repro.faults.contract",

@@ -23,10 +23,10 @@ faulted outcome:
     anything else — silent drift or an untyped exception.
 
 The battery covers both hardware registries (RAPL/CPU and NVML/GPU), the
-sweep engine's worker path, the resilience wrappers, and the disk cache's
-quarantine-and-rebuild recovery.  ``repro chaos`` and the chaos test
-suite both drive this entry point, so the CLI exit code and the tests
-enforce the same contract.
+sweep engine's worker path, the profilers' majority vote under COORD, the
+online controller, and the disk cache's quarantine-and-rebuild recovery.
+``repro chaos`` and the chaos test suite both drive this entry point, so
+the CLI exit code and the tests enforce the same contract.
 """
 
 from __future__ import annotations
@@ -40,19 +40,18 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.core.coord import coord_cpu
+from repro.core.coord_gpu import coord_gpu
 from repro.core.diskcache import DiskCache
+from repro.core.online import online_power_shift
 from repro.core.parallel import SweepEngine
+from repro.core.profiler import profile_cpu_workload, profile_gpu_workload
 from repro.core.sweep import cpu_budget_curve, gpu_budget_curve
 from repro.errors import FaultError, FaultPlanError
 from repro.experiments.fig9 import CPU_BUDGETS_W, GPU_CAPS_W
 from repro.faults.injector import FaultInjector, active, arm, disarm, use_faults
 from repro.faults.plan import FaultPlan
 from repro.faults.report import DegradationReport
-from repro.faults.resilience import (
-    coordinate_cpu_resilient,
-    coordinate_gpu_resilient,
-    online_shift_resilient,
-)
 from repro.hardware.meter import RaplPowerMeter
 from repro.hardware.nvml import NvmlDevice
 from repro.hardware.platforms import ivybridge_node, titan_xp_card
@@ -301,15 +300,17 @@ def _check_cpu_coordinate(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     budget = cfg.budgets_w[0]
 
     def op() -> tuple[Any, DegradationReport | None]:
-        merged = DegradationReport()
-        decisions = {}
-        for name in cfg.cpu_workloads:
-            decision, report = coordinate_cpu_resilient(
-                node.cpu, node.dram, get_workload(name), budget
+        report = DegradationReport()
+        decisions = {
+            name: coord_cpu(
+                profile_cpu_workload(
+                    node.cpu, node.dram, get_workload(name), report=report
+                ),
+                budget,
             )
-            decisions[name] = decision
-            merged.merge(report)
-        return decisions, merged
+            for name in cfg.cpu_workloads
+        }
+        return decisions, report
 
     return _run_check("cpu.coordinate", op, plan)
 
@@ -322,15 +323,16 @@ def _check_gpu_coordinate(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     )
 
     def op() -> tuple[Any, DegradationReport | None]:
-        merged = DegradationReport()
-        decisions = {}
-        for name in cfg.gpu_workloads:
-            decision, report = coordinate_gpu_resilient(
-                card, get_workload(name), cap
+        report = DegradationReport()
+        decisions = {
+            name: coord_gpu(
+                profile_gpu_workload(card, get_workload(name), report=report),
+                cap,
+                hardware_max_w=card.max_cap_w,
             )
-            decisions[name] = decision
-            merged.merge(report)
-        return decisions, merged
+            for name in cfg.gpu_workloads
+        }
+        return decisions, report
 
     return _run_check("gpu.coordinate", op, plan)
 
@@ -340,15 +342,14 @@ def _check_online_shift(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     budget = cfg.budgets_w[0]
 
     def op() -> tuple[Any, DegradationReport | None]:
-        merged = DegradationReport()
-        results = {}
-        for name in cfg.cpu_workloads:
-            result, report = online_shift_resilient(
-                node.cpu, node.dram, get_workload(name), budget
+        report = DegradationReport()
+        results = {
+            name: online_power_shift(
+                node.cpu, node.dram, get_workload(name), budget, report=report
             )
-            results[name] = result
-            merged.merge(report)
-        return results, merged
+            for name in cfg.cpu_workloads
+        }
+        return results, report
 
     return _run_check("online.shift", op, plan)
 

@@ -76,11 +76,6 @@ class DegradationReport:
         """True when nothing at all was recovered from."""
         return not self.events
 
-    def merge(self, other: "DegradationReport") -> None:
-        """Fold another report's events (and taint) into this one."""
-        self.events.extend(other.events)
-        self.degraded = self.degraded or other.degraded
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "degraded": self.degraded,

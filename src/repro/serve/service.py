@@ -4,7 +4,7 @@ One :class:`CoordinationService` owns (or borrows) a
 :class:`~repro.core.parallel.SweepEngine` and answers the protocol's
 query ops by calling the exact same library entry points a direct user
 would — ``sweep_cpu_allocations`` (``plan_cpu_sweep`` on an adaptive
-engine), ``cpu_budget_curve``, ``profile_*_resilient`` — so served
+engine), ``cpu_budget_curve``, ``profile_*_workload`` — so served
 answers are bit-identical to library answers *by construction*, not by
 re-implementation.
 
@@ -20,9 +20,9 @@ bit-for-bit the scalar oracle, and it fills the cache point-by-point),
 so the served reply *is* the library reply — the kernel just ran once
 for the whole flush instead of once per query.
 
-Resilience (PR 5): with a fault plan armed, prefetch and the profile
-memo are bypassed — each query resolves individually through the
-resilient wrappers / the engine's armed scalar fallback, and the
+Resilience: with a fault plan armed, prefetch and the profile memo are
+bypassed — each query resolves individually through the profilers'
+majority vote / the engine's armed scalar fallback, and the
 degradation outcome (report events or a typed ``FaultError``) is
 attached to that query's envelope alone.  A flush never shares one
 query's fault with its neighbours, and the server never dies on one.
@@ -40,6 +40,7 @@ from repro.core.coord_gpu import coord_gpu
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
 from repro.core.parallel import MemoCache, SweepEngine
 from repro.core.planner import PlannedSweep, plan_cpu_sweep, plan_gpu_sweep
+from repro.core.profiler import profile_cpu_workload, profile_gpu_workload
 from repro.core.sweep import (
     AllocationSweep,
     BudgetCurve,
@@ -53,12 +54,6 @@ from repro.core.sweep import (
 from repro.errors import ProtocolError, ReproError
 from repro.faults.injector import armed
 from repro.faults.report import DegradationReport
-from repro.faults.resilience import (
-    coordinate_cpu_resilient,
-    coordinate_gpu_resilient,
-    profile_cpu_resilient,
-    profile_gpu_resilient,
-)
 from repro.hardware.gpu import GpuCard
 from repro.hardware.node import ComputeNode
 from repro.hardware.platforms import get_platform
@@ -318,19 +313,21 @@ class CoordinationService:
     def _profile(
         self, workload: Workload, platform: Any
     ) -> tuple[CpuCriticalPowers | GpuCriticalPowers, DegradationReport]:
-        """The resilient profile, memoized only when provably clean."""
+        """The profile, memoized only when provably clean."""
         key = ("profile", workload.device, platform.name, workload.name)
         clean = not self.faults_armed()
         if clean:
             hit, value = self._profiles.lookup(key)
             if hit:
                 return value, DegradationReport()  # type: ignore[return-value]
+        report = DegradationReport()
+        critical: CpuCriticalPowers | GpuCriticalPowers
         if workload.device == "cpu":
-            critical, report = profile_cpu_resilient(
-                platform.cpu, platform.dram, workload
+            critical = profile_cpu_workload(
+                platform.cpu, platform.dram, workload, report=report
             )
         else:
-            critical, report = profile_gpu_resilient(platform, workload)
+            critical = profile_gpu_workload(platform, workload, report=report)
         if clean and report.clean:
             self._profiles.store(key, critical)
         return critical, report
@@ -354,29 +351,16 @@ class CoordinationService:
         self, request: Request, workload: Workload, platform: Any
     ) -> tuple[dict[str, Any], DegradationReport]:
         budget_w = _float_param(request, "budget_w")
+        # COORD is pure arithmetic over the profile, so every fault it can
+        # meet lands in the profile's majority vote.
+        critical, report = self._profile(workload, platform)
         decision: CoordDecision
-        if self.faults_armed():
-            # Armed: the resilient wrapper owns the repeat/vote schedule.
-            if workload.device == "cpu":
-                decision, report = coordinate_cpu_resilient(
-                    platform.cpu, platform.dram, workload, budget_w
-                )
-            else:
-                decision, report = coordinate_gpu_resilient(
-                    platform, workload, budget_w
-                )
+        if workload.device == "cpu":
+            assert isinstance(critical, CpuCriticalPowers)
+            decision = coord_cpu(critical, budget_w)
         else:
-            # Clean: COORD is pure arithmetic over the (memoized) profile,
-            # so this is exactly the resilient wrapper's clean path.
-            critical, report = self._profile(workload, platform)
-            if workload.device == "cpu":
-                assert isinstance(critical, CpuCriticalPowers)
-                decision = coord_cpu(critical, budget_w)
-            else:
-                assert isinstance(critical, GpuCriticalPowers)
-                decision = coord_gpu(
-                    critical, budget_w, hardware_max_w=platform.max_cap_w
-                )
+            assert isinstance(critical, GpuCriticalPowers)
+            decision = coord_gpu(critical, budget_w, hardware_max_w=platform.max_cap_w)
         return (
             {  # repro-lint: disable=RPL004 -- wire snapshot of an already-validated CoordDecision allocation
                 "workload": workload.name,

@@ -15,8 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
+from repro.core.coord import coord_cpu
+from repro.core.online import online_power_shift
 from repro.core.parallel import SweepEngine
 from repro.core.planner import plan_cpu_sweep
+from repro.core.profiler import profile_cpu_workload, profile_gpu_workload
 from repro.core.sweep import sweep_cpu_allocations
 from repro.errors import (
     FaultError,
@@ -42,16 +46,13 @@ from repro.faults import (
 )
 from repro.faults.contract import run_chaos
 from repro.faults.report import DegradationReport
-from repro.faults.resilience import (
-    coordinate_cpu_resilient,
-    online_shift_resilient,
-    profile_cpu_resilient,
-)
 from repro.hardware.meter import RaplPowerMeter
 from repro.hardware.nvml import NvmlDevice
 from repro.hardware.rapl import RaplDomainName, RaplInterface
 from repro.perfmodel.executor import execute_on_host
 from repro.perfmodel.power_trace import sample_power_trace
+from repro.sched.fleet import FleetSimulator
+from repro.sched.traces import poisson_trace
 from repro.workloads import cpu_workload
 
 from tests.conftest import fault_plans, property_settings, sweep_signature
@@ -463,7 +464,7 @@ class TestNvmlResilience:
 
 class TestProfilingResilience:
     def test_sparse_noise_is_outvoted(self, ivb, stream):
-        clean = profile_cpu_resilient(ivb.cpu, ivb.dram, stream)[0]
+        clean = profile_cpu_workload(ivb.cpu, ivb.dram, stream)
         plan = FaultPlan(
             seed=3,
             specs=(
@@ -473,27 +474,30 @@ class TestProfilingResilience:
                 ),
             ),
         )
+        report = DegradationReport()
         with use_faults(plan):
-            certified, report = profile_cpu_resilient(ivb.cpu, ivb.dram, stream)
+            certified = profile_cpu_workload(
+                ivb.cpu, ivb.dram, stream, report=report
+            )
         assert certified == clean
         assert not report.degraded
 
     def test_heavy_noise_never_silently_drifts(self, ivb, stream):
-        clean = profile_cpu_resilient(ivb.cpu, ivb.dram, stream)[0]
+        clean = profile_cpu_workload(ivb.cpu, ivb.dram, stream)
         plan = plan_for(
             "profiler.sample", FaultKind.NOISE, probability=0.9, amplitude=0.4
         )
         with use_faults(plan):
             try:
-                certified, report = profile_cpu_resilient(
-                    ivb.cpu, ivb.dram, stream
+                certified = profile_cpu_workload(
+                    ivb.cpu, ivb.dram, stream, report=DegradationReport()
                 )
             except FaultError:
                 return  # typed refusal: the contract's other allowed outcome
         assert certified == clean  # a certified profile must be the clean one
 
     def test_coordinate_decision_matches_clean_when_certified(self, ivb, stream):
-        clean = coordinate_cpu_resilient(ivb.cpu, ivb.dram, stream, 176.0)[0]
+        clean = coord_cpu(profile_cpu_workload(ivb.cpu, ivb.dram, stream), 176.0)
         plan = FaultPlan(
             seed=5,
             specs=(
@@ -503,9 +507,11 @@ class TestProfilingResilience:
                 ),
             ),
         )
+        report = DegradationReport()
         with use_faults(plan):
-            decision, report = coordinate_cpu_resilient(
-                ivb.cpu, ivb.dram, stream, 176.0
+            decision = coord_cpu(
+                profile_cpu_workload(ivb.cpu, ivb.dram, stream, report=report),
+                176.0,
             )
         assert decision == clean
         assert not report.degraded
@@ -522,7 +528,9 @@ class TestProfilingResilience:
         )
         with use_faults(plan):
             with pytest.raises(ProfilingDegradedError) as excinfo:
-                profile_cpu_resilient(ivb.cpu, ivb.dram, stream)
+                profile_cpu_workload(
+                    ivb.cpu, ivb.dram, stream, report=DegradationReport()
+                )
         assert isinstance(excinfo.value.samples, tuple)
 
 
@@ -531,25 +539,151 @@ class TestOnlineResilience:
         plan = plan_for(
             "online.signal", FaultKind.NOISE, probability=1.0, amplitude=0.8
         )
+        report = DegradationReport()
         with use_faults(plan):
-            result, report = online_shift_resilient(
-                ivb.cpu, ivb.dram, stream, 180.0
+            result = online_power_shift(
+                ivb.cpu, ivb.dram, stream, 180.0, report=report
             )
         assert report.degraded
         assert result.allocation.total_w <= 180.0 + 1e-9  # still valid
 
     def test_quiet_run_stays_clean(self, ivb, stream):
-        clean, _ = online_shift_resilient(ivb.cpu, ivb.dram, stream, 180.0)
+        clean = online_power_shift(
+            ivb.cpu, ivb.dram, stream, 180.0, report=DegradationReport()
+        )
         plan = plan_for(
             "online.signal", FaultKind.NOISE,
             probability=0.0, at_calls=(400,),  # beyond any epoch count
         )
+        report = DegradationReport()
         with use_faults(plan):
-            result, report = online_shift_resilient(
-                ivb.cpu, ivb.dram, stream, 180.0
+            result = online_power_shift(
+                ivb.cpu, ivb.dram, stream, 180.0, report=report
             )
         assert result == clean
         assert report.clean
+
+
+def _burst(site: str) -> FaultPlan:
+    """One noise burst on ``site``'s second call.  For the profilers that
+    is ``mem_l1`` on a CPU and ``tot_ref`` on a GPU, samples no clamp
+    hides, so a profile that took a single measurement would drift."""
+    return FaultPlan(
+        seed=11,
+        specs=(
+            FaultSpec(
+                site=site, kind=FaultKind.NOISE,
+                probability=0.0, at_calls=(1,), max_fires=1, amplitude=0.3,
+            ),
+        ),
+    )
+
+
+#: The burst every profile caller must outvote.
+PROFILE_BURST = _burst("profiler.sample")
+
+#: Noise on nearly every profiling sample: no majority survives it.
+PROFILE_STORM = plan_for(
+    "profiler.sample", FaultKind.NOISE, probability=0.9, amplitude=0.3
+)
+
+
+def _fleet_stats():
+    return FleetSimulator(
+        poisson_trace(n_jobs=60, rate_per_s=2.0, seed=42),
+        n_nodes=8,
+        global_bound_w=960.0,
+        resplit_interval_s=10.0,
+    ).run()
+
+
+def _cli(argv, capsys, monkeypatch, plan_path=None):
+    """``(exit code, stdout, stderr)`` of one in-process CLI run."""
+    if plan_path is None:
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FAULTS", str(plan_path))
+    capsys.readouterr()
+    code = cli_main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestEveryProfileCallerVotes:
+    """The vote lives in the profilers, so callers that never heard of
+    fault plans still end in the clean answer or a typed error."""
+
+    def test_cpu_profile_outvotes_a_burst(self, ivb):
+        ep = cpu_workload("ep")
+        clean = profile_cpu_workload(ivb.cpu, ivb.dram, ep)
+        with use_faults(PROFILE_BURST):
+            assert profile_cpu_workload(ivb.cpu, ivb.dram, ep) == clean
+
+    def test_gpu_profile_outvotes_a_burst(self, xp, sgemm):
+        clean = profile_gpu_workload(xp, sgemm)
+        with use_faults(PROFILE_BURST):
+            assert profile_gpu_workload(xp, sgemm) == clean
+
+    def test_fleet_outvotes_a_burst(self):
+        clean = _fleet_stats()
+        with use_faults(PROFILE_BURST):
+            assert _fleet_stats() == clean
+
+    @pytest.mark.parametrize(
+        "argv", [("profile", "ep"), ("coord", "sp", "176")], ids=" ".join
+    )
+    def test_cli_outvotes_a_burst(self, argv, tmp_path, capsys, monkeypatch):
+        plan_path = PROFILE_BURST.save(tmp_path / "burst.json")
+        clean = _cli(argv, capsys, monkeypatch)
+        assert clean[0] == 0
+        assert _cli(argv, capsys, monkeypatch, plan_path) == clean
+
+    def test_storm_gives_clean_profiles_or_typed_errors(self, ivb, xp, sgemm):
+        ep = cpu_workload("ep")
+        cases = (
+            lambda: profile_cpu_workload(ivb.cpu, ivb.dram, ep),
+            lambda: profile_gpu_workload(xp, sgemm),
+            _fleet_stats,
+        )
+        for call in cases:
+            clean = call()
+            with use_faults(PROFILE_STORM):
+                try:
+                    assert call() == clean
+                except ProfilingDegradedError:
+                    pass  # typed refusal: the contract's other allowed outcome
+
+    @pytest.mark.parametrize(
+        "argv", [("profile", "ep"), ("coord", "sp", "176")], ids=" ".join
+    )
+    def test_storm_exits_2_from_the_cli(self, argv, tmp_path, capsys, monkeypatch):
+        plan_path = PROFILE_STORM.save(tmp_path / "storm.json")
+        code, out, err = _cli(argv, capsys, monkeypatch, plan_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no strict majority")
+
+    @pytest.mark.parametrize(
+        "plan",
+        [None, PROFILE_BURST, _burst("online.signal")],
+        ids=["clean", "profile-burst", "online-burst"],
+    )
+    def test_report_changes_no_result(self, plan, ivb, xp, sgemm):
+        ep = cpu_workload("ep")
+        calls = (
+            lambda **kw: profile_cpu_workload(ivb.cpu, ivb.dram, ep, **kw),
+            lambda **kw: profile_gpu_workload(xp, sgemm, **kw),
+            lambda **kw: online_power_shift(ivb.cpu, ivb.dram, ep, 176.0, **kw),
+        )
+        for call in calls:
+            results = []
+            for kwargs in ({}, {"report": DegradationReport()}):
+                if plan is None:
+                    results.append(call(**kwargs))
+                else:
+                    with use_faults(FaultInjector(plan)):
+                        results.append(call(**kwargs))
+            assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ findings.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -260,7 +261,7 @@ class TestCli:
             [sys.executable, "-m", "repro.lint", str(FIXTURES / "rpl005")],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(SRC_REPRO.parent), "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "PYTHONPATH": str(SRC_REPRO.parent)},
         )
         assert proc.returncode == 1
         assert "RPL005" in proc.stdout

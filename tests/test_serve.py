@@ -22,6 +22,7 @@ import pytest
 from repro.core.coord import coord_cpu
 from repro.core.parallel import SweepEngine
 from repro.core.planner import plan_cpu_sweep
+from repro.core.profiler import profile_cpu_workload
 from repro.core.sweep import (
     cpu_budget_curve,
     sweep_cpu_allocations,
@@ -30,7 +31,6 @@ from repro.core.sweep import (
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.faults.injector import use_faults
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.faults.resilience import profile_cpu_resilient
 from repro.hardware.platforms import get_platform
 from repro.serve.batching import MicroBatcher
 from repro.serve.client import ServeClient, request_sync
@@ -299,7 +299,7 @@ class TestServedIdentity:
         node = get_platform("ivybridge")
         dgemm = get_workload("dgemm")
         stream = get_workload("stream")
-        critical, _ = profile_cpu_resilient(node.cpu, node.dram, dgemm)
+        critical = profile_cpu_workload(node.cpu, node.dram, dgemm)
         decision = coord_cpu(critical, 180.0)
         sweep = sweep_cpu_allocations(
             node.cpu, node.dram, dgemm, 150.0, step_w=STEP_W
