@@ -47,13 +47,18 @@ check: lint typecheck test
 # CI smoke: the degradation contract under the canned fault plan,
 # through the CLI battery, with --sweep-mode full and --sweep-mode
 # adaptive (the armed engine path must hold whichever sweep strategy
-# the battery's sweep checks run).
-# Exit is nonzero iff the contract is violated.
+# the battery's sweep checks run).  Exit is nonzero iff the contract is
+# violated.  Then one armed verb: `experiment ablation` under the same
+# plan, whose online-shifting epochs drift, must flag that on stderr
+# with a `degraded: ...` line (its stdout is discarded).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode full \
 		--plan examples/faults/chaos_smoke.json --scale smoke
 	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode adaptive \
 		--plan examples/faults/chaos_smoke.json --scale smoke
+	REPRO_FAULTS=examples/faults/chaos_smoke.json PYTHONPATH=src \
+		$(PYTHON) -m repro experiment ablation --fast 2>&1 >/dev/null \
+		| grep '^degraded: '
 
 # CI smoke: the coordination server end-to-end — bind an ephemeral
 # port, drive a concurrent TCP burst through the micro-batcher, verify

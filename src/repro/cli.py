@@ -38,6 +38,7 @@ from repro.errors import ReproError
 from repro.experiments import list_experiments, run_experiment
 from repro.faults.injector import FAULTS_ENV_VAR, use_faults
 from repro.faults.plan import FaultPlan
+from repro.faults.report import ledger
 from repro.hardware.gpu import GpuCard
 from repro.hardware.node import ComputeNode
 from repro.hardware.nvml import NvmlDevice
@@ -463,14 +464,19 @@ def main(argv: list[str] | None = None) -> int:
     for the duration of the command — the library never reads the
     environment itself (``chaos`` ignores the variable: its battery arms
     its own injectors from ``--plan``).  Every other setting is a flag.
+    An armed command whose :func:`~repro.faults.report.ledger` is not
+    clean prints its summary on stderr; stdout and exit code are its own.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         plan_path = os.environ.get(FAULTS_ENV_VAR)
         if plan_path and args.command != "chaos":
-            with use_faults(FaultPlan.load(plan_path)):
-                return _dispatch(parser, args)
+            with use_faults(FaultPlan.load(plan_path)), ledger() as report:
+                code = _dispatch(parser, args)
+            if not report.clean:
+                print(report.summary(), file=sys.stderr)
+            return code
         return _dispatch(parser, args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.core.allocation import PowerAllocation
 from repro.errors import ConfigurationError
 from repro.faults.injector import active as _faults_active
-from repro.faults.report import DegradationReport
+from repro.faults.report import record
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
 from repro.perfmodel.executor import execute_on_host
@@ -86,7 +86,6 @@ def online_power_shift(
     max_epochs: int = 40,
     mem_floor_w: float = 16.0,
     proc_floor_w: float = 8.0,
-    report: DegradationReport | None = None,
 ) -> OnlineShiftResult:
     """Run the feedback power-shifting controller to convergence.
 
@@ -96,10 +95,10 @@ def online_power_shift(
     flip halves the step; the loop ends when the step underflows
     ``min_step_w`` or the epoch budget is spent.
 
-    When any epoch steered on a noise-perturbed signal, ``report``
-    receives one degrading ``"noisy-signal"`` event: the allocation is
-    valid but may be suboptimal relative to the clean run.  ``report``
-    is an output only; it changes no result.
+    When any epoch steered on a noise-perturbed signal, the open
+    :func:`~repro.faults.report.ledger` receives one degrading
+    ``"noisy-signal"`` event: the allocation is valid but may be
+    suboptimal relative to the clean run.
     """
     budget_w = watts(budget_w, "budget_w")
     check_positive(initial_step_w, "initial_step_w")
@@ -154,8 +153,8 @@ def online_power_shift(
         )
         best_perf = workload.performance(result)
 
-    if noisy_epochs and report is not None:
-        report.record(
+    if noisy_epochs:
+        record(
             "online.signal",
             "noisy-signal",
             attempts=noisy_epochs,

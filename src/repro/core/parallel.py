@@ -65,7 +65,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector, armed
 from repro.faults.plan import FaultKind
-from repro.faults.report import DegradationReport
+from repro.faults.report import record
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
 from repro.hardware.gpu import GpuCard
@@ -596,10 +596,6 @@ class SweepEngine:
         self.cache = MemoCache(backing=self.disk_cache)
         self.planner = PlannerState()
         self.batch = batch
-        #: Resubmission log for the last faulted sweeps; recovered worker
-        #: faults are recorded here without tainting the results (which
-        #: stay bit-identical to the clean run by construction).
-        self.fault_report = DegradationReport()
 
     # ------------------------------------------------------------------
     # cache keys
@@ -660,6 +656,8 @@ class SweepEngine:
         injected crash/timeout until it runs clean or the plan's
         ``max_attempts`` are spent; the executed task itself is the pure
         model kernel, so a recovered sweep is bit-identical to the clean run.
+        Each recovered row records one ``"resubmitted"`` event in the open
+        :func:`~repro.faults.report.ledger`.
         """
         budget = injector.plan.max_attempts
         results: list[ExecutionResult] = []
@@ -683,7 +681,7 @@ class SweepEngine:
                 if attempts >= budget:
                     raise WorkerRetryExhaustedError(attempts, failure)
             if attempts > 1:
-                self.fault_report.record(
+                record(
                     "parallel.worker",
                     "resubmitted",
                     attempts=attempts,

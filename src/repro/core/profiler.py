@@ -32,7 +32,7 @@ from repro.errors import FaultError, ProfilingDegradedError, ProfilingError, Rep
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
 from repro.faults.injector import active as _faults_active, armed
 from repro.faults.policies import strict_majority
-from repro.faults.report import DegradationReport
+from repro.faults.report import record
 from repro.hardware.component import CappingMechanism
 from repro.hardware.cpu import CpuDomain
 from repro.hardware.dram import DramDomain
@@ -77,23 +77,21 @@ def _any_throttled(result) -> bool:
     )
 
 
-def _voted(
-    measure: Callable[[], _Sample], report: DegradationReport | None
-) -> _Sample:
+def _voted(measure: Callable[[], _Sample]) -> _Sample:
     """One measurement, or the strict majority of repeats when armed.
 
     With no non-empty plan armed (:func:`repro.faults.armed`) this is a
     single call of ``measure``.  Armed, ``measure`` runs
     ``plan.profile_repeats`` times and only a bit-identical strict
     majority is trusted; anything weaker raises
-    :class:`~repro.errors.ProfilingDegradedError`, carrying each
-    sample's first value (``cpu_l1`` or ``tot_max``).  Under the NOISE
-    model each perturbed raw sample is distinct (draws are keyed to
-    unique call indices) while clean samples repeat exactly, so the
-    winner is the clean measurement.  A repeat that noise derails (a
-    perturbed ``cpu_l1`` moves the bisection's upper end) yields no
-    sample but still counts against the majority.  When some repeats
-    lost the vote, ``report`` receives one non-degrading
+    :class:`~repro.errors.ProfilingDegradedError`, carrying every
+    sample in full.  Under the NOISE model each perturbed raw sample is
+    distinct (draws are keyed to unique call indices) while clean
+    samples repeat exactly, so the winner is the clean measurement.  A
+    repeat that noise derails (a perturbed ``cpu_l1`` moves the
+    bisection's upper end) yields no sample but still counts against
+    the majority.  When some repeats lost the vote, the open
+    :func:`~repro.faults.report.ledger` receives one non-degrading
     ``"majority-vote"`` event.
     """
     injector = armed()
@@ -110,12 +108,10 @@ def _voted(
             continue
     winner = strict_majority(samples, total=total)
     if winner is None:
-        raise ProfilingDegradedError(
-            "profiler.sample", tuple(float(s[0]) for s in samples)
-        )
+        raise ProfilingDegradedError("profiler.sample", tuple(samples))
     disagreeing = total - samples.count(winner)
-    if disagreeing and report is not None:
-        report.record(
+    if disagreeing:
+        record(
             "profiler.sample",
             "majority-vote",
             attempts=total,
@@ -131,20 +127,17 @@ def profile_cpu_workload(
     cpu: CpuDomain,
     dram: DramDomain,
     workload: Workload,
-    *,
-    report: DegradationReport | None = None,
 ) -> CpuCriticalPowers:
     """Extract the seven critical power values for a CPU workload.
 
     Under an armed fault plan the measurement is certified by majority
-    vote (:func:`_voted`).  ``report`` only receives the vote's event;
-    it changes no result.
+    vote (:func:`_voted`).
     """
     if workload.device != "cpu":
         raise ProfilingError(
             f"workload {workload.name!r} targets {workload.device!r}, not cpu"
         )
-    measured = _voted(lambda: _measure_cpu_workload(cpu, dram, workload), report)
+    measured = _voted(lambda: _measure_cpu_workload(cpu, dram, workload))
     return _cpu_critical_powers(cpu, dram, measured)
 
 
@@ -258,20 +251,17 @@ def _pinned_gpu_total_w(
 def profile_gpu_workload(
     card: GpuCard,
     workload: Workload,
-    *,
-    report: DegradationReport | None = None,
 ) -> GpuCriticalPowers:
     """Extract the GPU COORD parameters for a workload on a card.
 
     Under an armed fault plan the measurement is certified by majority
-    vote (:func:`_voted`).  ``report`` only receives the vote's event;
-    it changes no result.
+    vote (:func:`_voted`).
     """
     if workload.device != "gpu":
         raise ProfilingError(
             f"workload {workload.name!r} targets {workload.device!r}, not gpu"
         )
-    measured = _voted(lambda: _measure_gpu_workload(card, workload), report)
+    measured = _voted(lambda: _measure_gpu_workload(card, workload))
     return _gpu_critical_powers(card, measured)
 
 

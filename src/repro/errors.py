@@ -189,9 +189,12 @@ class ProfilingDegradedError(FaultError, ProfilingError):
     silently wrong allocation into COORD.
     """
 
-    def __init__(self, site: str, samples: tuple[float, ...]) -> None:
+    def __init__(
+        self, site: str, samples: tuple[tuple[float, ...], ...]
+    ) -> None:
         self.site = site
-        self.samples = tuple(float(s) for s in samples)
+        #: Every repeat's full sample, in the order the repeats ran.
+        self.samples = tuple(tuple(float(v) for v in s) for s in samples)
         super().__init__(
             f"no strict majority among {len(samples)} profiling samples at "
             f"{site!r}; measurement too noisy to trust"

@@ -13,7 +13,10 @@ The subsystem has two halves:
   (the meter, NVML, the profilers, the disk cache, the sweep engine), all
   upholding one contract: under any fault plan a public API either
   returns a result bit-identical to the clean run or raises/reports a
-  typed degradation.  Never a silently wrong allocation.
+  typed degradation.  Never a silently wrong allocation.  Each site
+  records its recovery in the innermost open :func:`ledger`, so a caller
+  reads the classification of everything it ran with
+  ``with ledger() as report:``.
 
 :mod:`~repro.faults.contract` turns that invariant into an executable
 check (the ``repro chaos`` CLI verb and the ``tests/test_faults.py``
@@ -40,7 +43,7 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import SITES, FaultKind, FaultPlan, FaultSpec
 from repro.faults.policies import backoff_schedule_s, retry_transient, strict_majority
-from repro.faults.report import DegradationEvent, DegradationReport
+from repro.faults.report import DegradationEvent, DegradationReport, ledger
 
 __all__ = [
     "FAULTS_ENV_VAR",
@@ -59,6 +62,7 @@ __all__ = [
     "armed",
     "backoff_schedule_s",
     "disarm",
+    "ledger",
     "retry_transient",
     "run_chaos",
     "strict_majority",

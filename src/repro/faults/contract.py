@@ -16,7 +16,7 @@ faulted outcome:
 ``identical``
     bit-equal to the clean run (recovered faults allowed, not tainting);
 ``degraded``
-    a typed, flagged degradation report accompanied the result;
+    the faulted leg's ledger recorded a degrading event;
 ``typed-error``
     the operation raised a :class:`~repro.errors.FaultError`;
 ``violation``
@@ -51,7 +51,7 @@ from repro.errors import FaultError, FaultPlanError
 from repro.experiments.fig9 import CPU_BUDGETS_W, GPU_CAPS_W
 from repro.faults.injector import FaultInjector, active, arm, disarm, use_faults
 from repro.faults.plan import FaultPlan
-from repro.faults.report import DegradationReport
+from repro.faults.report import ledger
 from repro.hardware.meter import RaplPowerMeter
 from repro.hardware.nvml import NvmlDevice
 from repro.hardware.platforms import ivybridge_node, titan_xp_card
@@ -211,33 +211,31 @@ def _disarmed() -> Iterator[None]:
             arm(previous)
 
 
-def _run_check(
-    name: str,
-    op: Callable[[], tuple[Any, DegradationReport | None]],
-    plan: FaultPlan,
-) -> ChaosCheck:
+def _run_check(name: str, op: Callable[[], Any], plan: FaultPlan) -> ChaosCheck:
     """Execute ``op`` clean then faulted; classify against the contract.
 
     ``op`` must build all mutable state internally (engines, RAPL
     counters, caches) so the two legs start identical; it returns the
-    comparable value plus the degradation report it collected, if any.
+    comparable value.  The faulted leg runs inside its own
+    :func:`~repro.faults.report.ledger`, which collects every event the
+    recovery sites record.
     """
     with _disarmed():
-        clean, _ = op()
+        clean = op()
     try:
-        with use_faults(FaultInjector(plan)):
-            faulted, report = op()
+        with use_faults(FaultInjector(plan)), ledger() as report:
+            faulted = op()
     except FaultError as exc:
         return ChaosCheck(name, "typed-error", f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # noqa: BLE001 - the contract forbids these
         return ChaosCheck(
             name, "violation", f"untyped {type(exc).__name__}: {exc}"
         )
-    if report is not None and report.degraded:
+    if report.degraded:
         return ChaosCheck(name, "degraded", report.summary())
     if _equal(faulted, clean):
         detail = ""
-        if report is not None and report.events:
+        if report.events:
             detail = f"recovered cleanly ({report.summary()})"
         return ChaosCheck(name, "identical", detail)
     return ChaosCheck(
@@ -256,9 +254,9 @@ def _check_cpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     """Budget curves through the sweep engine (worker + cache sites)."""
     node = ivybridge_node()
 
-    def op() -> tuple[Any, DegradationReport | None]:
+    def op() -> Any:
         engine = SweepEngine(mode=cfg.mode)
-        curves = {
+        return {
             name: cpu_budget_curve(
                 node.cpu,
                 node.dram,
@@ -269,7 +267,6 @@ def _check_cpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
             )
             for name in cfg.cpu_workloads
         }
-        return curves, None
 
     return _run_check("cpu.sweep-curve", op, plan)
 
@@ -278,9 +275,9 @@ def _check_gpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     card = titan_xp_card()
     caps = tuple(c for c in cfg.caps_w if card.min_cap_w <= c <= card.max_cap_w)
 
-    def op() -> tuple[Any, DegradationReport | None]:
+    def op() -> Any:
         engine = SweepEngine(mode=cfg.mode)
-        curves = {
+        return {
             name: gpu_budget_curve(
                 card,
                 get_workload(name),
@@ -290,7 +287,6 @@ def _check_gpu_sweep(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
             )
             for name in cfg.gpu_workloads
         }
-        return curves, None
 
     return _run_check("gpu.sweep-curve", op, plan)
 
@@ -299,18 +295,14 @@ def _check_cpu_coordinate(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     node = ivybridge_node()
     budget = cfg.budgets_w[0]
 
-    def op() -> tuple[Any, DegradationReport | None]:
-        report = DegradationReport()
-        decisions = {
+    def op() -> Any:
+        return {
             name: coord_cpu(
-                profile_cpu_workload(
-                    node.cpu, node.dram, get_workload(name), report=report
-                ),
+                profile_cpu_workload(node.cpu, node.dram, get_workload(name)),
                 budget,
             )
             for name in cfg.cpu_workloads
         }
-        return decisions, report
 
     return _run_check("cpu.coordinate", op, plan)
 
@@ -322,17 +314,15 @@ def _check_gpu_coordinate(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
         card.max_cap_w,
     )
 
-    def op() -> tuple[Any, DegradationReport | None]:
-        report = DegradationReport()
-        decisions = {
+    def op() -> Any:
+        return {
             name: coord_gpu(
-                profile_gpu_workload(card, get_workload(name), report=report),
+                profile_gpu_workload(card, get_workload(name)),
                 cap,
                 hardware_max_w=card.max_cap_w,
             )
             for name in cfg.gpu_workloads
         }
-        return decisions, report
 
     return _run_check("gpu.coordinate", op, plan)
 
@@ -341,15 +331,13 @@ def _check_online_shift(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     node = ivybridge_node()
     budget = cfg.budgets_w[0]
 
-    def op() -> tuple[Any, DegradationReport | None]:
-        report = DegradationReport()
-        results = {
+    def op() -> Any:
+        return {
             name: online_power_shift(
-                node.cpu, node.dram, get_workload(name), budget, report=report
+                node.cpu, node.dram, get_workload(name), budget
             )
             for name in cfg.cpu_workloads
         }
-        return results, report
 
     return _run_check("online.shift", op, plan)
 
@@ -363,12 +351,10 @@ def _check_meter(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     )
     trace = sample_power_trace(result, dt_s=0.01)
 
-    def op() -> tuple[Any, DegradationReport | None]:
+    def op() -> Any:
         rapl = RaplInterface()
         meter = RaplPowerMeter(rapl, RaplDomainName.PACKAGE, poll_interval_s=0.1)
-        report = DegradationReport()
-        readings = meter.observe_trace(trace, "proc", report=report)
-        return readings, report
+        return meter.observe_trace(trace, "proc")
 
     return _run_check("meter.observe", op, plan)
 
@@ -376,14 +362,9 @@ def _check_meter(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
 def _check_nvml(plan: FaultPlan, cfg: _Scale) -> ChaosCheck:
     card = titan_xp_card()
 
-    def op() -> tuple[Any, DegradationReport | None]:
+    def op() -> Any:
         device = NvmlDevice(card)
-        report = DegradationReport()
-        values = (
-            device.read_power_limit_w(report=report),
-            device.read_mem_clock_offset_mhz(report=report),
-        )
-        return values, report
+        return (device.read_power_limit_w(), device.read_mem_clock_offset_mhz())
 
     return _run_check("nvml.read", op, plan)
 

@@ -5,9 +5,9 @@ Two building blocks cover every transient-fault response in the stack:
 * :func:`retry_transient` — bounded re-attempt of an operation that can
   raise :class:`~repro.errors.TransientReadError` (meter counter reads,
   NVML queries, sweep-task execution).  Backoff is *simulated*: the
-  schedule is recorded in the degradation report but the library never
-  sleeps, because wall-clock time is part of the simulation, not the
-  host.
+  schedule is recorded in the open degradation ledger but the library
+  never sleeps, because wall-clock time is part of the simulation, not
+  the host.
 * :func:`strict_majority` — majority vote over repeated measurements
   (the profiler's noise defense).  Only a value that wins an outright
   majority of bit-identical samples is trusted; anything weaker is a
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.errors import TransientReadError
-from repro.faults.report import DegradationReport
+from repro.faults.report import record
 
 __all__ = ["backoff_schedule_s", "retry_transient", "strict_majority"]
 
@@ -36,7 +36,6 @@ def retry_transient(
     *,
     site: str,
     max_attempts: int,
-    report: Optional[DegradationReport] = None,
     backoff_base_s: float = 0.0,
 ) -> T:
     """Run ``operation``, retrying transient read failures.
@@ -44,8 +43,9 @@ def retry_transient(
     Re-raises the last :class:`~repro.errors.TransientReadError` once the
     attempt budget is exhausted; the caller wraps it in the site-specific
     terminal error (``MeterReadError``, ``NvmlReadError``, ...).  When a
-    retry succeeds the recovery is recorded in ``report`` but does *not*
-    taint it: the recovered value is the clean value.
+    retry succeeds the recovery is recorded in the open
+    :func:`~repro.faults.report.ledger` but does *not* taint it: the
+    recovered value is the clean value.
     """
     attempts = max(1, int(max_attempts))
     last: Optional[TransientReadError] = None
@@ -55,9 +55,9 @@ def retry_transient(
         except TransientReadError as exc:
             last = exc
             continue
-        if attempt > 0 and report is not None:
+        if attempt > 0:
             delays = backoff_schedule_s(backoff_base_s, attempt)
-            report.record(
+            record(
                 site,
                 "retried",
                 attempts=attempt + 1,

@@ -1,22 +1,27 @@
-"""Typed degradation reporting.
+"""Typed degradation reporting, recorded where each fault lands.
 
 The degradation contract (see ``docs/robustness.md``) allows exactly two
 outcomes for a public API under an armed fault plan: a result
 bit-identical to the clean run, or a *typed* signal that quality was
 lost — either an exception from the :class:`~repro.errors.FaultError`
-family or a :class:`DegradationReport` attached to an otherwise valid
-result.  A report never excuses a wrong answer; it marks an answer that
-is valid but was produced on a degraded path (retries burned, noisy
-signal tolerated, fallback taken) so callers can decide whether to
-re-run or accept.
+family or a :class:`DegradationReport` marked ``degraded`` for an
+otherwise valid result.  A report never excuses a wrong answer; it marks
+an answer that is valid but was produced on a degraded path (retries
+burned, noisy signal tolerated, fallback taken) so callers can decide
+whether to re-run or accept.  ``with ledger() as report:`` collects what
+the recovery sites :func:`record` inside the block, in its thread or
+task; sites record only after a fault fired.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["DegradationEvent", "DegradationReport"]
+__all__ = ["DegradationEvent", "DegradationReport", "ledger", "record"]
 
 
 @dataclass(frozen=True)
@@ -55,22 +60,6 @@ class DegradationReport:
     events: list[DegradationEvent] = field(default_factory=list)
     degraded: bool = False
 
-    def record(
-        self,
-        site: str,
-        action: str,
-        *,
-        attempts: int = 1,
-        detail: str = "",
-        degrades: bool = False,
-    ) -> None:
-        """Append one recovery event; ``degrades=True`` taints the result."""
-        self.events.append(
-            DegradationEvent(site=site, action=action, attempts=attempts, detail=detail)
-        )
-        if degrades:
-            self.degraded = True
-
     @property
     def clean(self) -> bool:
         """True when nothing at all was recovered from."""
@@ -87,3 +76,33 @@ class DegradationReport:
             return "clean (no faults encountered)"
         status = "degraded" if self.degraded else "recovered"
         return f"{status}: {len(self.events)} recovery event(s)"
+
+
+#: The innermost open :func:`ledger` of the running context, if any.
+_OPEN: ContextVar[DegradationReport | None] = ContextVar("ledger", default=None)
+
+
+@contextmanager
+def ledger() -> Iterator[DegradationReport]:
+    """Collect the events recorded inside the block (innermost ledger only)."""
+    report = DegradationReport()
+    token = _OPEN.set(report)
+    try:
+        yield report
+    finally:
+        _OPEN.reset(token)
+
+
+def record(
+    site: str,
+    action: str,
+    *,
+    attempts: int = 1,
+    detail: str = "",
+    degrades: bool = False,
+) -> None:
+    """Append one event to the open ledger, if any; ``degrades`` taints it."""
+    report = _OPEN.get()
+    if report is not None:
+        report.events.append(DegradationEvent(site, action, attempts, detail))
+        report.degraded = report.degraded or degrades

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError, MeterReadError, TransientReadError
 from repro.faults.injector import FaultInjector
 from repro.faults.injector import active as _faults_active
 from repro.faults.policies import retry_transient
-from repro.faults.report import DegradationReport
+from repro.faults.report import record
 from repro.hardware.rapl import (
     ENERGY_UNIT_J,
     MsrEnergyCounter,
@@ -87,11 +87,7 @@ class RaplPowerMeter:
             else check_positive(expected_power_w, "expected_power_w")
         )
 
-    def _poll_raw(
-        self,
-        injector: FaultInjector | None,
-        report: DegradationReport | None,
-    ) -> int:
+    def _poll_raw(self, injector: FaultInjector | None) -> int:
         """One counter read, retried against transient faults when armed."""
         if injector is None:
             return self.rapl.read_energy_raw(self.domain)
@@ -101,7 +97,6 @@ class RaplPowerMeter:
                 lambda: self.rapl.read_energy_raw(self.domain),
                 site="rapl.read",
                 max_attempts=plan.max_attempts,
-                report=report,
                 backoff_base_s=plan.backoff_base_s,
             )
         except TransientReadError as exc:
@@ -111,19 +106,15 @@ class RaplPowerMeter:
             ) from exc
 
     def observe_trace(
-        self,
-        trace: PowerTrace,
-        domain_select: str = "proc",
-        *,
-        report: DegradationReport | None = None,
+        self, trace: PowerTrace, domain_select: str = "proc"
     ) -> list[MeterReading]:
         """Replay a sampled trace into the counter, polling as we go.
 
         ``domain_select`` picks which trace channel feeds this domain's
         counter (``"proc"``, ``"mem"`` or ``"total"``).  Returns one
         reading per polling window, reconstructed purely from raw counter
-        values — the same arithmetic a real meter performs.  ``report``,
-        when given, records any fault recoveries the meter performed.
+        values — the same arithmetic a real meter performs.  Fault
+        recoveries go to the open :func:`~repro.faults.report.ledger`.
         """
         channel = {
             "proc": trace.proc_w,
@@ -137,14 +128,14 @@ class RaplPowerMeter:
         samples_per_poll = max(1, int(round(self.poll_interval_s / trace.dt_s)))
         readings: list[MeterReading] = []
         injector = _faults_active()
-        prev_raw = self._poll_raw(injector, report)
+        prev_raw = self._poll_raw(injector)
         prev_energy_j: float | None = None
         t = 0.0
         for start in range(0, channel.size, samples_per_poll):
             chunk = channel[start : start + samples_per_poll]
             energy = float(chunk.sum() * trace.dt_s)
             self.rapl.record_energy(self.domain, energy)
-            now_raw = self._poll_raw(injector, report)
+            now_raw = self._poll_raw(injector)
             # A window below half a counter tick legitimately leaves the
             # register unmoved; anything larger that reads back unchanged
             # is a stuck register.
@@ -153,7 +144,7 @@ class RaplPowerMeter:
                 and now_raw == prev_raw
                 and energy >= 0.5 * ENERGY_UNIT_J
             ):
-                now_raw = self._reread_stuck(injector, report, prev_raw)
+                now_raw = self._reread_stuck(injector, prev_raw)
             window = chunk.size * trace.dt_s
             expected_j = prev_energy_j
             if self.expected_power_w is not None:
@@ -175,12 +166,7 @@ class RaplPowerMeter:
             t += window
         return readings
 
-    def _reread_stuck(
-        self,
-        injector: FaultInjector,
-        report: DegradationReport | None,
-        prev_raw: int,
-    ) -> int:
+    def _reread_stuck(self, injector: FaultInjector, prev_raw: int) -> int:
         """Re-read a register that returned its previous value mid-run.
 
         Energy was recorded but the read did not move — either the
@@ -190,15 +176,14 @@ class RaplPowerMeter:
         """
         plan = injector.plan
         for attempt in range(1, plan.max_attempts):
-            raw = self._poll_raw(injector, report)
+            raw = self._poll_raw(injector)
             if raw != prev_raw:
-                if report is not None:
-                    report.record(
-                        "rapl.read",
-                        "retried",
-                        attempts=attempt + 1,
-                        detail="stuck register read recovered by re-read",
-                    )
+                record(
+                    "rapl.read",
+                    "retried",
+                    attempts=attempt + 1,
+                    detail="stuck register read recovered by re-read",
+                )
                 return raw
         raise MeterReadError(
             f"RAPL {self.domain.value} counter frozen across "

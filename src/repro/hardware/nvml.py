@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.errors import NvmlReadError, TransientReadError
 from repro.faults.injector import active as _faults_active
 from repro.faults.policies import retry_transient
-from repro.faults.report import DegradationReport
 from repro.hardware.gpu import GpuCard
 from repro.hardware.gpu_mem import GpuMemOperatingPoint
 
@@ -59,18 +58,16 @@ class NvmlDevice:
         _maybe_fail_read()
         return self._power_limit_w
 
-    def read_power_limit_w(
-        self, *, report: DegradationReport | None = None
-    ) -> float:
+    def read_power_limit_w(self) -> float:
         """The board cap, retried against transient query failures.
 
         Exhausting the armed plan's attempt budget raises
         :class:`~repro.errors.NvmlReadError`; disarmed this is exactly
         the :attr:`power_limit_w` property.
         """
-        return self._read_resilient(lambda: self.power_limit_w, report)
+        return self._read_resilient(lambda: self.power_limit_w)
 
-    def _read_resilient(self, query, report: DegradationReport | None):
+    def _read_resilient(self, query):
         injector = _faults_active()
         if injector is None:
             return query()
@@ -80,7 +77,6 @@ class NvmlDevice:
                 query,
                 site="nvml.read",
                 max_attempts=plan.max_attempts,
-                report=report,
                 backoff_base_s=plan.backoff_base_s,
             )
         except TransientReadError as exc:
@@ -113,11 +109,9 @@ class NvmlDevice:
         _maybe_fail_read()
         return self._mem_op.offset_mhz(self.card.mem.nominal_mhz)
 
-    def read_mem_clock_offset_mhz(
-        self, *, report: DegradationReport | None = None
-    ) -> float:
+    def read_mem_clock_offset_mhz(self) -> float:
         """The memory-clock offset, retried against transient failures."""
-        return self._read_resilient(lambda: self.mem_clock_offset_mhz, report)
+        return self._read_resilient(lambda: self.mem_clock_offset_mhz)
 
     def set_mem_clock_offset(self, offset_mhz: float) -> GpuMemOperatingPoint:
         """Apply a frequency offset; the driver snaps it onto its grid."""

@@ -22,10 +22,11 @@ for the whole flush instead of once per query.
 
 Resilience: with a fault plan armed, prefetch and the profile memo are
 bypassed — each query resolves individually through the profilers'
-majority vote / the engine's armed scalar fallback, and the
-degradation outcome (report events or a typed ``FaultError``) is
-attached to that query's envelope alone.  A flush never shares one
-query's fault with its neighbours, and the server never dies on one.
+majority vote / the engine's armed scalar fallback, inside its own
+degradation :func:`~repro.faults.report.ledger`, and the outcome (the
+ledger's events or a typed ``FaultError``) is attached to that query's
+envelope alone.  A flush never shares one query's fault with its
+neighbours, and the server never dies on one.
 """
 # shared-state
 
@@ -53,7 +54,7 @@ from repro.core.sweep import (
 )
 from repro.errors import ProtocolError, ReproError
 from repro.faults.injector import armed
-from repro.faults.report import DegradationReport
+from repro.faults.report import ledger
 from repro.hardware.gpu import GpuCard
 from repro.hardware.node import ComputeNode
 from repro.hardware.platforms import get_platform
@@ -86,14 +87,13 @@ class Resolution:
         self,
         result: dict[str, Any] | None = None,
         error: BaseException | None = None,
-        report: DegradationReport | None = None,
+        degraded: bool = False,
+        events: list[dict[str, Any]] | None = None,
     ) -> None:
         self.result = result
         self.error = error
-        self.degraded = bool(report.degraded) if report is not None else False
-        self.events: list[dict[str, Any]] = (
-            [e.to_dict() for e in report.events] if report is not None else []
-        )
+        self.degraded = degraded
+        self.events: list[dict[str, Any]] = events if events is not None else []
 
     @property
     def ok(self) -> bool:
@@ -287,17 +287,14 @@ class CoordinationService:
             return Resolution(
                 error=ProtocolError(f"op {request.op!r} is not a query operation")
             )
-        try:
-            result, report = self._dispatch(request)
-        except ReproError as exc:
-            return Resolution(error=exc)
-        except Exception as exc:  # noqa: BLE001 - the server must answer
-            return Resolution(error=exc)
-        return Resolution(result=result, report=report)
+        with ledger() as report:
+            try:
+                result = self._dispatch(request)
+            except Exception as exc:  # noqa: BLE001 - the server must answer
+                return Resolution(error=exc)
+        return Resolution(result, **report.to_dict())  # degraded, events
 
-    def _dispatch(
-        self, request: Request
-    ) -> tuple[dict[str, Any], DegradationReport | None]:
+    def _dispatch(self, request: Request) -> dict[str, Any]:
         workload, platform = _resolve_pair(
             str(request.require("workload")), request.param("platform")
         )
@@ -312,48 +309,42 @@ class CoordinationService:
     # -- profile -------------------------------------------------------
     def _profile(
         self, workload: Workload, platform: Any
-    ) -> tuple[CpuCriticalPowers | GpuCriticalPowers, DegradationReport]:
-        """The profile, memoized only when provably clean."""
+    ) -> CpuCriticalPowers | GpuCriticalPowers:
+        """The profile, memoized whenever no plan is armed.
+
+        Disarmed, no fault can fire, so every profile is the clean one.
+        """
         key = ("profile", workload.device, platform.name, workload.name)
         clean = not self.faults_armed()
         if clean:
             hit, value = self._profiles.lookup(key)
             if hit:
-                return value, DegradationReport()  # type: ignore[return-value]
-        report = DegradationReport()
+                return value  # type: ignore[return-value]
         critical: CpuCriticalPowers | GpuCriticalPowers
         if workload.device == "cpu":
-            critical = profile_cpu_workload(
-                platform.cpu, platform.dram, workload, report=report
-            )
+            critical = profile_cpu_workload(platform.cpu, platform.dram, workload)
         else:
-            critical = profile_gpu_workload(platform, workload, report=report)
-        if clean and report.clean:
+            critical = profile_gpu_workload(platform, workload)
+        if clean:
             self._profiles.store(key, critical)
-        return critical, report
+        return critical
 
-    def _op_profile(
-        self, workload: Workload, platform: Any
-    ) -> tuple[dict[str, Any], DegradationReport]:
-        critical, report = self._profile(workload, platform)
-        return (
-            {
-                "workload": workload.name,
-                "platform": platform.name,
-                "device": workload.device,
-                "critical": critical.as_dict(),
-            },
-            report,
-        )
+    def _op_profile(self, workload: Workload, platform: Any) -> dict[str, Any]:
+        return {
+            "workload": workload.name,
+            "platform": platform.name,
+            "device": workload.device,
+            "critical": self._profile(workload, platform).as_dict(),
+        }
 
     # -- coord ---------------------------------------------------------
     def _op_coord(
         self, request: Request, workload: Workload, platform: Any
-    ) -> tuple[dict[str, Any], DegradationReport]:
+    ) -> dict[str, Any]:
         budget_w = _float_param(request, "budget_w")
         # COORD is pure arithmetic over the profile, so every fault it can
         # meet lands in the profile's majority vote.
-        critical, report = self._profile(workload, platform)
+        critical = self._profile(workload, platform)
         decision: CoordDecision
         if workload.device == "cpu":
             assert isinstance(critical, CpuCriticalPowers)
@@ -361,24 +352,21 @@ class CoordinationService:
         else:
             assert isinstance(critical, GpuCriticalPowers)
             decision = coord_gpu(critical, budget_w, hardware_max_w=platform.max_cap_w)
-        return (
-            {  # repro-lint: disable=RPL004 -- wire snapshot of an already-validated CoordDecision allocation
-                "workload": workload.name,
-                "platform": platform.name,
-                "budget_w": budget_w,
-                "status": decision.status.value,
-                "accepted": decision.accepted,
-                "proc_w": decision.allocation.proc_w,
-                "mem_w": decision.allocation.mem_w,
-                "surplus_w": decision.surplus_w,
-            },
-            report,
-        )
+        return {  # repro-lint: disable=RPL004 -- wire snapshot of an already-validated CoordDecision allocation
+            "workload": workload.name,
+            "platform": platform.name,
+            "budget_w": budget_w,
+            "status": decision.status.value,
+            "accepted": decision.accepted,
+            "proc_w": decision.allocation.proc_w,
+            "mem_w": decision.allocation.mem_w,
+            "surplus_w": decision.surplus_w,
+        }
 
     # -- sweep_best ----------------------------------------------------
     def _op_sweep_best(
         self, request: Request, workload: Workload, platform: Any
-    ) -> tuple[dict[str, Any], None]:
+    ) -> dict[str, Any]:
         budget_w = _float_param(request, "budget_w")
         # An adaptive engine plans the sweep instead of running its whole
         # grid; the planned best point and index are the full sweep's.
@@ -425,12 +413,12 @@ class CoordinationService:
             result["mem_freq_mhz"] = float(
                 gpu_freq_axis(platform, stride)[sweep.best_index]
             )
-        return result, None
+        return result
 
     # -- budget_curve --------------------------------------------------
     def _op_budget_curve(
         self, request: Request, workload: Workload, platform: Any
-    ) -> tuple[dict[str, Any], None]:
+    ) -> dict[str, Any]:
         budgets = _budget_list(request)
         curve: BudgetCurve
         if workload.device == "cpu":
@@ -448,18 +436,15 @@ class CoordinationService:
             curve = gpu_budget_curve(
                 platform, workload, budgets, freq_stride=stride, engine=self.engine
             )
-        return (
-            {
-                "workload": workload.name,
-                "platform": platform.name,
-                "metric_unit": curve.metric_unit,
-                "budgets_w": [float(b) for b in curve.budgets_w],
-                "perf_max": [float(p) for p in curve.perf_max],
-                "optimal_mem_w": [float(m) for m in curve.optimal_mem_w],
-                "saturation_budget_w": curve.saturation_budget_w,
-            },
-            None,
-        )
+        return {
+            "workload": workload.name,
+            "platform": platform.name,
+            "metric_unit": curve.metric_unit,
+            "budgets_w": [float(b) for b in curve.budgets_w],
+            "perf_max": [float(p) for p in curve.perf_max],
+            "optimal_mem_w": [float(m) for m in curve.optimal_mem_w],
+            "saturation_budget_w": curve.saturation_budget_w,
+        }
 
     # ------------------------------------------------------------------
     # introspection

@@ -93,6 +93,36 @@ class TestEnvironment:
         assert not found, found
 
 
+class TestDegradationLedger:
+    """Recovery sites record into the open ledger; no caller threads a sink."""
+
+    def test_no_function_takes_a_degradation_report(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    found.extend(
+                        f"{rel}:{arg.lineno}: {node.name}({arg.arg}=)"
+                        for arg in (
+                            args.posonlyargs + args.args + args.kwonlyargs
+                            + [a for a in (args.vararg, args.kwarg) if a]
+                        )
+                        if arg.annotation is not None
+                        and "DegradationReport" in ast.unparse(arg.annotation)
+                    )
+                elif (
+                    isinstance(node, ast.Attribute) and node.attr == "fault_report"
+                ) or (isinstance(node, ast.Name) and node.id == "fault_report"):
+                    found.append(f"{rel}:{node.lineno}: fault_report")
+        assert not found, found
+
+
 class TestImportCost:
     def test_cli_import_loads_neither_asyncio_nor_the_server(self):
         """Every verb imports the CLI; only ``repro serve`` pays for asyncio."""

@@ -670,6 +670,43 @@ class TestChaos:
         assert stats["ok"]
         assert stats["result"]["server"]["faults_armed"] is True
 
+    def test_served_sweeps_carry_their_resubmissions(self):
+        # Recovered worker crashes change no answer, but each reply must
+        # list the resubmissions its own sweep made, whether it resolves
+        # directly or on a batcher's resolver thread.
+        plan = FaultPlan(
+            seed=3,
+            max_attempts=6,
+            specs=(
+                FaultSpec(
+                    site="parallel.worker", kind=FaultKind.WORKER_CRASH,
+                    probability=0.2,
+                ),
+            ),
+        )
+        requests = [
+            q("sweep_best", i, workload="sra", budget_w=budget)
+            for i, budget in enumerate((176.0, 208.0))
+        ]
+        clean = [
+            CoordinationService(SweepEngine()).resolve(r) for r in requests
+        ]
+        with use_faults(plan):
+            service = CoordinationService(SweepEngine())
+            direct = [service.resolve(r) for r in requests]
+        with use_faults(plan):
+            outs, _ = run_batched(
+                requests, max_batch=2, max_wait_us=10**7, engine=SweepEngine()
+            )
+        batched = [resolution for resolution, _ in outs]
+        for resolutions in (direct, batched):
+            assert [len(r.events) for r in resolutions] == [5, 9]
+            for reply, reference in zip(resolutions, clean):
+                assert reply.result == reference.result
+                assert not reply.degraded
+                assert {e["action"] for e in reply.events} == {"resubmitted"}
+        assert [(r.degraded, r.events) for r in clean] == [(False, [])] * 2
+
     def test_armed_flushes_never_dedup(self):
         # Two clients asking the same question under faults may earn
         # different degradation outcomes: each request must consume its
