@@ -48,14 +48,27 @@ check: lint typecheck test
 # through the CLI battery, with --sweep-mode full and --sweep-mode
 # adaptive (the armed engine path must hold whichever sweep strategy
 # the battery's sweep checks run).  Exit is nonzero iff the contract is
-# violated.  Then one armed verb: `experiment ablation` under the same
-# plan, whose online-shifting epochs drift, must flag that on stderr
-# with a `degraded: ...` line (its stdout is discarded).
+# violated.  The canned plan's 5% worker faults never fire at smoke
+# scale, so the battery runs again in both modes under
+# examples/faults/worker_smoke.json, which crashes the second sweep
+# task and times out the fourth: each run fails unless both
+# sweep-curve checks print `recovered cleanly`, i.e. the armed scalar
+# path resubmitted the tasks and matched the clean run.  Then one armed
+# verb: `experiment ablation` under the canned plan, whose
+# online-shifting epochs drift, must flag that on stderr with a
+# `degraded: ...` line (its stdout is discarded).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode full \
 		--plan examples/faults/chaos_smoke.json --scale smoke
 	PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode adaptive \
 		--plan examples/faults/chaos_smoke.json --scale smoke
+	for mode in full adaptive; do \
+		out=$$(PYTHONPATH=src $(PYTHON) -m repro chaos --sweep-mode $$mode \
+			--plan examples/faults/worker_smoke.json --scale smoke) || exit 1; \
+		echo "$$out"; \
+		test "$$(echo "$$out" | grep -c 'sweep-curve .*recovered cleanly')" -eq 2 \
+			|| exit 1; \
+	done
 	REPRO_FAULTS=examples/faults/chaos_smoke.json PYTHONPATH=src \
 		$(PYTHON) -m repro experiment ablation --fast 2>&1 >/dev/null \
 		| grep '^degraded: '
@@ -89,11 +102,15 @@ fleet-smoke:
 
 # CI smoke: the perf benchmark at its quick size, exiting non-zero on
 # any failed check: fleet-pressure (128 nodes, 5,000 jobs; its FleetStats
-# golden) and sweeps-full (~3 s; the golden digests of the fig2, fig6
-# and fig9 answers, so CI checks them on every Python it runs).
+# golden), sweeps-full (~3 s; the golden digests of the fig2, fig6 and
+# fig9 answers, so CI checks them on every Python it runs) and
+# sweeps-adaptive (~4 s; the same digests of the planned answers and of
+# their re-plan from the disk tier, which reuse the engine's shared
+# kernel tables the most).
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload fleet-pressure
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload sweeps-full
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload sweeps-adaptive
 
 # A/B of the perf benchmark: REF (checked out into a temporary git
 # worktree under $$TMPDIR) against the working tree, PAIRS alternating

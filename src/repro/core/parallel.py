@@ -71,7 +71,9 @@ from repro.hardware.dram import DramDomain
 from repro.hardware.gpu import GpuCard
 from repro.perfmodel.batch import (
     GpuBatchKernel,
+    GpuTables,
     HostBatchKernel,
+    HostTables,
     batch_execute_indices,
 )
 from repro.perfmodel.executor import execute_on_gpu, execute_on_host
@@ -99,6 +101,12 @@ SWEEP_MODES = ("full", "adaptive")
 
 #: Default bound on the shared execution cache (entries, LRU-evicted).
 DEFAULT_CACHE_SIZE = 4096
+
+#: Bound on an engine's kernel table holders (LRU-evicted): one per
+#: (platform, workload) on a host and per (card, workload, clock axis) on
+#: a GPU.  One pass of the paper's sweep load needs 25; an evicted holder
+#: is rebuilt bit-identically on its next use.
+TABLE_CACHE_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +479,10 @@ class SubgridExecutor:
     batched miss, so each :meth:`run` call costs only cache lookups and
     gathered kernel rows.
 
+    The kernel's cap-independent tables come from the engine's holder
+    LRU (:data:`TABLE_CACHE_SIZE` holders), so an axis of a device and
+    workload the engine has seen builds only its per-cap columns.
+
     Every requested point is looked up once in the engine's
     :class:`MemoCache` (reading through to disk when configured) and
     every miss is stored back point-by-point, so hit/miss counters, disk
@@ -560,7 +572,8 @@ class SweepEngine:
         (default) means no disk tier.
 
     The memo cache and the planner's hint and stash memories are LRUs of
-    :data:`DEFAULT_CACHE_SIZE` entries each.
+    :data:`DEFAULT_CACHE_SIZE` entries each; the batch kernels' table
+    holders are an LRU of :data:`TABLE_CACHE_SIZE`.
 
     Faults are armed process-wide, never per engine: under a non-empty
     plan armed with :func:`repro.faults.injector.use_faults` (the CLI
@@ -596,6 +609,7 @@ class SweepEngine:
         self.cache = MemoCache(backing=self.disk_cache)
         self.planner = PlannerState()
         self.batch = batch
+        self._tables = MemoCache(TABLE_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # cache keys
@@ -775,7 +789,12 @@ class SweepEngine:
             self,
             [base + pm for pm in zip(proc, mem)],
             lambda i: execute_on_host(cpu, dram, phases, proc[i], mem[i]),
-            lambda: HostBatchKernel(cpu, dram, phases, proc, mem),
+            lambda: HostBatchKernel(
+                cast(HostTables, self._tables.get_or_compute(
+                    base, lambda: HostTables(cpu, dram, phases)
+                )),
+                proc, mem,
+            ),
         )
 
     def _gpu_executor(
@@ -787,12 +806,18 @@ class SweepEngine:
     ) -> SubgridExecutor:
         phases = tuple(phases)
         freqs = [float(f) for f in mem_freqs_mhz]
-        base = self._gpu_base(card, phases) + (float(cap_w),)
+        device = self._gpu_base(card, phases)
+        base = device + (float(cap_w),)
         return SubgridExecutor(
             self,
             [base + (f,) for f in freqs],
             lambda i: execute_on_gpu(card, phases, cap_w, freqs[i]),
-            lambda: GpuBatchKernel(card, phases, cap_w, freqs),
+            lambda: GpuBatchKernel(
+                cast(GpuTables, self._tables.get_or_compute(
+                    device + tuple(freqs), lambda: GpuTables(card, phases, freqs)
+                )),
+                cap_w,
+            ),
         )
 
     # ------------------------------------------------------------------

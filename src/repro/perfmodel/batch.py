@@ -24,14 +24,24 @@ Two call shapes share one implementation.  :func:`execute_host_batch` /
 :func:`execute_gpu_batch` resolve a whole axis in one pass (the full
 sweep's shape).  :class:`HostBatchKernel` / :class:`GpuBatchKernel` are
 *gather* kernels over a fixed axis: construction validates the caps and
-precomputes the per-phase candidate tables once, and
-``execute_indices(rows)`` (or the :func:`batch_execute_indices` entry
-point) resolves only the requested rows — the adaptive planner's probe
-sets and per-iteration bracket/walk frontiers are sub-grids of one axis,
-so repeated gathers pay only the row math, never the setup.  Every
-operation is row-elementwise, so gathering commutes with executing:
-``kernel.execute_indices(rows)[k]`` is bit-for-bit
-``execute_host_batch(...)[rows[k]]``.
+derives the per-cap columns once, and ``execute_indices(rows)`` (or the
+:func:`batch_execute_indices` entry point) resolves only the requested
+rows — the adaptive planner's probe sets and per-iteration bracket/walk
+frontiers are sub-grids of one axis, so repeated gathers pay only the
+row math, never the setup.  Every operation is row-elementwise, so
+gathering commutes with executing: ``kernel.execute_indices(rows)[k]``
+is bit-for-bit ``execute_host_batch(...)[rows[k]]``.
+
+Each kernel is split in two.  Everything that does not depend on a cap
+(the candidate tables, the per-phase columns and their stacks, and on a
+GPU the whole memory-clock axis) lives in a table holder,
+:class:`HostTables` per ``(CPU, DRAM, workload)`` or :class:`GpuTables`
+per ``(card, workload, clock axis)``; the kernel adds only its caps.  A
+figure sweeps many budgets of one workload, so the sweep engine keeps
+its holders in a bounded LRU and pays for each table once per engine.
+A holder's per-row-count stacks are kept only for passes of at most
+:data:`_SHARED_STACK_ROWS` virtual rows, so a long-lived holder stays
+bounded too.
 
 Equivalence with the scalar oracle is *bit-for-bit*, not approximate:
 every arithmetic expression here reproduces the scalar code's operation
@@ -69,7 +79,9 @@ from repro.util.units import watts
 
 __all__ = [
     "GpuBatchKernel",
+    "GpuTables",
     "HostBatchKernel",
+    "HostTables",
     "batch_execute_indices",
     "execute_gpu_batch",
     "execute_host_batch",
@@ -85,11 +97,19 @@ _Bool = NDArray[np.bool_]
 #: regardless of width, and the adaptive planner's walk frontiers are
 #: overwhelmingly 1-2 rows wide — the dominant cost of a planned sweep is
 #: that fixed overhead times the pass count.  The scalar transcription
-#: below reuses the kernel's precomputed candidate/ladder tables (it is
-#: NOT the per-point oracle, which re-derives them every call) and
+#: below reuses the holder's candidate tables and the kernel's ladder (it
+#: is NOT the per-point oracle, which re-derives them every call) and
 #: replays the vector pass's expression trees term for term, so the
 #: dispatch never moves an output bit.
 _HOST_GATHER_CROSSOVER = 8
+
+#: Virtual-row width (axis rows x phases) up to which a table holder keeps
+#: the phase-stacked columns of a pass, one entry per row count.  Holders
+#: outlive their kernels in the sweep engine's table LRU, so the memo is
+#: bounded by this width: every adaptive planner pass fits under it, while
+#: whole-axis sweeps, fleet lattices and served unions, which seldom repeat
+#: a width on one holder, build their stacks per pass.
+_SHARED_STACK_ROWS = 32
 
 #: Integer codes the kernel keeps in its mechanism arrays; decoded back
 #: into :class:`CappingMechanism` only when results are materialized.
@@ -107,53 +127,21 @@ _NONE, _DVFS, _THROTTLE, _BW_THROTTLE, _FLOOR = range(len(_MECHS))
 # host (CPU + DRAM)
 # ---------------------------------------------------------------------------
 
-class _CpuTable:
-    """Candidate-state columns for one CPU and every phase of a workload.
-
-    Column ``k`` is the state the scalar governor tries at step ``k``
-    (:func:`cpu_candidate_table` order).  The candidate axis is phase-
-    independent; only the compute-time row differs per phase, so the
-    table holds one ``(n_phases x n_candidates)`` compute-time matrix and
-    the kernels resolve *all* phases of a call as one stacked batch.
-    """
-
-    def __init__(self, cpu: CpuDomain, phases: Sequence[Phase]) -> None:
-        freq, duty = cpu_candidate_table(cpu)
-        self.freq: _F64 = freq
-        self.duty: _F64 = duty
-        self.n_pstates = len(cpu.pstates)
-        self.weight: _F64 = np.asarray(cpu.pstates.power_weight(freq), dtype=np.float64)
-        # rate == ((n_cores * (freq*duty*1e9)) * flops_per_cycle) * eff,
-        # grouped exactly as the scalar model writes it so the division
-        # below reproduces its bits.
-        rate_base = cpu.n_cores * (freq * duty * 1e9) * cpu.flops_per_core_cycle
-        self.t_c_mat: _F64 = np.stack(
-            [
-                ph.flops / (rate_base * ph.compute_efficiency)
-                if ph.flops > 0.0
-                else np.zeros_like(freq)
-                for ph in phases
-            ]
-        )
-        # Row-broadcast views, shaped once: the planner's sub-grid batches
-        # hit the resolver with 1-2 rows at a time, where per-call reshape
-        # overhead is measurable.
-        self.duty_row: _F64 = self.duty[None, :]
-        self.weight_row: _F64 = self.weight[None, :]
-
-
 class _PhaseCols:
-    """Per-phase scalars of one workload, vectorized phase-major.
+    """Per-phase scalars of one workload on one device, vectorized phase-major.
 
     A sub-grid call over ``r`` axis rows resolves as ``n_phases * r``
     virtual rows — rows ``k*r..(k+1)*r-1`` belong to phase ``k`` — so
     every per-phase scalar becomes a repeated column and the whole
     workload costs one kernel pass instead of one per phase.
+    ``t_c_mat`` is the device's ``(n_phases x n_candidates)`` compute-time
+    matrix, so the stacked columns belong to a device as well as a workload.
     """
 
-    def __init__(self, phases: Sequence[Phase]) -> None:
+    def __init__(self, phases: Sequence[Phase], t_c_mat: _F64) -> None:
         self.phases = tuple(phases)
         self.p = len(self.phases)
+        self.t_c_mat = t_c_mat
         self.act: _F64 = np.asarray([ph.activity for ph in phases])
         self.stall: _F64 = np.asarray([ph.stall_activity for ph in phases])
         self.bytes_: _F64 = np.asarray([ph.bytes_moved for ph in phases])
@@ -163,15 +151,18 @@ class _PhaseCols:
             self.bytes_ <= 0.0 if self.any_bytes and (self.bytes_ <= 0.0).any()
             else None
         )
+        # Threads sharing an engine share these memos: two that miss the
+        # same row count build equal arrays, and either store serves both.
         self._stacks: dict[int, tuple] = {}
         self._first_tm: dict[int, _F64] = {}
 
-    def stacked(self, r: int, t_c_mat: _F64) -> tuple:
-        """The phase columns repeated for ``r`` axis rows, memoized per ``r``.
+    def stacked(self, r: int) -> tuple:
+        """The phase columns repeated for ``r`` axis rows.
 
         The planner's walk rounds issue many calls of the same tiny row
-        count against one kernel, so the repeated columns — which depend
-        only on ``r`` — are built once per distinct size.
+        count against one axis, so passes of at most
+        :data:`_SHARED_STACK_ROWS` virtual rows reuse the columns built
+        for their row count; wider passes build them afresh.
         """
         cached = self._stacks.get(r)
         if cached is None:
@@ -183,32 +174,102 @@ class _PhaseCols:
             cached = (
                 np.repeat(self.act, r)[:, None],
                 np.repeat(self.stall, r)[:, None],
-                np.repeat(t_c_mat, r, axis=0),
+                np.repeat(self.t_c_mat, r, axis=0),
                 np.repeat(self.bytes_, r),
                 np.repeat(self.eff, r),
                 zero,
                 np.arange(self.p * r),
             )
-            self._stacks[r] = cached
+            if self.p * r <= _SHARED_STACK_ROWS:
+                self._stacks[r] = cached
         return cached
 
     def first_tm(
         self, r: int, dram: DramDomain, bytes_col: _F64, eff_col: _F64
     ) -> _F64:
-        """Memory time per stacked row at throttle level 1.0, memoized.
+        """Memory time per stacked row at throttle level 1.0.
 
         Every joint resolution starts from an all-ones level vector, so
         the first iteration's ``t_m`` depends only on the row count —
         the expression below is the loop's own, evaluated on the ones
-        vector it would build, so the cached value is bit-identical.
+        vector it would build, so a reused value is bit-identical.  It is
+        kept under the same width bound as :meth:`stacked`.
         """
         cached = self._first_tm.get(r)
         if cached is None:
             level = np.ones(self.p * r)
             mem_rate = dram.peak_bw_gbps * level * eff_col * 1e9
             cached = bytes_col / mem_rate
-            self._first_tm[r] = cached
+            if self.p * r <= _SHARED_STACK_ROWS:
+                self._first_tm[r] = cached
         return cached
+
+
+class HostTables:
+    """Cap-independent tables of one ``(CPU, DRAM, workload)``.
+
+    Column ``k`` of the candidate table is the state the scalar governor
+    tries at step ``k`` (:func:`cpu_candidate_table` order).  The
+    candidate axis is phase-independent; only the compute-time row
+    differs per phase, so the holder keeps one ``(n_phases x
+    n_candidates)`` compute-time matrix and the kernels resolve *all*
+    phases of a call as one stacked batch.  With them it keeps the
+    workload's phase columns and their bounded per-row-count stacks, and
+    plain-Python mirrors of both for the small-gather path.
+    """
+
+    def __init__(
+        self, cpu: CpuDomain, dram: DramDomain, phases: Sequence[Phase]
+    ) -> None:
+        if not phases:
+            raise SweepError("cannot execute a workload with no phases")
+        self.cpu = cpu
+        self.dram = dram
+        freq, duty = cpu_candidate_table(cpu)
+        self.freq: _F64 = freq
+        self.duty: _F64 = duty
+        self.n_pstates = len(cpu.pstates)
+        self.weight: _F64 = np.asarray(cpu.pstates.power_weight(freq), dtype=np.float64)
+        # rate == ((n_cores * (freq*duty*1e9)) * flops_per_cycle) * eff,
+        # grouped exactly as the scalar model writes it so the division
+        # below reproduces its bits.
+        rate_base = cpu.n_cores * (freq * duty * 1e9) * cpu.flops_per_core_cycle
+        self.cols = _PhaseCols(phases, np.stack(
+            [
+                ph.flops / (rate_base * ph.compute_efficiency)
+                if ph.flops > 0.0
+                else np.zeros_like(freq)
+                for ph in phases
+            ]
+        ))
+        # Row-broadcast views, shaped once: the planner's sub-grid batches
+        # hit the resolver with 1-2 rows at a time, where per-call reshape
+        # overhead is measurable.
+        self.duty_row: _F64 = self.duty[None, :]
+        self.weight_row: _F64 = self.weight[None, :]
+        # Plain-Python mirrors for the small-gather path, or ``None``.
+        # That path runs on Python floats, whose division raises on zero
+        # and whose ``min``/``max`` are order-dependent under NaN where
+        # NumPy's propagate.  Positive efficiencies on every phase keep
+        # all intermediate rates finite and positive, so the two semantics
+        # coincide; any degenerate phase simply stays on the vector pass
+        # and bit-identity never rests on the edge cases.
+        self.scalar: tuple | None = None
+        if all(
+            ph.memory_efficiency > 0.0 and ph.compute_efficiency > 0.0
+            for ph in phases
+        ):
+            cols = self.cols
+            self.scalar = (
+                freq.tolist(),
+                duty.tolist(),
+                self.weight.tolist(),
+                [row.tolist() for row in cols.t_c_mat],
+                cols.act.tolist(),
+                cols.stall.tolist(),
+                cols.bytes_.tolist(),
+                cols.eff.tolist(),
+            )
 
 
 class _DramLadder:
@@ -246,7 +307,7 @@ class _DramLadder:
 
 def _resolve_cpu_batch(
     cpu: CpuDomain,
-    table: _CpuTable,
+    table: HostTables,
     act_col: _F64,
     stall_col: _F64,
     t_c_rows: _F64,
@@ -276,7 +337,7 @@ def _resolve_cpu_batch(
     return sel, fits_any, first
 
 
-def _cpu_mechanism_codes(table: _CpuTable, fits_any: _Bool, first: _I64) -> _I64:
+def _cpu_mechanism_codes(table: HostTables, fits_any: _Bool, first: _I64) -> _I64:
     """Mechanism codes matching the scalar resolver's selection logic."""
     fitted = np.where(
         first == 0,
@@ -332,10 +393,7 @@ def _resolve_dram_batch(
 
 
 def _host_phase_batch(
-    cpu: CpuDomain,
-    dram: DramDomain,
-    cols: _PhaseCols,
-    table: _CpuTable,
+    table: HostTables,
     cpu_cap_eps: _F64,
     dram_cap_eps: _F64,
     ladder: _DramLadder,
@@ -350,9 +408,10 @@ def _host_phase_batch(
     stays row-elementwise, which is what keeps stacking — like gathering —
     bit-transparent.  Returns one row list per phase.
     """
+    cpu, dram, cols = table.cpu, table.dram, table.cols
     v = cpu_cap_eps.shape[0]
     act_col, stall_col, t_c_rows, bytes_col, eff_col, zero_bytes, rows_idx = (
-        cols.stacked(r, table.t_c_mat)
+        cols.stacked(r)
     )
 
     level: _F64 = np.ones(v)
@@ -489,26 +548,29 @@ def _cap_column(caps: Sequence[float], name: str) -> tuple[list[float], _F64]:
 class HostBatchKernel:
     """Reusable gather kernel over one host ``(proc_cap, mem_cap)`` axis.
 
-    Construction validates the whole axis and precomputes the per-phase
-    candidate tables; :meth:`execute_indices` then resolves any subset of
-    rows with nothing but the row math.  The adaptive planner issues many
-    small sub-grid batches against one axis (probe set, per-iteration
-    walk frontiers, the plateau middle), so hoisting the setup out of the
-    per-call path is what makes planned sweeps cheaper than the one-shot
-    full pass — without changing a single output bit.
+    Construction validates the whole axis and derives its per-cap
+    columns: the enforcement thresholds, the DRAM throttle ladder and
+    their phase-stacked tiles.  Everything cap-independent comes from
+    ``tables``, a :class:`HostTables` holder.  The sweep engine keeps one
+    per (platform, workload) in its bounded table LRU
+    (:data:`~repro.core.parallel.TABLE_CACHE_SIZE` holders) and hands it
+    to every kernel over that pair; a kernel built anywhere else builds
+    its own.  :meth:`execute_indices` then resolves any subset of rows
+    with nothing but the row math.  The
+    adaptive planner issues many small sub-grid batches against one axis
+    (probe set, per-iteration walk frontiers, the plateau middle), so
+    hoisting the setup out of the per-call path is what makes planned
+    sweeps cheaper than the one-shot full pass — without changing a
+    single output bit.
     """
 
     def __init__(
         self,
-        cpu: CpuDomain,
-        dram: DramDomain,
-        phases: Sequence[Phase],
+        tables: HostTables,
         proc_caps_w: Sequence[float],
         mem_caps_w: Sequence[float],
     ) -> None:
-        self._cpu = cpu
-        self._dram = dram
-        self._phases = tuple(phases)
+        self._tables = tables
         self._proc_list, self._proc = _cap_column(proc_caps_w, "cpu_cap_w")
         self._mem_list, self._mem = _cap_column(mem_caps_w, "dram_cap_w")
         if len(self._proc_list) != len(self._mem_list):
@@ -516,18 +578,14 @@ class HostBatchKernel:
                 f"mismatched cap columns: {len(self._proc_list)} processor "
                 f"caps vs {len(self._mem_list)} memory caps"
             )
-        if not self._phases:
-            raise SweepError("cannot execute a workload with no phases")
         self._proc_eps: _F64 = self._proc + _CAP_EPS_W
         self._mem_eps: _F64 = self._mem + _CAP_EPS_W
-        self._ladder = _DramLadder(dram, self._mem)
-        self._table = _CpuTable(cpu, self._phases)
-        self._cols = _PhaseCols(self._phases)
+        self._ladder = _DramLadder(tables.dram, self._mem)
         # Phase-stacked cap columns, tiled once here so a sub-grid call
         # is a single fancy gather instead of gather-then-tile; tiling
         # the full axis first and gathering with offset indices selects
         # exactly the same elements, so the outputs cannot move a bit.
-        p = self._cols.p
+        p = tables.cols.p
         if p > 1:
             self._proc_eps_stack: _F64 = np.tile(self._proc_eps, p)
             self._mem_eps_stack: _F64 = np.tile(self._mem_eps, p)
@@ -540,49 +598,17 @@ class HostBatchKernel:
             self._mem_eps_stack = self._mem_eps
             self._ladder_stack = self._ladder
             self._row_offsets = None
-        # Python-scalar table mirrors for the small-gather path, built on
-        # first use (full-sweep callers never pay for them).
-        self._single: tuple | None = None
-        self._single_ok: bool | None = None
+        # Python-scalar mirrors of the per-cap columns for the
+        # small-gather path, built on first use (full-sweep callers never
+        # pay for them).
+        self._cap_scalars: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._proc_list)
 
-    def _single_tables(self) -> tuple | None:
-        """Plain-Python mirrors of the precomputed tables, or ``None``.
-
-        The scalar fast path runs on Python floats, whose division raises
-        on zero and whose ``min``/``max`` are order-dependent under NaN
-        where NumPy's propagate.  Positive efficiencies on every phase
-        keep all intermediate rates finite and positive, so the two
-        semantics coincide; any degenerate phase simply stays on the
-        vector pass and bit-identity never rests on the edge cases.
-        """
-        if self._single_ok is None:
-            self._single_ok = all(
-                ph.memory_efficiency > 0.0 and ph.compute_efficiency > 0.0
-                for ph in self._phases
-            )
-            if self._single_ok:
-                cols = self._cols
-                self._single = (
-                    self._table.freq.tolist(),
-                    self._table.duty.tolist(),
-                    self._table.weight.tolist(),
-                    [row.tolist() for row in self._table.t_c_mat],
-                    self._proc_eps.tolist(),
-                    self._mem_eps.tolist(),
-                    self._ladder.level.tolist(),
-                    self._ladder.mech.tolist(),
-                    self._ladder.cap_ge_max.tolist(),
-                    cols.act.tolist(),
-                    cols.stall.tolist(),
-                    cols.bytes_.tolist(),
-                    cols.eff.tolist(),
-                )
-        return self._single
-
-    def _execute_row_scalar(self, i: int, tabs: tuple) -> ExecutionResult:
+    def _execute_row_scalar(
+        self, i: int, tabs: tuple, caps: tuple
+    ) -> ExecutionResult:
         """One axis row resolved with scalar math on the precomputed tables.
 
         A line-for-line transcription of the vector pass for a single
@@ -590,27 +616,30 @@ class HostBatchKernel:
         same cycle-settling joint loop, every expression grouped exactly
         as the array code writes it (Python and NumPy share left-assoc
         float semantics, so matching the source text matches the bits).
+        ``tabs`` are the holder's Python mirrors and ``caps`` the
+        kernel's.
         """
-        (freq, duty, weight, t_c_mat, proc_eps, mem_eps,
-         lad_level_l, lad_mech_l, lad_ge_l, act_l, stall_l, bytes_l, eff_l) = tabs
-        cpu = self._cpu
-        dram = self._dram
+        freq, duty, weight, t_c_mat, act_l, stall_l, bytes_l, eff_l = tabs
+        proc_eps, mem_eps, lad_level_l, lad_mech_l, lad_ge_l = caps
+        table = self._tables
+        cpu = table.cpu
+        dram = table.dram
         idle = cpu.idle_power_w
         max_dyn = cpu.max_dynamic_w
         peak = dram.peak_bw_gbps
         bg = dram.background_w
         max_acc = dram.max_access_w
-        n_pstates = self._table.n_pstates
+        n_pstates = table.n_pstates
         m = len(freq)
         cap_eps = proc_eps[i]
         dcap_eps = mem_eps[i]
         lad_level = lad_level_l[i]
         lad_mech = lad_mech_l[i]
         lad_ge = lad_ge_l[i]
-        any_bytes = self._cols.any_bytes
+        any_bytes = table.cols.any_bytes
 
         results = []
-        for k, phase in enumerate(self._phases):
+        for k, phase in enumerate(table.cols.phases):
             t_c_row = t_c_mat[k]
             act = act_l[k]
             stall = stall_l[k]
@@ -733,13 +762,23 @@ class HostBatchKernel:
         rows = [int(i) for i in indices]
         if not rows:
             return []
-        if len(rows) * self._cols.p <= _HOST_GATHER_CROSSOVER:
+        table = self._tables
+        tabs = table.scalar
+        if tabs is not None and len(rows) * table.cols.p <= _HOST_GATHER_CROSSOVER:
             # Below the crossover (in virtual rows) the vector pass's
             # fixed setup cost exceeds the whole resolution: run the
             # scalar transcription over the same precomputed tables.
-            tabs = self._single_tables()
-            if tabs is not None:
-                return [self._execute_row_scalar(i, tabs) for i in rows]
+            caps = self._cap_scalars
+            if caps is None:
+                ladder = self._ladder
+                caps = self._cap_scalars = (
+                    self._proc_eps.tolist(),
+                    self._mem_eps.tolist(),
+                    ladder.level.tolist(),
+                    ladder.mech.tolist(),
+                    ladder.cap_ge_max.tolist(),
+                )
+            return [self._execute_row_scalar(i, tabs, caps) for i in rows]
         gather = np.asarray(rows, dtype=np.intp)
         if self._row_offsets is not None:
             gather = (self._row_offsets + gather).ravel()
@@ -752,8 +791,7 @@ class HostBatchKernel:
         # so hoisting it out of the per-iteration helpers is bit-free.
         with np.errstate(invalid="ignore", divide="ignore"):
             phase_rows = _host_phase_batch(
-                self._cpu, self._dram, self._cols, self._table,
-                proc_eps, mem_eps, ladder, len(rows),
+                table, proc_eps, mem_eps, ladder, len(rows)
             )
         # ``zip(*phase_rows)`` yields each grid row's phases in phase order.
         proc, mem = self._proc_list, self._mem_list
@@ -775,7 +813,7 @@ def execute_host_batch(
     Point ``i`` of the returned list is bit-for-bit equal to
     ``execute_on_host(cpu, dram, phases, proc_caps_w[i], mem_caps_w[i])``.
     """
-    kernel = HostBatchKernel(cpu, dram, phases, proc_caps_w, mem_caps_w)
+    kernel = HostBatchKernel(HostTables(cpu, dram, phases), proc_caps_w, mem_caps_w)
     return kernel.execute_indices(range(len(kernel)))
 
 
@@ -783,59 +821,105 @@ def execute_host_batch(
 # GPU (SM + device memory)
 # ---------------------------------------------------------------------------
 
-class _GpuTable:
-    """SM candidate columns for one card and every phase of a workload:
-    the frequency ladder fastest-first, its power weights, and one
-    compute-time row per phase, none of which depend on the memory clock
-    being resolved."""
+class GpuTables:
+    """Cap-independent tables of one ``(card, workload, memory-clock axis)``.
 
-    def __init__(self, card: GpuCard, phases: Sequence[Phase]) -> None:
+    The SM frequency ladder fastest-first with its power weights, one
+    compute-time row per phase, and every memory-side quantity of the
+    clock axis: the snapped operating points and their clock ratios,
+    mechanisms and memory caps, the idle-plus-clock and access power per
+    clock, and each phase's memory time, all tiled phase-major once.
+    """
+
+    def __init__(
+        self,
+        card: GpuCard,
+        phases: Sequence[Phase],
+        mem_freqs_mhz: Sequence[float],
+    ) -> None:
+        if not phases:
+            raise SweepError("cannot execute a workload with no phases")
+        self.card = card
         sm = card.sm
+        mem = card.mem
         self.f_desc: _F64 = sm.pstates.frequencies_ghz[::-1]
-        self.weight = np.asarray(
+        self.weight_row: _F64 = np.asarray(
             sm.pstates.power_weight(self.f_desc), dtype=np.float64
-        )
+        )[None, :]
         # rate == ((n_sm * (f*1e9)) * flops_per_cycle) * eff, grouped as
         # the scalar model writes it.
         rate_base = sm.n_sm * (self.f_desc * 1e9) * sm.flops_per_sm_cycle
-        self.t_c_mat: _F64 = np.stack(
+        self.cols = _PhaseCols(phases, np.stack(
             [
                 ph.flops / (rate_base * ph.compute_efficiency)
                 if ph.flops > 0.0
                 else np.zeros_like(self.f_desc)
                 for ph in phases
             ]
+        ))
+        mem_ops = [mem.operating_point(float(f)) for f in mem_freqs_mhz]
+        self.n = len(mem_ops)
+        snapped = np.asarray([op.freq_mhz for op in mem_ops], dtype=np.float64)
+        ratio: _F64 = snapped / mem.nominal_mhz
+        mech: _I64 = np.asarray(
+            [_MECHS.index(op.mechanism) for op in mem_ops], dtype=np.int64
         )
-        self.weight_row: _F64 = self.weight[None, :]
+        self.mem_caps = [mem.allocated_power_w(op.freq_mhz) for op in mem_ops]
+        mem_base: _F64 = mem.idle_power_w + mem.clock_power_w * ratio * ratio
+        mem_ar: _F64 = mem.access_power_w * ratio
+        t_m_rows = []
+        for ph in phases:
+            if ph.bytes_moved > 0.0:
+                mem_rate = mem.peak_bw_gbps * ratio * ph.memory_efficiency * 1e9
+                t_m_rows.append(ph.bytes_moved / mem_rate)
+            else:
+                t_m_rows.append(np.zeros(self.n))
+        # Phase-stacked memory columns, tiled once (see HostBatchKernel):
+        # per-call work drops to one offset add plus flat gathers over
+        # identical elements.
+        self.t_m_stack: _F64 = np.stack(t_m_rows).reshape(-1)
+        p = self.cols.p
+        if p > 1:
+            self.ratio_stack: _F64 = np.tile(ratio, p)
+            self.mech_stack: _I64 = np.tile(mech, p)
+            self.mem_base_stack: _F64 = np.tile(mem_base, p)
+            self.mem_ar_stack: _F64 = np.tile(mem_ar, p)
+            self.row_offsets: NDArray[np.intp] | None = (
+                np.arange(p, dtype=np.intp) * self.n
+            )[:, None]
+        else:
+            self.ratio_stack = ratio
+            self.mech_stack = mech
+            self.mem_base_stack = mem_base
+            self.mem_ar_stack = mem_ar
+            self.row_offsets = None
 
 
 def _gpu_phase_batch(
-    card: GpuCard,
-    cols: _PhaseCols,
-    cap_eps: float,
-    table: _GpuTable,
-    ratio: _F64,
-    mem_mech_codes: _I64,
-    t_m: _F64,
-    mem_base: _F64,
-    mem_ar: _F64,
-    r: int,
+    table: GpuTables, cap_eps: float, gather: NDArray[np.intp], r: int
 ) -> list[list[PhaseResult]]:
     """Resolve the board governor for every phase over ``r`` memory clocks.
 
-    ``ratio`` is the snapped clock over nominal per row, phase-stacked
-    like the host kernel's virtual rows; columns are the SM frequencies,
-    fastest first, so "first that fits" is again an argmax and the FLOOR
-    fallback is the last column.  ``t_m`` (memory time per row),
-    ``mem_base`` (idle + clock power) and ``mem_ar`` (access power scaled
-    by the clock ratio) arrive precomputed from the kernel: none of them
-    depend on the SM candidate being tried.  Returns one row list per
-    phase.
+    ``gather`` indexes the holder's phase-stacked memory columns, so
+    ``ratio`` is the snapped clock over nominal per virtual row, laid out
+    like the host kernel's; columns are the SM frequencies, fastest
+    first, so "first that fits" is again an argmax and the FLOOR fallback
+    is the last column.  ``t_m`` (memory time per row), ``mem_base``
+    (idle + clock power) and ``mem_ar`` (access power scaled by the clock
+    ratio) do not depend on the SM candidate being tried.  Returns one
+    row list per phase.
     """
+    card = table.card
+    cols = table.cols
+    ratio = table.ratio_stack[gather]
+    mem_mech_codes = table.mech_stack[gather]
+    t_m = table.t_m_stack[gather]
+    mem_base = table.mem_base_stack[gather]
+    mem_ar = table.mem_ar_stack[gather]
     sm = card.sm
     f_desc = table.f_desc
     m = f_desc.size
-    act_col, stall_col, t_c_rows, _, _, _, rows = cols.stacked(r, table.t_c_mat)
+    act_col, stall_col, t_c_rows, _, _, _, rows = cols.stacked(r)
 
     t = np.maximum(t_c_rows, t_m[:, None])
     u = np.where(t > 0.0, t_c_rows / t, 0.0)
@@ -881,76 +965,25 @@ def _gpu_phase_batch(
 
 
 class GpuBatchKernel:
-    """Reusable gather kernel over one GPU memory-clock axis.
+    """Reusable gather kernel over one GPU memory-clock axis at one cap.
 
-    The board cap is validated and the per-phase SM candidate tables,
-    snapped clock ratios, and memory-side mechanisms are all resolved at
-    construction; :meth:`execute_indices` gathers rows with no per-call
-    setup.  Mirrors :class:`HostBatchKernel` for the GPU planner path.
+    Construction validates the board cap; the SM candidate tables,
+    snapped clock ratios and memory-side mechanisms all come from
+    ``tables``, a :class:`GpuTables` holder.  The sweep engine keeps one
+    per (card, workload, clock axis) in the same bounded LRU as the host
+    holders and hands it to every kernel at any cap on that axis; a
+    kernel built anywhere else builds its own.  :meth:`execute_indices`
+    gathers rows with no per-call setup.  Mirrors
+    :class:`HostBatchKernel` for the GPU planner path.
     """
 
-    def __init__(
-        self,
-        card: GpuCard,
-        phases: Sequence[Phase],
-        cap_w: float,
-        mem_freqs_mhz: Sequence[float],
-    ) -> None:
-        self._card = card
-        self._phases = tuple(phases)
-        self._cap = card.validate_cap(cap_w)
-        if not self._phases:
-            raise SweepError("cannot execute a workload with no phases")
-        mem_ops = [card.mem.operating_point(float(f)) for f in mem_freqs_mhz]
-        self._n = len(mem_ops)
-        snapped = np.asarray([op.freq_mhz for op in mem_ops], dtype=np.float64)
-        self._ratio: _F64 = snapped / card.mem.nominal_mhz
-        self._mem_mech: _I64 = np.asarray(
-            [_MECHS.index(op.mechanism) for op in mem_ops], dtype=np.int64
-        )
-        self._mem_caps = [
-            card.mem.allocated_power_w(op.freq_mhz) for op in mem_ops
-        ]
+    def __init__(self, tables: GpuTables, cap_w: float) -> None:
+        self._tables = tables
+        self._cap = tables.card.validate_cap(cap_w)
         self._cap_eps = self._cap + _CAP_EPS_W
-        self._mem_base: _F64 = (
-            card.mem.idle_power_w
-            + card.mem.clock_power_w * self._ratio * self._ratio
-        )
-        self._mem_ar: _F64 = card.mem.access_power_w * self._ratio
-        self._table = _GpuTable(card, self._phases)
-        self._cols = _PhaseCols(self._phases)
-        t_m_rows = []
-        for ph in self._phases:
-            if ph.bytes_moved > 0.0:
-                mem_rate = (
-                    card.mem.peak_bw_gbps * self._ratio * ph.memory_efficiency * 1e9
-                )
-                t_m_rows.append(ph.bytes_moved / mem_rate)
-            else:
-                t_m_rows.append(np.zeros(self._n))
-        self._t_m_mat: _F64 = np.stack(t_m_rows)
-        # Phase-stacked memory columns, tiled once at construction (see
-        # HostBatchKernel): per-call work drops to one offset add plus
-        # flat gathers over identical elements.
-        p = self._cols.p
-        self._t_m_flat: _F64 = self._t_m_mat.reshape(-1)
-        if p > 1:
-            self._ratio_stack: _F64 = np.tile(self._ratio, p)
-            self._mech_stack: _I64 = np.tile(self._mem_mech, p)
-            self._mem_base_stack: _F64 = np.tile(self._mem_base, p)
-            self._mem_ar_stack: _F64 = np.tile(self._mem_ar, p)
-            self._row_offsets: NDArray[np.intp] | None = (
-                np.arange(p, dtype=np.intp) * self._n
-            )[:, None]
-        else:
-            self._ratio_stack = self._ratio
-            self._mech_stack = self._mem_mech
-            self._mem_base_stack = self._mem_base
-            self._mem_ar_stack = self._mem_ar
-            self._row_offsets = None
 
     def __len__(self) -> int:
-        return self._n
+        return self._tables.n
 
     def execute_indices(self, indices: Sequence[int]) -> list[ExecutionResult]:
         """Results for axis rows ``indices``, in the given order.
@@ -962,21 +995,14 @@ class GpuBatchKernel:
         rows = [int(i) for i in indices]
         if not rows:
             return []
+        table = self._tables
         gather = np.asarray(rows, dtype=np.intp)
-        if self._row_offsets is not None:
-            gather = (self._row_offsets + gather).ravel()
-        ratio = self._ratio_stack[gather]
-        mech = self._mech_stack[gather]
-        mem_base = self._mem_base_stack[gather]
-        mem_ar = self._mem_ar_stack[gather]
-        t_m = self._t_m_flat[gather]
+        if table.row_offsets is not None:
+            gather = (table.row_offsets + gather).ravel()
         # Single errstate frame per pass (see HostBatchKernel): value-free.
         with np.errstate(invalid="ignore", divide="ignore"):
-            phase_rows = _gpu_phase_batch(
-                self._card, self._cols, self._cap_eps, self._table,
-                ratio, mech, t_m, mem_base, mem_ar, len(rows),
-            )
-        cap, mem_caps = self._cap, self._mem_caps
+            phase_rows = _gpu_phase_batch(table, self._cap_eps, gather, len(rows))
+        cap, mem_caps = self._cap, table.mem_caps
         return [
             _build_frozen(ExecutionResult, (phases, cap, mem_caps[i], "gpu"))
             for i, phases in zip(rows, zip(*phase_rows))
@@ -994,7 +1020,7 @@ def execute_gpu_batch(
     Point ``i`` of the returned list is bit-for-bit equal to
     ``execute_on_gpu(card, phases, cap_w, mem_freqs_mhz[i])``.
     """
-    kernel = GpuBatchKernel(card, phases, cap_w, mem_freqs_mhz)
+    kernel = GpuBatchKernel(GpuTables(card, phases, mem_freqs_mhz), cap_w)
     return kernel.execute_indices(range(len(kernel)))
 
 

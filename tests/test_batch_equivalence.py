@@ -48,8 +48,11 @@ from repro.hardware.dram import DramDomain
 from repro.hardware.pstate import PStateTable
 from repro.perfmodel.batch import (
     _HOST_GATHER_CROSSOVER,
+    _SHARED_STACK_ROWS,
     GpuBatchKernel,
+    GpuTables,
     HostBatchKernel,
+    HostTables,
     execute_gpu_batch,
     execute_host_batch,
 )
@@ -204,7 +207,9 @@ class TestHostKernelEquivalence:
         with pytest.raises(Exception) as expected:
             [watts(float(c), name) for c in caps[column]]
         with pytest.raises(expected.type) as got:
-            HostBatchKernel(ivb.cpu, ivb.dram, stream.phases, caps["proc"], caps["mem"])
+            HostBatchKernel(
+                HostTables(ivb.cpu, ivb.dram, stream.phases), caps["proc"], caps["mem"]
+            )
         assert str(got.value) == str(expected.value)
 
 
@@ -271,7 +276,7 @@ class TestSmallGatherEquivalence:
         )
         proc = [a.proc_w for a in allocations]
         mem = [a.mem_w for a in allocations]
-        kernel = HostBatchKernel(node.cpu, node.dram, wl.phases, proc, mem)
+        kernel = HostBatchKernel(HostTables(node.cpu, node.dram, wl.phases), proc, mem)
         oracle = [
             execute_on_host(node.cpu, node.dram, wl.phases, p, m)
             for p, m in zip(proc, mem)
@@ -290,7 +295,7 @@ class TestSmallGatherEquivalence:
         card = request.getfixturevalue(platform_fixture)
         freqs = [float(f) for f in card.mem.frequencies_mhz]
         phases = gpu_phases(name)
-        kernel = GpuBatchKernel(card, phases, 200.0, freqs)
+        kernel = GpuBatchKernel(GpuTables(card, phases, freqs), 200.0)
         oracle = [execute_on_gpu(card, phases, 200.0, f) for f in freqs]
         for i in range(len(freqs)):
             (single,) = kernel.execute_indices([i])
@@ -298,6 +303,70 @@ class TestSmallGatherEquivalence:
             pair = kernel.execute_indices([i, len(freqs) - 1 - i])
             assert_results_identical(oracle[i], pair[0])
             assert_results_identical(oracle[len(freqs) - 1 - i], pair[1])
+
+
+class TestSharedTableEquivalence:
+    """One engine's shared table holders against the per-point oracle.
+
+    The engine builds one holder per (platform, workload) on a host and
+    per (card, workload, clock axis) on a GPU, and every kernel over
+    such an axis reuses it, stacks included.  Interleaving axes that
+    share a workload but not a platform, and a card and workload but not
+    a clock axis, fails on a holder keyed by too little.  The gathers
+    span 1 to 40 virtual rows, across the host crossover and the width
+    up to which a holder keeps its stacks.
+    """
+
+    VIRTUAL_ROWS = (1, 8, 9, 2, 32, 33, 40, 4, 16, 24)
+
+    def test_interleaved_axes_match_the_oracle(self, ivb, has, xp):
+        assert max(self.VIRTUAL_ROWS) > _SHARED_STACK_ROWS > _HOST_GATHER_CROSSOVER
+        engine = batch_engine()
+        dgemm, mg = cpu_workload("dgemm"), cpu_workload("mg")
+        minife = gpu_workload("minife")
+        assert len(mg.phases) == 3
+        axes = []
+        for budget in (144.0, 176.0, 208.0):
+            grid = allocation_grid(budget, mem_min_w=16.0, proc_min_w=8.0, step_w=4.0)
+            proc = [a.proc_w for a in grid]
+            mem = [a.mem_w for a in grid]
+            for node, wl in ((ivb, dgemm), (has, dgemm), (ivb, mg)):
+                axes.append((
+                    engine.host_subgrid(node.cpu, node.dram, wl.phases, proc, mem),
+                    len(wl.phases),
+                    [execute_on_host(node.cpu, node.dram, wl.phases, p, m)
+                     for p, m in zip(proc, mem)],
+                ))
+        freqs = [float(f) for f in xp.mem.frequencies_mhz]
+        # Distinct caps per stride: the strides share clocks, and a point
+        # the memo cache already holds would never reach a kernel.
+        for stride, caps in ((1, (150.0, 200.0, 250.0)), (2, (175.0, 225.0))):
+            for cap in caps:
+                axis = freqs[::stride]
+                axes.append((
+                    engine.gpu_subgrid(xp, minife.phases, cap, axis),
+                    len(minife.phases),
+                    [execute_on_gpu(xp, minife.phases, cap, f) for f in axis],
+                ))
+        # Round-robin over the axes, each gather taking an axis's next
+        # unexecuted rows in reverse, so every row is a kernel miss.
+        cursors = [0] * len(axes)
+        step = 0
+        while any(c < len(oracle) for c, (_, _, oracle) in zip(cursors, axes)):
+            for k, (executor, p, oracle) in enumerate(axes):
+                start = cursors[k]
+                if start >= len(oracle):
+                    continue
+                width = self.VIRTUAL_ROWS[step % len(self.VIRTUAL_ROWS)]
+                step += 1
+                rows = list(range(start, min(start + max(1, width // p), len(oracle))))
+                cursors[k] = rows[-1] + 1
+                misses = engine.stats.misses
+                for i, result in zip(rows[::-1], executor.run(rows[::-1])):
+                    assert_results_identical(oracle[i], result)
+                assert engine.stats.misses == misses + len(rows)
+        # Three host (platform, workload) pairs and two clock axes.
+        assert len(engine._tables) == 5
 
 
 # ---------------------------------------------------------------------------

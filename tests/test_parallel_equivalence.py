@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.allocation import allocation_grid
 from repro.core.parallel import (
     DEFAULT_CACHE_SIZE,
+    TABLE_CACHE_SIZE,
     CacheStats,
     MemoCache,
     PlannerState,
@@ -40,7 +41,9 @@ from repro.core.planner import plan_cpu_sweep, plan_gpu_sweep
 from repro.core.sweep import cpu_budget_curve, sweep_cpu_allocations
 from repro.errors import SweepError
 from repro.faults import FaultPlan
-from repro.perfmodel.executor import execute_on_host
+from repro.perfmodel.batch import _SHARED_STACK_ROWS
+from repro.perfmodel.executor import execute_on_gpu, execute_on_host
+from repro.workloads import get_workload
 from tests.conftest import property_settings, seeded_rng
 
 
@@ -219,6 +222,108 @@ class TestEnginePlumbing:
             stats = memory.stats
             assert stats.size == 16
             assert stats.evictions == 4 * 500 - 16
+
+    def test_table_holders_are_bounded(self, ivb, stream):
+        # A server takes its workloads from clients: past the bound, the
+        # kernel table LRU evicts, and an evicted holder is rebuilt.
+        engine = SweepEngine()
+        grid = list(allocation_grid(176.0, mem_min_w=16.0, proc_min_w=8.0,
+                                    step_w=32.0))
+        workloads = [stream.scaled(1.0 + k / 64) for k in range(TABLE_CACHE_SIZE + 8)]
+        for wl in workloads:
+            engine.map_host(ivb.cpu, ivb.dram, wl.phases, grid)
+        stats = engine._tables.stats
+        assert stats.size == TABLE_CACHE_SIZE
+        assert stats.evictions == 8
+        # The first holder went first; a new axis of its workload rebuilds it.
+        phases = workloads[0].phases
+        finer = list(allocation_grid(176.0, mem_min_w=16.0, proc_min_w=8.0,
+                                     step_w=12.0))
+        assert engine.map_host(ivb.cpu, ivb.dram, phases, finer) == [
+            execute_on_host(ivb.cpu, ivb.dram, phases, a.proc_w, a.mem_w)
+            for a in finer
+        ]
+        assert engine._tables.stats.misses == stats.misses + 1
+
+    def test_no_holder_keeps_a_stack_past_the_sharing_bound(self, ivb, has, xp,
+                                                            dgemm, minife):
+        # Whole-axis passes are far wider than the bound; planner passes
+        # fit under it.  Only the latter may stay in a holder.
+        mg = get_workload("mg")
+        engine = SweepEngine(mode="adaptive")
+        for node, wl in ((ivb, mg), (has, dgemm)):
+            for budget in (160.0, 200.0, 240.0):
+                sweep_cpu_allocations(node.cpu, node.dram, wl, budget, engine=engine)
+                plan_cpu_sweep(node.cpu, node.dram, wl, budget + 2.0, engine=engine)
+        for cap in (150.0, 200.0):
+            plan_gpu_sweep(xp, minife, cap, engine=engine)
+        widths = [
+            holder.cols.p * r
+            for holder in engine._tables._data.values()
+            for memo in (holder.cols._stacks, holder.cols._first_tm)
+            for r in memo
+        ]
+        assert widths and max(widths) <= _SHARED_STACK_ROWS
+
+    def test_threads_sharing_table_holders_match_the_oracle(self, ivb, has, xp,
+                                                            dgemm, minife):
+        # The server's resolver threads share one engine, so its holders
+        # and their stacks: four threads gather overlapping axes of shared
+        # holders at varied widths, and every row must be the oracle's.
+        mg = get_workload("mg")
+        engine = SweepEngine()
+        axes: dict[tuple, tuple] = {}
+        for budget in (140.0 + 4.0 * k for k in range(8)):
+            grid = allocation_grid(budget, mem_min_w=16.0, proc_min_w=8.0,
+                                   step_w=4.0)
+            proc = [a.proc_w for a in grid]
+            mem = [a.mem_w for a in grid]
+            for node, wl in ((ivb, dgemm), (has, dgemm), (ivb, mg)):
+                axes[(node.name, wl.name, budget)] = (
+                    lambda n=node, w=wl, p=proc, m=mem:
+                        engine.host_subgrid(n.cpu, n.dram, w.phases, p, m),
+                    [execute_on_host(node.cpu, node.dram, wl.phases, p, m)
+                     for p, m in zip(proc, mem)],
+                )
+        freqs = [float(f) for f in xp.mem.frequencies_mhz]
+        for cap in (150.0, 175.0, 200.0, 225.0):
+            axes[(xp.name, minife.name, cap)] = (
+                lambda c=cap: engine.gpu_subgrid(xp, minife.phases, c, freqs),
+                [execute_on_gpu(xp, minife.phases, cap, f) for f in freqs],
+            )
+        keys = sorted(axes)
+        mismatches: list[tuple] = []
+        finished: list[int] = []
+
+        def hammer(worker: int) -> None:
+            rng = seeded_rng("tables", worker)
+            for key in keys[worker::2] + keys[worker + 1::3]:
+                open_axis, oracle = axes[key]
+                executor = open_axis()
+                rows = list(range(len(oracle)))
+                rng.shuffle(rows)
+                while rows:
+                    n = rng.randint(1, 12)
+                    take, rows = rows[:n], rows[n:]
+                    for i, result in zip(take, executor.run(take)):
+                        if result != oracle[i]:
+                            mismatches.append((key, i))
+            finished.append(worker)  # not reached if the thread raised
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert mismatches == []
+        assert len(engine._tables) == 4  # three host pairs and one clock axis
 
     @pytest.mark.parametrize("device", ("cpu", "gpu"))
     def test_a_replayed_plan_opens_no_subgrid(self, ivb, dgemm, xp, sgemm, device):
