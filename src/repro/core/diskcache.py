@@ -19,28 +19,38 @@ requirements:
   of the three skips the whole segment: results serialized by a
   different model version are never served.
 
-Layout: ``<cache_dir>/seg-<pid>-<seq>-<token>.jsonl``, one JSON record
-per line (a header line, then ``{"record": "entry", "digest", "result"}``
-lines).  Keys are digested with SHA-1 over their ``repr`` — the keys are
-already content fingerprints (see ``SweepEngine``), so equal model
-inputs digest equally across processes.  Values round-trip through the
-pure codec :func:`encode_result` / :func:`decode_result`; JSON float
-serialization is repr-based, so every float64 field survives bit-for-bit
-(including infinities and NaNs).
+Layout: ``<cache_dir>/seg-<pid>-<seq>-<token>.jsonl``, one record per
+line: a JSON header object, then one entry line per result.  An entry
+line is the CRC-32 of its JSON text as 8 hex digits, a space, and that
+text, a positional row ``[digest, device, proc_cap_w, mem_cap_w,
+[phase, ...]]`` in which each phase lists the 16 ``PhaseResult`` fields
+in field order, the two capping mechanisms by enum name (schema 2;
+schema-1 records were JSON objects keyed by field name, and their
+segments are skipped whole).
+Segments are read as bytes and each line is checked and decoded on its
+own, so a torn line, a stray byte or a changed digit costs that record
+alone: a checksum mismatch, bytes that are not UTF-8, a row of the
+wrong shape, an empty phase list or nesting past the recursion limit
+each skip the record with a warning.  Keys are digested with SHA-1 over
+their ``repr`` — the keys are already content fingerprints (see
+``SweepEngine``), so equal model inputs digest equally across processes.
+Values round-trip through the pure codec :func:`encode_result` /
+:func:`decode_result`; JSON float serialization is repr-based, so every
+float64 field survives bit-for-bit (including infinities and NaNs).
 """
 
 from __future__ import annotations
 
 import atexit
-import dataclasses
-import enum
 import hashlib
 import json
+import operator
 import os
 import threading
 import uuid
 import warnings
-from collections.abc import Hashable, Mapping
+import zlib
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -50,7 +60,7 @@ from repro.faults.injector import FaultEvent
 from repro.faults.injector import active as _faults_active
 from repro.faults.plan import FaultKind
 from repro.hardware.component import CappingMechanism
-from repro.perfmodel.metrics import ExecutionResult, PhaseResult
+from repro.perfmodel.metrics import ExecutionResult, PhaseResult, _build_frozen
 
 __all__ = [
     "CACHE_FORMAT",
@@ -69,12 +79,19 @@ CACHE_FORMAT = "repro-sweep-cache"
 
 #: Bump when the record layout or the codec changes shape: older
 #: segments are skipped wholesale, never misread.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Records buffered in memory before an automatic segment flush.
 DEFAULT_FLUSH_EVERY = 512
 
 _SEGMENT_GLOB = "seg-*.jsonl"
+
+#: A phase row holds the ``PhaseResult`` fields in this order.
+_PHASE_FIELDS = tuple(PhaseResult.__dataclass_fields__)
+_PROC_MECHANISM = _PHASE_FIELDS.index("proc_mechanism")
+_MEM_MECHANISM = _PHASE_FIELDS.index("mem_mechanism")
+_phase_values = operator.attrgetter(*_PHASE_FIELDS)
+_MECHANISMS = CappingMechanism.__members__
 
 
 class DiskCacheError(ReproError):
@@ -95,51 +112,69 @@ def digest_key(key: Hashable) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pure codec: ExecutionResult <-> JSON-serializable dicts
+# pure codec: ExecutionResult <-> JSON-serializable rows
 # ---------------------------------------------------------------------------
 
-def encode_result(result: ExecutionResult) -> dict[str, object]:
-    """Encode an :class:`ExecutionResult` as a JSON-serializable dict.
+def encode_result(result: ExecutionResult) -> list[object]:
+    """Encode an :class:`ExecutionResult` as a JSON-serializable row.
 
-    Pure and total: every dataclass field is carried verbatim (floats
-    survive JSON bit-for-bit via repr round-trip); capping mechanisms are
-    stored by enum name.
+    Pure and total: ``[device, proc_cap_w, mem_cap_w, phases]``, where
+    each phase lists every ``PhaseResult`` field in field order, verbatim
+    (floats survive JSON bit-for-bit via repr round-trip) except the
+    capping mechanisms, which are stored by enum name.
     """
     phases = []
     for phase in result.phases:
-        record: dict[str, object] = {}
-        for field in dataclasses.fields(phase):
-            value = getattr(phase, field.name)
-            record[field.name] = value.name if isinstance(value, enum.Enum) else value
-        phases.append(record)
-    return {
-        "device": result.device,
-        "proc_cap_w": result.proc_cap_w,
-        "mem_cap_w": result.mem_cap_w,
-        "phases": phases,
-    }
+        row = list(_phase_values(phase))
+        row[_PROC_MECHANISM] = phase.proc_mechanism.name
+        row[_MEM_MECHANISM] = phase.mem_mechanism.name
+        phases.append(row)
+    return [result.device, result.proc_cap_w, result.mem_cap_w, phases]
 
 
-def _decode_phase(record: Mapping[str, object]) -> PhaseResult:
-    kwargs: dict[str, Any] = dict(record)
-    kwargs["proc_mechanism"] = CappingMechanism[str(kwargs["proc_mechanism"])]
-    kwargs["mem_mechanism"] = CappingMechanism[str(kwargs["mem_mechanism"])]
-    return PhaseResult(**kwargs)
+def _decode_phase(row: object) -> PhaseResult:
+    if not isinstance(row, list) or len(row) != len(_PHASE_FIELDS):
+        raise ValueError(f"a cache phase row lists {len(_PHASE_FIELDS)} fields")
+    values = row.copy()
+    values[_PROC_MECHANISM] = _MECHANISMS[values[_PROC_MECHANISM]]
+    values[_MEM_MECHANISM] = _MECHANISMS[values[_MEM_MECHANISM]]
+    return _build_frozen(PhaseResult, tuple(values))
 
 
-def decode_result(payload: Mapping[str, object]) -> ExecutionResult:
-    """Inverse of :func:`encode_result` (raises on malformed payloads)."""
-    raw_phases = payload["phases"]
-    if not isinstance(raw_phases, list):
-        raise TypeError("cache record 'phases' must be a list")
-    proc_cap = payload["proc_cap_w"]
-    mem_cap = payload["mem_cap_w"]
-    return ExecutionResult(
-        phases=tuple(_decode_phase(p) for p in raw_phases),
-        proc_cap_w=None if proc_cap is None else float(proc_cap),  # type: ignore[arg-type]
-        mem_cap_w=None if mem_cap is None else float(mem_cap),  # type: ignore[arg-type]
-        device=str(payload["device"]),
-    )
+def decode_result(payload: Sequence[Any]) -> ExecutionResult:
+    """Inverse of :func:`encode_result`.
+
+    Raises ``ValueError``, ``TypeError``, ``KeyError`` or
+    ``OverflowError`` on a malformed payload: not four items, no phase
+    or a phase without exactly one entry per field, an unknown mechanism
+    name, or a cap ``float()`` rejects.
+    """
+    device, proc_cap, mem_cap, raw_phases = payload
+    if not isinstance(raw_phases, list) or not raw_phases:
+        raise ValueError("a cache record needs a non-empty list of phases")
+    return _build_frozen(ExecutionResult, (
+        tuple(map(_decode_phase, raw_phases)),
+        None if proc_cap is None else float(proc_cap),
+        None if mem_cap is None else float(mem_cap),
+        str(device),
+    ))
+
+
+def _entry_line(digest: str, encoded: list[object]) -> str:
+    """One segment line: the CRC-32 of the row's JSON text, then the text."""
+    text = json.dumps([digest, *encoded], separators=(",", ":"))
+    return f"{zlib.crc32(text.encode()):08x} {text}"
+
+
+def _decode_entry(line: bytes) -> tuple[str, ExecutionResult]:
+    """Inverse of :func:`_entry_line`; raises on a bad checksum or row."""
+    checksum, _, text = line.partition(b" ")
+    if checksum != b"%08x" % zlib.crc32(text):
+        raise ValueError("cache record checksum mismatch")
+    row = json.loads(text.decode())
+    if not isinstance(row, list) or len(row) != 5:
+        raise ValueError("a cache record is a five-item row")
+    return str(row[0]), decode_result(row[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +216,13 @@ def _header_matches(record: Mapping[str, object]) -> bool:
         and record.get("schema") == CACHE_SCHEMA_VERSION
         and record.get("package") == __version__
     )
+
+
+def _segment_lines(entries: Iterable[tuple[str, list[object]]]) -> list[str]:
+    """A segment's header line, then one checksummed line per entry."""
+    lines = [json.dumps(_segment_header(), sort_keys=True)]
+    lines.extend(_entry_line(digest, encoded) for digest, encoded in entries)
+    return lines
 
 
 def _write_segment(root: Path, name: str, lines: list[str]) -> None:
@@ -235,7 +277,7 @@ class DiskCache:
         self._flush_every = flush_every
         self._lock = threading.RLock()
         self._mem: dict[str, ExecutionResult] = {}
-        self._pending: list[tuple[str, dict[str, object]]] = []
+        self._pending: list[tuple[str, list[object]]] = []
         self._seen_segments: set[str] = set()
         self._seq = 0
         self._hits = 0
@@ -276,7 +318,7 @@ class DiskCache:
 
     def _load_segment(self, path: Path) -> None:
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_bytes().splitlines()
         except OSError as exc:
             warnings.warn(
                 f"skipping unreadable cache segment {path.name}: {exc}",
@@ -290,7 +332,9 @@ class DiskCache:
         if lines:
             try:
                 header_ok = _header_matches(json.loads(lines[0]))
-            except (json.JSONDecodeError, AttributeError):
+            except (ValueError, AttributeError, RecursionError):
+                # ValueError covers JSONDecodeError and bytes that are
+                # not UTF-8.
                 header_ok = False
         if not header_ok:
             warnings.warn(
@@ -307,14 +351,13 @@ class DiskCache:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                if record["record"] != "entry":
-                    raise ValueError(f"unexpected record type {record['record']!r}")
-                digest = str(record["digest"])
-                result = decode_result(record["result"])
-            except (ValueError, KeyError, TypeError):
-                # ValueError covers JSONDecodeError (truncated final line
-                # of a killed writer) and enum-name mismatches.
+                digest, result = _decode_entry(line)
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                # ValueError covers checksum mismatches (a torn final line
+                # of a killed writer, a changed byte), JSONDecodeError,
+                # bytes that are not UTF-8 and malformed rows; KeyError an
+                # unknown mechanism name; OverflowError an integer cap
+                # too large for a float.
                 bad_lines += 1
                 continue
             if digest not in self._mem:
@@ -377,11 +420,7 @@ class DiskCache:
             return
         self._seq += 1
         name = f"seg-{os.getpid()}-{self._seq}-{uuid.uuid4().hex[:8]}.jsonl"
-        lines = [json.dumps(_segment_header(), sort_keys=True)]
-        lines.extend(
-            json.dumps({"record": "entry", "digest": d, "result": r}, sort_keys=True)
-            for d, r in self._pending
-        )
+        lines = _segment_lines(self._pending)
         injector = _faults_active()
         if injector is not None:
             event = injector.check("diskcache.write")
@@ -420,13 +459,8 @@ class DiskCache:
             self._flush_locked()
             old = sorted(self.root.glob(_SEGMENT_GLOB))
             name = f"seg-{os.getpid()}-compact-{uuid.uuid4().hex[:8]}.jsonl"
-            lines = [json.dumps(_segment_header(), sort_keys=True)]
-            lines.extend(
-                json.dumps(
-                    {"record": "entry", "digest": d, "result": encode_result(r)},
-                    sort_keys=True,
-                )
-                for d, r in sorted(self._mem.items())
+            lines = _segment_lines(
+                (d, encode_result(r)) for d, r in sorted(self._mem.items())
             )
             _write_segment(self.root, name, lines)
             self._seen_segments.add(name)

@@ -5,8 +5,9 @@ atomicity under concurrent writer processes (no interleaving ever
 corrupts the store), corruption tolerance (truncated/garbage/stale
 segments are skipped with a warning, never raised), and invalidation
 (segments from a different format/schema/package are never served).
-Also covers the codec's bit-for-bit float round-trip and the MemoCache /
-SweepEngine integration (``disk_hits``, write-through, env plumbing).
+Also covers the codec's bit-for-bit float round-trip, the per-record
+checksum, and the MemoCache / SweepEngine integration (``disk_hits``,
+write-through, env plumbing).
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import struct
 import warnings
+import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.diskcache import (
     CACHE_FORMAT,
@@ -33,9 +37,10 @@ from repro.core.parallel import MemoCache, SweepEngine
 from repro.core.sweep import sweep_cpu_allocations
 from repro.faults import FaultKind, FaultPlan, FaultSpec, use_faults
 from repro.hardware.component import CappingMechanism
-from repro.perfmodel.metrics import ExecutionResult, PhaseResult
+from repro.perfmodel.metrics import ExecutionResult, PhaseResult, _build_frozen
 
 from tests.conftest import fault_plans, property_settings
+from tests.test_metrics import floats
 
 
 def make_result(seed: float, *, device: str = "host") -> ExecutionResult:
@@ -64,6 +69,54 @@ def make_result(seed: float, *, device: str = "host") -> ExecutionResult:
         mem_cap_w=30.0,
         device=device,
     )
+
+
+def checksummed(text: str) -> str:
+    """A segment entry line carrying ``text`` under a valid CRC-32."""
+    return f"{zlib.crc32(text.encode()):08x} {text}"
+
+
+def float_bits(value):
+    """``value`` comparable bit for bit: a float as its IEEE bytes (NaN as
+    one marker, whatever its payload), anything else with its type."""
+    if type(value) is float:
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    return (type(value), value)
+
+
+def result_bits(result: ExecutionResult):
+    return (
+        type(result),
+        [float_bits(v) for v in (result.proc_cap_w, result.mem_cap_w, result.device)],
+        [
+            [float_bits(getattr(p, f)) for f in PhaseResult.__dataclass_fields__]
+            for p in result.phases
+        ],
+    )
+
+
+_FLOAT_FIELDS = [
+    f for f in PhaseResult.__dataclass_fields__
+    if f not in ("name", "proc_mechanism", "mem_mechanism")
+]
+mechanisms = st.sampled_from(list(CappingMechanism))
+results = st.builds(
+    ExecutionResult,
+    phases=st.lists(
+        st.builds(
+            PhaseResult,
+            name=st.text(max_size=8),
+            proc_mechanism=mechanisms,
+            mem_mechanism=mechanisms,
+            **{f: floats for f in _FLOAT_FIELDS},
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    proc_cap_w=st.one_of(st.none(), floats),
+    mem_cap_w=st.one_of(st.none(), floats),
+    device=st.sampled_from(["host", "gpu"]),
+)
 
 
 def _writer_process(root: str, worker: int, n_keys: int) -> None:
@@ -114,13 +167,42 @@ class TestCodec:
         assert math.isnan(decoded.phases[0].bytes_moved)
 
     def test_mechanisms_stored_by_name(self):
-        payload = encode_result(make_result(0.0))
-        assert payload["phases"][0]["proc_mechanism"] == "DVFS"
-        assert payload["phases"][0]["mem_mechanism"] == "NONE"
+        *_, phases = encode_result(make_result(0.0))
+        fields = list(PhaseResult.__dataclass_fields__)
+        assert phases[0][fields.index("proc_mechanism")] == "DVFS"
+        assert phases[0][fields.index("mem_mechanism")] == "NONE"
 
     def test_decode_rejects_malformed(self):
-        with pytest.raises((TypeError, KeyError)):
-            decode_result({"device": "host", "phases": "nope"})
+        device, proc_cap, mem_cap, phases = encode_result(make_result(0.0))
+        row = phases[0]
+        unknown = ["WARP_DRIVE" if v == "DVFS" else v for v in row]
+        for payload in (
+            [device, proc_cap, mem_cap, "nope"],
+            [device, proc_cap, mem_cap],
+            [device, proc_cap, mem_cap, []],
+            [device, proc_cap, mem_cap, [row[:-1]]],
+            [device, proc_cap, mem_cap, [[*row, 0.0]]],
+            [device, proc_cap, mem_cap, [unknown]],
+            [device, "abc", mem_cap, phases],
+            {"device": "host", "phases": "nope"},
+        ):
+            with pytest.raises((ValueError, TypeError, KeyError)):
+                decode_result(payload)
+
+    @property_settings(50)
+    @given(result=results)
+    def test_store_roundtrip_keeps_every_float_bitwise(
+        self, result, tmp_path_factory
+    ):
+        root = tmp_path_factory.mktemp("roundtrip")
+        writer = DiskCache(root)
+        writer.store(("k",), result)
+        writer.flush()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit, loaded = DiskCache(root).lookup(("k",))
+        assert hit
+        assert result_bits(loaded) == result_bits(result)
 
     def test_digest_is_stable_and_distinct(self):
         key = ("host", ("fp", 1.0), 144.0, 16.0)
@@ -254,10 +336,132 @@ class TestCorruptionTolerance:
 
     def test_unknown_mechanism_name_recomputes_not_raises(self, tmp_path):
         (segment,) = self._publish(tmp_path, n=1)
-        text = segment.read_text().replace('"DVFS"', '"WARP_DRIVE"')
-        segment.write_text(text)
+        header, entry = segment.read_text().splitlines()
+        # Under a valid checksum, so the row reaches the mechanism lookup.
+        row = entry.partition(" ")[2].replace('"DVFS"', '"WARP_DRIVE"')
+        segment.write_text(f"{header}\n{checksummed(row)}\n")
         with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
             fresh = DiskCache(tmp_path)
+        assert len(fresh) == 0
+
+    def test_checksummed_malformed_rows_recompute_not_raise(self, tmp_path):
+        (segment,) = self._publish(tmp_path, n=1)
+        header, entry = segment.read_text().splitlines()
+        digest, device, proc_cap, mem_cap, phases = json.loads(entry.partition(" ")[2])
+        rows = [
+            [digest, device, 10**400, mem_cap, phases],  # no float holds it
+            [digest, device, proc_cap, mem_cap],
+            [digest, device, proc_cap, mem_cap, [phases[0][:-1]]],
+            [],
+            {"digest": digest},
+            "text",
+        ]
+        lines = [header] + [checksummed(json.dumps(row)) for row in rows]
+        segment.write_text("\n".join(lines) + "\n")
+        with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
+            fresh = DiskCache(tmp_path)
+        assert len(fresh) == 0
+        assert fresh.stats.records_skipped == len(rows)
+
+    def test_non_utf8_byte_recomputes_not_raises(self, tmp_path):
+        (segment,) = self._publish(tmp_path)
+        data = bytearray(segment.read_bytes())
+        data[data.index(b"phase-1.0")] = 0xFF  # inside the second entry
+        segment.write_bytes(bytes(data))
+        with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
+            fresh = DiskCache(tmp_path)
+        assert fresh.stats.records_loaded == 2
+        assert fresh.stats.records_skipped == 1
+        assert fresh.lookup(("k", 1)) == (False, None)
+        data[data.index(b"header")] = 0xFF  # the header skips its segment
+        segment.write_bytes(bytes(data))
+        with pytest.warns(CacheIntegrityWarning, match="missing or stale header"):
+            fresh = DiskCache(tmp_path)
+        assert len(fresh) == 0
+        assert fresh.stats.segments_skipped == 1
+
+    def test_empty_phase_list_recomputes_not_raises(self, tmp_path):
+        self._publish(tmp_path)
+        writer = DiskCache(tmp_path)
+        # Built past ExecutionResult's own check, then stored as it is.
+        writer.store(("hollow",), _build_frozen(ExecutionResult, ((), 1.0, 1.0, "host")))
+        writer.flush()
+        with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
+            fresh = DiskCache(tmp_path)
+        assert fresh.lookup(("hollow",)) == (False, None)
+        assert fresh.stats.records_loaded == 3
+        assert fresh.stats.records_skipped == 1
+
+    def test_deep_nesting_recomputes_not_raises(self, tmp_path):
+        (segment,) = self._publish(tmp_path)
+        deep = "[" * 100_000 + "]" * 100_000
+        with segment.open("a") as fh:  # bare, and under a valid checksum
+            fh.write(f"{deep}\n{checksummed(deep)}\n")
+        (tmp_path / "seg-999-1-deadbeef.jsonl").write_text(deep + "\n")
+        with pytest.warns(CacheIntegrityWarning):
+            fresh = DiskCache(tmp_path)
+        assert fresh.stats.records_loaded == 3
+        assert fresh.stats.records_skipped == 2
+        assert fresh.stats.segments_skipped == 1
+
+    def test_changed_digit_fails_the_checksum(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.store(("k", 0), make_result(0.25))
+        cache.flush()
+        (segment,) = tmp_path.glob("seg-*.jsonl")
+        text = segment.read_text()
+        assert text.count("90.25") == 1  # proc_power_w
+        segment.write_text(text.replace("90.25", "98.25"))
+        with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
+            fresh = DiskCache(tmp_path, quarantine=True)
+        assert fresh.lookup(("k", 0)) == (False, None)
+        assert fresh.stats.records_skipped == 1
+        assert (tmp_path / "quarantine" / segment.name).exists()
+
+    @property_settings(60)
+    @given(position=st.integers(-(2**12), 2**12), value=st.integers(0, 255))
+    # Negative positions count from the end: the last entry's floats.
+    @example(position=-40, value=0xFF)
+    @example(position=-7, value=ord("7"))  # bytes_moved 100000000.0 -> ...07.0
+    def test_one_overwritten_byte_never_raises_or_lies(
+        self, position, value, tmp_path_factory
+    ):
+        root = tmp_path_factory.mktemp("byte-store")
+        (segment,) = self._publish(root)
+        data = bytearray(segment.read_bytes())
+        data[position % len(data)] = value
+        segment.write_bytes(bytes(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CacheIntegrityWarning)
+            fresh = DiskCache(root)
+        for k in range(3):
+            hit, loaded = fresh.lookup(("k", k))
+            if hit:
+                assert loaded == make_result(float(k))
+
+    def test_schema_1_segment_is_skipped_whole(self, tmp_path):
+        from repro import __version__
+
+        # The dict-per-field layout of schema 1, as its writer published it.
+        (tmp_path / "seg-1-1-0000abcd.jsonl").write_text(
+            '{"format": "repro-sweep-cache", "package": "%s", "record": '
+            '"header", "schema": 1}\n'
+            '{"digest": "25dc2db2d1c218d1f8bd36f57e7aa63815b3997d", "record": '
+            '"entry", "result": {"device": "host", "mem_cap_w": 30.0, '
+            '"phases": [{"board_power_w": 0.0, "bytes_moved": 100000000.0, '
+            '"flops": 1000000000.0, "mem_busy": 0.4, "mem_mechanism": "NONE", '
+            '"mem_power_w": 20.0, "mem_throttle": 1.0, "name": "phase-0.0", '
+            '"proc_duty": 1.0, "proc_freq_ghz": 2.0, "proc_mechanism": "DVFS", '
+            '"proc_power_w": 90.0, "t_compute_s": 0.5, "t_memory_s": 0.5, '
+            '"time_s": 1.0, "utilization": 0.6}], "proc_cap_w": 100.0}}\n'
+            % __version__
+        )
+        with pytest.warns(CacheIntegrityWarning, match="stale header") as caught:
+            fresh = DiskCache(tmp_path)
+        assert len(caught) == 1
+        assert digest_key(("k", 0)) == "25dc2db2d1c218d1f8bd36f57e7aa63815b3997d"
+        assert fresh.lookup(("k", 0)) == (False, None)
+        assert fresh.stats.segments_skipped == 1
         assert len(fresh) == 0
 
     def test_foreign_files_are_ignored_silently(self, tmp_path):
@@ -333,7 +537,8 @@ class TestConcurrentWriters:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not [t for t in threads if t.is_alive()]
         cache.flush()
         assert not errors
         fresh = DiskCache(root)
