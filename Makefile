@@ -52,8 +52,9 @@ check: lint typecheck test
 # scale, so the battery runs again in both modes under
 # examples/faults/worker_smoke.json, which crashes the second sweep
 # task and times out the fourth: each run fails unless both
-# sweep-curve checks print `recovered cleanly`, i.e. the armed scalar
-# path resubmitted the tasks and matched the clean run.  Then one armed
+# sweep-curve checks print `recovered cleanly`, i.e. the worker-fault
+# schedule resubmitted the faulted tasks and the armed kernel gather
+# matched the clean run.  Then one armed
 # verb: `experiment ablation` under the canned plan, whose
 # online-shifting epochs drift, must flag that on stderr with a
 # `degraded: ...` line (its stdout is discarded).

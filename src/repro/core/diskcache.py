@@ -41,22 +41,23 @@ float64 field survives bit-for-bit (including infinities and NaNs).
 
 from __future__ import annotations
 
-import atexit
 import hashlib
+import itertools
 import json
 import operator
 import os
 import threading
 import uuid
 import warnings
+import weakref
 import zlib
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.faults.injector import FaultEvent
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.faults.injector import active as _faults_active
 from repro.faults.plan import FaultKind
 from repro.hardware.component import CappingMechanism
@@ -92,6 +93,10 @@ _PROC_MECHANISM = _PHASE_FIELDS.index("proc_mechanism")
 _MEM_MECHANISM = _PHASE_FIELDS.index("mem_mechanism")
 _phase_values = operator.attrgetter(*_PHASE_FIELDS)
 _MECHANISMS = CappingMechanism.__members__
+
+#: One compact encoder for every entry line (``json.dumps`` would build a
+#: new one per call because its separators differ from the default).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class DiskCacheError(ReproError):
@@ -162,7 +167,7 @@ def decode_result(payload: Sequence[Any]) -> ExecutionResult:
 
 def _entry_line(digest: str, encoded: list[object]) -> str:
     """One segment line: the CRC-32 of the row's JSON text, then the text."""
-    text = json.dumps([digest, *encoded], separators=(",", ":"))
+    text = _ENCODER.encode([digest, *encoded])
     return f"{zlib.crc32(text.encode()):08x} {text}"
 
 
@@ -232,6 +237,36 @@ def _write_segment(root: Path, name: str, lines: list[str]) -> None:
     os.replace(tmp, root / name)
 
 
+def _publish(
+    lock: threading.RLock,
+    root: Path,
+    pending: list[tuple[str, list[object]]],
+    seq: Iterator[int],
+    injector: FaultInjector | None = None,
+) -> str | None:
+    """Publish ``pending`` as the next new segment and empty it.
+
+    Returns the segment's name, or ``None`` when nothing was pending.
+    With an ``injector``, the ``"diskcache.write"`` site may mangle the
+    lines first (:func:`_mangle_lines`).  This is also each cache's
+    finalizer, run when the cache is collected or at interpreter exit,
+    so it takes the cache's parts, never the cache; collection comes at
+    no fixed point of a run, so the finalizer passes no injector.
+    """
+    with lock:
+        if not pending:
+            return None
+        name = f"seg-{os.getpid()}-{next(seq)}-{uuid.uuid4().hex[:8]}.jsonl"
+        lines = _segment_lines(pending)
+        if injector is not None:
+            event = injector.check("diskcache.write")
+            if event is not None:
+                lines = _mangle_lines(lines, event)
+        _write_segment(root, name, lines)
+        pending.clear()
+        return name
+
+
 def _mangle_lines(lines: list[str], event: FaultEvent) -> list[str]:
     """Apply a write fault to segment lines before publication.
 
@@ -256,30 +291,26 @@ class DiskCache:
 
     Thread-safe; safe against concurrent writer *processes* by design
     (writers only ever create new uniquely-named segments atomically).
-    Stores buffer in memory and publish every ``flush_every`` records, on
-    :meth:`flush`, or at interpreter exit.
+    Stores buffer in memory and publish every :data:`DEFAULT_FLUSH_EVERY`
+    records, on :meth:`flush`, or when the cache is collected or the
+    interpreter exits, whichever comes first.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-        quarantine: bool = False,
-    ) -> None:
-        if flush_every < 1:
-            raise DiskCacheError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, root: str | Path, *, quarantine: bool = False) -> None:
         self._quarantine = bool(quarantine)
         self.root = Path(root).expanduser()
         if self.root.exists() and not self.root.is_dir():
             raise DiskCacheError(f"cache dir is not a directory: {self.root}")
         self.root.mkdir(parents=True, exist_ok=True)
-        self._flush_every = flush_every
         self._lock = threading.RLock()
         self._mem: dict[str, ExecutionResult] = {}
         self._pending: list[tuple[str, list[object]]] = []
+        #: Digests of keys that missed, for the store that follows: each
+        #: store pops its key, and a full map (a run of misses no store
+        #: claimed, e.g. of failed executions) is emptied.
+        self._missed: dict[Hashable, str] = {}
         self._seen_segments: set[str] = set()
-        self._seq = 0
+        self._seq = itertools.count(1)
         self._hits = 0
         self._misses = 0
         self._stores = 0
@@ -289,7 +320,9 @@ class DiskCache:
         self._records_skipped = 0
         self._segments_skipped = 0
         self.refresh()
-        atexit.register(self.flush)
+        weakref.finalize(
+            self, _publish, self._lock, self.root, self._pending, self._seq
+        )
 
     # ------------------------------------------------------------------
     # loading
@@ -400,36 +433,34 @@ class DiskCache:
                 self._hits += 1
                 return True, value
             self._misses += 1
+            if len(self._missed) >= DEFAULT_FLUSH_EVERY:
+                self._missed.clear()
+            self._missed[key] = digest
             return False, None
 
     def store(self, key: Hashable, value: ExecutionResult) -> None:
-        """Record ``key → value``; duplicates of known digests are dropped."""
-        digest = digest_key(key)
+        """Record ``key → value``; duplicates of known digests are dropped.
+
+        A key that just missed in :meth:`lookup` reuses that digest.
+        """
         encoded = encode_result(value)
         with self._lock:
+            digest = self._missed.pop(key, None) or digest_key(key)
             if digest in self._mem:
                 return
             self._mem[digest] = value
             self._pending.append((digest, encoded))
             self._stores += 1
-            if len(self._pending) >= self._flush_every:
+            if len(self._pending) >= DEFAULT_FLUSH_EVERY:
                 self._flush_locked()
 
     def _flush_locked(self) -> None:
-        if not self._pending:
-            return
-        self._seq += 1
-        name = f"seg-{os.getpid()}-{self._seq}-{uuid.uuid4().hex[:8]}.jsonl"
-        lines = _segment_lines(self._pending)
-        injector = _faults_active()
-        if injector is not None:
-            event = injector.check("diskcache.write")
-            if event is not None:
-                lines = _mangle_lines(lines, event)
-        _write_segment(self.root, name, lines)
-        self._seen_segments.add(name)
-        self._pending.clear()
-        self._flushes += 1
+        name = _publish(
+            self._lock, self.root, self._pending, self._seq, _faults_active()
+        )
+        if name is not None:
+            self._seen_segments.add(name)
+            self._flushes += 1
 
     def flush(self) -> None:
         """Publish buffered records as a new segment (no-op when empty)."""

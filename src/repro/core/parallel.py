@@ -1,23 +1,21 @@
 """Memoized sweep execution in the calling thread.
 
-Every figure and experiment walks the allocation grid through
-:func:`~repro.perfmodel.executor.execute_on_host` /
-:func:`~repro.perfmodel.executor.execute_on_gpu`, one point at a time.
-The points are independent — the model is a pure function of
-``(platform, phases, caps)`` — so two orthogonal speedups apply:
+Every figure and experiment walks an allocation grid whose points are
+independent — the model is a pure function of ``(platform, phases,
+caps)`` — so two orthogonal speedups apply:
 
-* **vectorization** (the default) — the cache misses of a request are
-  resolved in one NumPy pass by the batch kernel
-  (:mod:`repro.perfmodel.batch`), which is bit-for-bit equivalent to the
-  scalar oracle and an order of magnitude faster on a single core;
-  disable with ``SweepEngine(batch=False)``;
+* **vectorization** — the cache misses of a request are resolved in one
+  NumPy pass by a gather kernel (``HostBatchKernel``/``GpuBatchKernel``),
+  which is bit-for-bit equivalent to the scalar oracle
+  (:mod:`repro.perfmodel.executor`) and an order of magnitude faster on
+  a single core.  The kernels are the engine's only way to execute a
+  point; the oracle is what the tests compare them against;
 * **memoization** — ``(platform, phases, allocation) → ExecutionResult``
   is cached in a bounded LRU shared by sweeps, budget curves and the
   cluster scheduler, so the repeated budgets in budget curves and the
   scheduler's per-application predictions never re-execute an identical
-  point.  The batch path fills the same cache point-by-point
-  from its array results, so warm-cache behaviour and key reuse are
-  unchanged.
+  point.  The kernels fill the cache point-by-point from their array
+  results.
 
 Every request — a whole grid from :meth:`SweepEngine.map_host` /
 :meth:`SweepEngine.map_gpu`, or a planner stage, fleet grant lattice or
@@ -76,7 +74,6 @@ from repro.perfmodel.batch import (
     HostTables,
     batch_execute_indices,
 )
-from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.perfmodel.metrics import ExecutionResult
 from repro.perfmodel.phase import Phase
 
@@ -467,6 +464,49 @@ class PlannerState:
 # planner sub-grid execution
 # ---------------------------------------------------------------------------
 
+def _resubmit_until_clean(injector: FaultInjector, n_rows: int) -> None:
+    """Run ``n_rows`` simulated tasks under the worker-fault schedule.
+
+    The deterministic schedule needs a deterministic call order, so rows
+    are checked one after another.  Each row is resubmitted after an
+    injected crash/timeout until it runs clean or the plan's
+    ``max_attempts`` are spent.  Nothing executes here: the task is the
+    pure model, which the kernel gather that follows runs for every row,
+    so a recovered request is bit-identical to the clean run.  Each
+    recovered row records one ``"resubmitted"`` event in the open
+    :func:`~repro.faults.report.ledger`.
+    """
+    budget = injector.plan.max_attempts
+    for _ in range(n_rows):
+        attempts = 0
+        while True:
+            attempts += 1
+            event = injector.check("parallel.worker")
+            if event is None:
+                break
+            failure: WorkerCrashError | WorkerTimeoutError
+            if event.kind is FaultKind.WORKER_CRASH:
+                failure = WorkerCrashError(
+                    f"sweep worker crashed (call #{event.call_index})"
+                )
+            else:
+                failure = WorkerTimeoutError(
+                    f"sweep worker timed out (call #{event.call_index})"
+                )
+            if attempts >= budget:
+                raise WorkerRetryExhaustedError(attempts, failure)
+        if attempts > 1:
+            record(
+                "parallel.worker",
+                "resubmitted",
+                attempts=attempts,
+                detail=(
+                    f"task recovered after {attempts - 1} injected "
+                    f"worker failure(s)"
+                ),
+            )
+
+
 class SubgridExecutor:
     """One prepared allocation axis, resolvable subset-by-subset.
 
@@ -475,9 +515,9 @@ class SubgridExecutor:
     fleet for each grant lattice; the adaptive planner and the server's
     prefetch touch one axis many times in small bites — probe strides,
     certify neighborhoods, per-iteration walk frontiers.  Keys are built
-    once at construction and the gather kernel lazily on the first
-    batched miss, so each :meth:`run` call costs only cache lookups and
-    gathered kernel rows.
+    once at construction and the gather kernel lazily on the first miss,
+    so each :meth:`run` call costs only cache lookups and gathered kernel
+    rows.
 
     The kernel's cap-independent tables come from the engine's holder
     LRU (:data:`TABLE_CACHE_SIZE` holders), so an axis of a device and
@@ -487,22 +527,20 @@ class SubgridExecutor:
     :class:`MemoCache` (reading through to disk when configured) and
     every miss is stored back point-by-point, so hit/miss counters, disk
     promotion, and warm-cache behaviour are the same for whole grids and
-    sub-grids.  With the batch path disabled — or a fault plan armed
-    (:func:`~repro.faults.injector.armed`), which the vectorized kernel
-    cannot honor — misses run through the engine's scalar
-    :meth:`~SweepEngine._run_batch` path, faults and all.
+    sub-grids.  Every miss runs in one kernel gather.  With a fault plan
+    armed (:func:`~repro.faults.injector.armed`), the misses first pass
+    the worker-fault schedule of :func:`_resubmit_until_clean`, one row
+    at a time.
     """
 
     def __init__(
         self,
         engine: "SweepEngine",
         keys: list[tuple],
-        point: Callable[[int], ExecutionResult],
         kernel_factory: Callable[[], "HostBatchKernel | GpuBatchKernel"],
     ) -> None:
         self._engine = engine
         self._keys = keys
-        self._point = point
         self._kernel_factory = kernel_factory
         self._kernel: HostBatchKernel | GpuBatchKernel | None = None
 
@@ -513,8 +551,7 @@ class SubgridExecutor:
         """Results for axis rows ``indices``, in input order.
 
         Bit-for-bit the per-point oracle's results for the same rows: the
-        gather kernel is row-elementwise, and the scalar path runs the
-        per-point executor itself.
+        gather kernel is row-elementwise.
         """
         engine = self._engine
         keys = self._keys
@@ -529,12 +566,12 @@ class SubgridExecutor:
             if not hit:
                 missing.append(i)
         if missing:
-            if engine.batch and armed() is None:
-                if self._kernel is None:
-                    self._kernel = self._kernel_factory()
-                results = batch_execute_indices(self._kernel, missing)
-            else:
-                results = engine._run_batch(self._point, missing)
+            injector = armed()
+            if injector is not None:
+                _resubmit_until_clean(injector, len(missing))
+            if self._kernel is None:
+                self._kernel = self._kernel_factory()
+            results = batch_execute_indices(self._kernel, missing)
             for i, result in zip(missing, results):
                 engine.cache.store(keys[i], result)
                 resolved[keys[i]] = result
@@ -550,14 +587,11 @@ class SweepEngine:
 
     Parameters
     ----------
-    n_jobs, backend:
-        Accepted only as ``None``/``1`` and ``"thread"``, the values
-        existing callers pass: every request resolves in the calling
-        thread.  Any other value raises :class:`~repro.errors.SweepError`.
-    batch:
-        ``True`` (default) resolves sweep cache misses through the
-        vectorized kernel (:mod:`repro.perfmodel.batch`); ``False``
-        forces the scalar executor, point by point.
+    n_jobs, backend, batch:
+        Accepted only as ``None``/``1``, ``"thread"`` and ``True``, the
+        values existing callers pass: every request resolves in the
+        calling thread, its misses in one kernel gather.  Any other value
+        raises :class:`~repro.errors.SweepError`.
     mode:
         ``"full"`` (default) executes every grid point (the oracle
         behaviour); ``"adaptive"`` routes budget curves and best-point
@@ -577,9 +611,9 @@ class SweepEngine:
 
     Faults are armed process-wide, never per engine: under a non-empty
     plan armed with :func:`repro.faults.injector.use_faults` (the CLI
-    arms it from ``REPRO_FAULTS``), sweep points run through the scalar
-    executor under the worker-fault schedule with deterministic
-    resubmission; results are bit-identical to the clean run or
+    arms it from ``REPRO_FAULTS``), each miss passes the worker-fault
+    schedule with deterministic resubmission before the kernel gather;
+    results are bit-identical to the clean run or
     :class:`~repro.errors.WorkerRetryExhaustedError` is raised after the
     plan's ``max_attempts`` failed attempts at one point.
     """
@@ -593,10 +627,11 @@ class SweepEngine:
         mode: str = "full",
         cache_dir: str | Path | None = None,
     ) -> None:
-        if n_jobs not in (None, 1) or backend != "thread":
+        if n_jobs not in (None, 1) or backend != "thread" or batch is not True:
             raise SweepError(
-                "sweeps resolve in the calling thread: n_jobs must be 1 and "
-                f"backend 'thread', got n_jobs={n_jobs!r}, backend={backend!r}"
+                "sweeps resolve in the calling thread through the batch kernel: "
+                "n_jobs must be 1, backend 'thread' and batch True, got "
+                f"n_jobs={n_jobs!r}, backend={backend!r}, batch={batch!r}"
             )
         if mode not in SWEEP_MODES:
             raise SweepError(
@@ -608,7 +643,6 @@ class SweepEngine:
         )
         self.cache = MemoCache(backing=self.disk_cache)
         self.planner = PlannerState()
-        self.batch = batch
         self._tables = MemoCache(TABLE_CACHE_SIZE)
 
     # ------------------------------------------------------------------
@@ -635,76 +669,11 @@ class SweepEngine:
         proc_w: float,
         mem_w: float,
     ) -> ExecutionResult:
-        """Memoized :func:`execute_on_host` (never re-runs an identical point)."""
-        key = self._host_base(cpu, dram, phases) + (float(proc_w), float(mem_w))
-        return self.cache.get_or_compute(
-            key, lambda: execute_on_host(cpu, dram, phases, proc_w, mem_w)
+        """One memoized host point (never re-runs an identical point)."""
+        executor = self._host_executor(
+            cpu, dram, phases, [float(proc_w)], [float(mem_w)]
         )
-
-    # ------------------------------------------------------------------
-    # scalar misses (batch path off, or a fault plan armed)
-    # ------------------------------------------------------------------
-    def _run_batch(
-        self, point: Callable[[int], ExecutionResult], rows: list[int]
-    ) -> list[ExecutionResult]:
-        """Scalar results for axis ``rows``, in order.
-
-        Each row runs through the per-point executor; with a fault plan
-        armed, under the worker-fault schedule of :meth:`_run_batch_faulted`.
-        """
-        injector = armed()
-        if injector is not None:
-            return self._run_batch_faulted(point, rows, injector)
-        return [point(i) for i in rows]
-
-    def _run_batch_faulted(
-        self,
-        point: Callable[[int], ExecutionResult],
-        rows: list[int],
-        injector: FaultInjector,
-    ) -> list[ExecutionResult]:
-        """Execution in request order under the worker-fault schedule.
-
-        The deterministic schedule needs a deterministic call order, so
-        rows run one after another.  Each row is resubmitted after an
-        injected crash/timeout until it runs clean or the plan's
-        ``max_attempts`` are spent; the executed task itself is the pure
-        model kernel, so a recovered sweep is bit-identical to the clean run.
-        Each recovered row records one ``"resubmitted"`` event in the open
-        :func:`~repro.faults.report.ledger`.
-        """
-        budget = injector.plan.max_attempts
-        results: list[ExecutionResult] = []
-        for i in rows:
-            attempts = 0
-            while True:
-                attempts += 1
-                event = injector.check("parallel.worker")
-                if event is None:
-                    results.append(point(i))
-                    break
-                failure: WorkerCrashError | WorkerTimeoutError
-                if event.kind is FaultKind.WORKER_CRASH:
-                    failure = WorkerCrashError(
-                        f"sweep worker crashed (call #{event.call_index})"
-                    )
-                else:
-                    failure = WorkerTimeoutError(
-                        f"sweep worker timed out (call #{event.call_index})"
-                    )
-                if attempts >= budget:
-                    raise WorkerRetryExhaustedError(attempts, failure)
-            if attempts > 1:
-                record(
-                    "parallel.worker",
-                    "resubmitted",
-                    attempts=attempts,
-                    detail=(
-                        f"task recovered after {attempts - 1} injected "
-                        f"worker failure(s)"
-                    ),
-                )
-        return results
+        return executor.run([0])[0]
 
     # ------------------------------------------------------------------
     # whole grids (one pass over a fresh executor)
@@ -788,7 +757,6 @@ class SweepEngine:
         return SubgridExecutor(
             self,
             [base + pm for pm in zip(proc, mem)],
-            lambda i: execute_on_host(cpu, dram, phases, proc[i], mem[i]),
             lambda: HostBatchKernel(
                 cast(HostTables, self._tables.get_or_compute(
                     base, lambda: HostTables(cpu, dram, phases)
@@ -811,7 +779,6 @@ class SweepEngine:
         return SubgridExecutor(
             self,
             [base + (f,) for f in freqs],
-            lambda i: execute_on_gpu(card, phases, cap_w, freqs[i]),
             lambda: GpuBatchKernel(
                 cast(GpuTables, self._tables.get_or_compute(
                     device + tuple(freqs), lambda: GpuTables(card, phases, freqs)
@@ -847,7 +814,6 @@ class SweepEngine:
         planner = self.planner.stats
         return {
             "mode": self.mode,
-            "batch": self.batch,
             "disk_tier": self.disk_cache is not None,
             "cache": {
                 "hits": cache.hits,
@@ -874,10 +840,7 @@ class SweepEngine:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SweepEngine(mode={self.mode!r}, batch={self.batch}, "
-            f"cache={self.stats})"
-        )
+        return f"SweepEngine(mode={self.mode!r}, cache={self.stats})"
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +854,7 @@ _DEFAULT_ENGINE: SweepEngine | None = None
 def default_engine() -> SweepEngine:
     """The process-wide engine sweeps use when none is passed explicitly.
 
-    Created lazily as ``SweepEngine()`` (batch kernel, full sweeps, no
-    disk tier); replace it with :func:`set_default_engine` or scope a
+    Created lazily as ``SweepEngine()`` (full sweeps, no disk tier); replace it with :func:`set_default_engine` or scope a
     replacement with :func:`use_engine`.
     """
     global _DEFAULT_ENGINE

@@ -467,7 +467,8 @@ def _plan(
     # axis — it equals the oracle's best/plateau whatever route found it —
     # so a plan of this exact grid already completed on this engine can be
     # returned outright.  Disabled while a fault plan is armed: armed runs
-    # must re-execute through the scalar path (and never poison the stash).
+    # must re-execute under the worker-fault schedule (and never poison
+    # the stash).
     replay_key = hint_key + (float(budget_w),)
     clean_run = armed() is None
     if clean_run:

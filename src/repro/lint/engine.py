@@ -34,9 +34,11 @@ class LintError(ReproError):
 
 
 #: Explicit RPL001 roots that hold regardless of auto-detection: the
-#: vectorized batch kernels are memoized through the SweepEngine cache
-#: exactly like the scalar executors, so they (and everything they call)
-#: carry the purity contract even if engine-module call shapes change.
+#: vectorized batch kernels are memoized through the SweepEngine cache,
+#: so they (and everything they call) carry the purity contract even if
+#: engine-module call shapes change.  The scalar executors are rooted
+#: too: the engine no longer calls them, yet they stay the oracle every
+#: kernel row is checked against, so they carry the same contract.
 #: The adaptive planner's axis search must replay bit-identically from
 #: memoized results (it is what makes planned answers provably equal to
 #: the full-sweep oracle), and the disk-cache codecs must round-trip
@@ -61,6 +63,8 @@ DEFAULT_PURITY_ENTRIES: tuple[str, ...] = (
     "repro.perfmodel.batch.HostBatchKernel.execute_indices",
     "repro.perfmodel.batch.execute_gpu_batch",
     "repro.perfmodel.batch.execute_host_batch",
+    "repro.perfmodel.executor.execute_on_gpu",
+    "repro.perfmodel.executor.execute_on_host",
 )
 
 
@@ -72,7 +76,8 @@ class LintConfig:
     runs every registered rule).  ``purity_entries`` adds explicit
     call-graph roots (``module.function`` dotted names) for RPL001 on
     top of the auto-detected ``SweepEngine`` entry points; it defaults
-    to :data:`DEFAULT_PURITY_ENTRIES` (the batch execution kernels).
+    to :data:`DEFAULT_PURITY_ENTRIES` (the batch kernels and the scalar
+    oracle).
     """
 
     select: frozenset[str] | None = None

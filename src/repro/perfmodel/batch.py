@@ -154,7 +154,6 @@ class _PhaseCols:
         # Threads sharing an engine share these memos: two that miss the
         # same row count build equal arrays, and either store serves both.
         self._stacks: dict[int, tuple] = {}
-        self._first_tm: dict[int, _F64] = {}
 
     def stacked(self, r: int) -> tuple:
         """The phase columns repeated for ``r`` axis rows.
@@ -182,26 +181,6 @@ class _PhaseCols:
             )
             if self.p * r <= _SHARED_STACK_ROWS:
                 self._stacks[r] = cached
-        return cached
-
-    def first_tm(
-        self, r: int, dram: DramDomain, bytes_col: _F64, eff_col: _F64
-    ) -> _F64:
-        """Memory time per stacked row at throttle level 1.0.
-
-        Every joint resolution starts from an all-ones level vector, so
-        the first iteration's ``t_m`` depends only on the row count —
-        the expression below is the loop's own, evaluated on the ones
-        vector it would build, so a reused value is bit-identical.  It is
-        kept under the same width bound as :meth:`stacked`.
-        """
-        cached = self._first_tm.get(r)
-        if cached is None:
-            level = np.ones(self.p * r)
-            mem_rate = dram.peak_bw_gbps * level * eff_col * 1e9
-            cached = bytes_col / mem_rate
-            if self.p * r <= _SHARED_STACK_ROWS:
-                self._first_tm[r] = cached
         return cached
 
 
@@ -421,13 +400,8 @@ def _host_phase_batch(
         seen: list[tuple[_F64, _F64, _F64, _Bool]] = []
         settled_lower = False
         for _ in range(_MAX_JOINT_ITERS):
-            if seen:
-                mem_rate = dram.peak_bw_gbps * level * eff_col * 1e9
-                t_m = bytes_col / mem_rate
-            else:
-                # ``level`` is all ones before the first resolve; the
-                # memoized column is that iteration's exact value.
-                t_m = cols.first_tm(r, dram, bytes_col, eff_col)
+            mem_rate = dram.peak_bw_gbps * level * eff_col * 1e9
+            t_m = bytes_col / mem_rate
             sel, fits_any, first = _resolve_cpu_batch(
                 cpu, table, act_col, stall_col, t_c_rows, cpu_cap_eps, t_m
             )

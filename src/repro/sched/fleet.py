@@ -13,9 +13,9 @@ Scale comes from five structural decisions (``docs/scheduling.md`` §4):
   lattice of ``grant_quantum_w`` multiples, from the workload's
   productive threshold to its maximum useful demand.  The first job to
   touch a pair resolves its whole lattice in one
-  :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass (under an
-  armed fault plan, the scalar path), so allocation rounds and re-splits
-  are index arithmetic with no engine call.
+  :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass, so
+  allocation rounds and re-splits are index arithmetic with no engine
+  call.
 * **Columns, not objects.**  The simulator runs on the columnar
   :class:`~repro.sched.traces.Trace` in arrival order (sorted only when
   it is not already), so the FIFO of arrived jobs is a range of rows.

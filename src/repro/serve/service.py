@@ -22,7 +22,7 @@ for the whole flush instead of once per query.
 
 Resilience: with a fault plan armed, prefetch and the profile memo are
 bypassed — each query resolves individually through the profilers'
-majority vote / the engine's armed scalar fallback, inside its own
+majority vote and the engine's worker-fault schedule, inside its own
 degradation :func:`~repro.faults.report.ledger`, and the outcome (the
 ledger's events or a typed ``FaultError``) is attached to that query's
 envelope alone.  A flush never shares one query's fault with its
@@ -210,8 +210,6 @@ class CoordinationService:
         proper per-reply classification.
         """
         if self.faults_armed() or self.engine.mode == "adaptive":
-            return 0
-        if not self.engine.batch:
             return 0
         groups: dict[tuple[str, str, float], dict[str, Any]] = {}
         for request in requests:

@@ -9,10 +9,12 @@ classification, plateau span, best point) exactly, with no tolerances.
 
 Tier-1 runs the full workload registry on representative budgets/caps plus
 hypothesis-fuzzed synthetic platforms; the exhaustive budget matrix is
-``@pytest.mark.slow``.  The harness also locks the engine-level contract:
-the batch path fills the same memo cache point-by-point, so cache
-statistics and warm-sweep behaviour are indistinguishable from the scalar
-path, and ``SweepEngine(batch=False)`` remains a true escape hatch.  The kernels build their rows without the dataclass
+``@pytest.mark.slow``.  Sweep-level references are built over the same
+grid by the oracle itself, one point at a time (:class:`OracleEngine`).
+The harness also locks the engine-level contract: the kernel fills the
+memo cache point-by-point, with the keys single-point requests use, and
+the kernel is the engine's only execution path (``SweepEngine(batch=False)``
+is refused).  The kernels build their rows without the dataclass
 constructor, so every comparison also checks that a kernel row behaves as
 the oracle's under hashing, ``repr``, ``asdict``, pickle, copy, the disk
 codec and frozenness.
@@ -81,14 +83,34 @@ def gpu_phases(name: str) -> tuple[Phase, ...]:
     return tuple(ph for part in name.split("+") for ph in gpu_workload(part).phases)
 
 
-def scalar_engine() -> SweepEngine:
-    """The oracle: a fresh scalar-executor engine, its cache empty."""
-    return SweepEngine(batch=False)
+class OracleEngine:
+    """A stand-in engine that resolves every point with the scalar oracle.
+
+    The sweep functions ask an engine only for its ``mode`` and for
+    ``map_host``/``map_gpu``, so a sweep or full-mode budget curve run on
+    this builds the reference over the same grid, point by point.
+    """
+
+    mode = "full"
+
+    def map_host(self, cpu, dram, phases, allocations):
+        return [
+            execute_on_host(cpu, dram, phases, a.proc_w, a.mem_w)
+            for a in allocations
+        ]
+
+    def map_gpu(self, card, phases, cap_w, mem_freqs_mhz):
+        return [execute_on_gpu(card, phases, cap_w, f) for f in mem_freqs_mhz]
+
+
+def scalar_engine() -> OracleEngine:
+    """The oracle: every sweep point from the scalar executor."""
+    return OracleEngine()
 
 
 def batch_engine() -> SweepEngine:
     """The engine under test: vectorized misses."""
-    return SweepEngine(batch=True)
+    return SweepEngine()
 
 
 def assert_results_identical(scalar, batch) -> None:
@@ -566,12 +588,15 @@ class TestEngineContract:
         assert warm.hits == stats.hits + len(first.points)
 
     def test_batch_and_scalar_share_cache_keys(self, ivb, sra):
-        """A batch-warmed cache fully serves the scalar path."""
-        engine = SweepEngine(batch=True)
-        sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=engine)
+        """A sweep-warmed cache fully serves single-point requests."""
+        engine = SweepEngine()
+        swept = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=engine)
         misses = engine.stats.misses
-        engine.batch = False
-        sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=engine)
+        for point in swept.points:
+            alloc = point.allocation
+            assert engine.execute_host(
+                ivb.cpu, ivb.dram, sra.phases, alloc.proc_w, alloc.mem_w
+            ) == point.result
         assert engine.stats.misses == misses
 
     def test_duplicate_allocations_execute_once(self, ivb, stream):
@@ -604,10 +629,13 @@ class TestEngineContract:
         scalar = sweep_cpu_allocations(
             ivb.cpu, ivb.dram, sra, 176.0, engine=scalar_engine()
         )
-        with use_engine(SweepEngine()) as engine:
-            assert engine.batch is True
+        with use_engine(SweepEngine()):
             batch = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0)
         assert_sweeps_identical(scalar, batch)
+        # The kernel is the only execution path: there is no scalar mode.
+        with pytest.raises(SweepError, match="batch True"):
+            SweepEngine(batch=False)
+        assert SweepEngine(batch=True).mode == "full"
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,24 @@ write-through, env plumbing).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import multiprocessing
+import os
 import struct
+import subprocess
+import sys
 import warnings
+import weakref
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.core import diskcache
 from repro.core.diskcache import (
     CACHE_FORMAT,
     CACHE_SCHEMA_VERSION,
@@ -121,11 +128,12 @@ results = st.builds(
 
 def _writer_process(root: str, worker: int, n_keys: int) -> None:
     """Store overlapping + distinct keys, flushing a segment per record."""
-    cache = DiskCache(root, flush_every=1)
+    cache = DiskCache(root)
     for k in range(n_keys):
         cache.store(("shared", k), make_result(float(k)))
+        cache.flush()
         cache.store(("worker", worker, k), make_result(worker * 100.0 + k))
-    cache.flush()
+        cache.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,19 @@ class TestCodec:
         assert digest_key(key) == digest_key(("host", ("fp", 1.0), 144.0, 16.0))
         assert digest_key(key) != digest_key(("host", ("fp", 1.0), 144.0, 20.0))
 
+    @property_settings(50)
+    @given(result=results)
+    def test_entry_line_is_the_json_dumps_text(self, result):
+        # The reused encoder writes the bytes json.dumps wrote, so schema-2
+        # segments read and write unchanged.
+        digest = digest_key(("k", result.device))
+        encoded = encode_result(result)
+        text = json.dumps([digest, *encoded], separators=(",", ":"))
+        assert diskcache._entry_line(digest, encoded) == (
+            f"{zlib.crc32(text.encode()):08x} {text}"
+        )
+        assert CACHE_SCHEMA_VERSION == 2
+
 
 # ---------------------------------------------------------------------------
 # store basics: cross-instance persistence, refresh, compaction
@@ -232,12 +253,97 @@ class TestDiskCacheStore:
         first.flush()
         assert DiskCache(tmp_path).lookup(("k", 1))[0]
 
-    def test_flush_every_publishes_automatically(self, tmp_path):
-        cache = DiskCache(tmp_path, flush_every=2)
+    def test_flush_every_publishes_automatically(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diskcache, "DEFAULT_FLUSH_EVERY", 2)
+        cache = DiskCache(tmp_path)
         cache.store(("k", 1), make_result(1.0))
         assert not list(tmp_path.glob("seg-*.jsonl"))
         cache.store(("k", 2), make_result(2.0))
         assert len(list(tmp_path.glob("seg-*.jsonl"))) == 1
+
+    def test_dropped_cache_is_collected_and_publishes_its_buffer(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.store(("k", 1), make_result(1.0))
+        alive = weakref.ref(cache)
+        del cache
+        gc.collect()
+        assert alive() is None
+        assert DiskCache(tmp_path).lookup(("k", 1)) == (True, make_result(1.0))
+
+    def test_dropped_engine_releases_its_disk_tier(self, tmp_path, ivb, stream):
+        engine = SweepEngine(cache_dir=tmp_path)
+        swept = sweep_cpu_allocations(
+            ivb.cpu, ivb.dram, stream, 144.0, step_w=8.0, engine=engine
+        )
+        tier = weakref.ref(engine.disk_cache)
+        del engine
+        gc.collect()
+        assert tier() is None
+        assert len(DiskCache(tmp_path)) == len(swept.points)
+
+    def test_buffered_records_reach_disk_at_interpreter_exit(self, tmp_path):
+        # The cache is still referenced when the interpreter exits.
+        code = (
+            "import sys\n"
+            "from repro.core.parallel import SweepEngine\n"
+            "from repro.core.sweep import sweep_cpu_allocations\n"
+            "from repro.hardware.platforms import ivybridge_node\n"
+            "from repro.workloads import cpu_workload\n"
+            "node = ivybridge_node()\n"
+            "ENGINE = SweepEngine(cache_dir=sys.argv[1])\n"
+            "swept = sweep_cpu_allocations(node.cpu, node.dram,\n"
+            "    cpu_workload('stream'), 144.0, step_w=8.0, engine=ENGINE)\n"
+            "print(len(swept.points))\n"
+        )
+        src = str(Path(diskcache.__file__).parents[2])
+        out = subprocess.run(
+            [sys.executable, "-B", "-c", code, str(tmp_path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stderr == ""
+        assert len(DiskCache(tmp_path)) == int(out.stdout) > 0
+
+    def test_a_missed_key_is_digested_once(self, tmp_path, monkeypatch):
+        digested = []
+
+        def counting(key):
+            digested.append(key)
+            return digest_key(key)
+
+        monkeypatch.setattr(diskcache, "digest_key", counting)
+        cache = DiskCache(tmp_path)
+        assert cache.lookup(("k", 1)) == (False, None)
+        cache.store(("k", 1), make_result(1.0))
+        cache.store(("k", 2), make_result(2.0))  # no lookup came first
+        assert digested == [("k", 1), ("k", 2)]
+        cache.flush()
+        assert DiskCache(tmp_path).lookup(("k", 1)) == (True, make_result(1.0))
+
+    def test_cold_adaptive_pass_digests_each_stored_point_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The benchmark's sweeps-adaptive load (seed 2016) into a fresh
+        # disk tier: every store follows its key's missed lookup.
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).parents[1] / "benchmarks" / "perf")
+        )
+        import sweeps
+
+        digested = []
+
+        def counting(key):
+            digested.append(key)
+            return digest_key(key)
+
+        monkeypatch.setattr(diskcache, "digest_key", counting)
+        engine = SweepEngine(mode="adaptive", cache_dir=tmp_path)
+        calls = sweeps.build_load(2016)
+        answers = sweeps.run_pass(calls, engine, True, None, None)
+        engine.flush()
+        assert sweeps.check_answers(calls, answers, "cold") == []
+        assert engine.disk_cache.stats.stores == 1942
+        assert len(digested) == 1942
 
     def test_flush_on_empty_is_a_noop(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -263,9 +369,10 @@ class TestDiskCacheStore:
         assert len(cache) == 1
 
     def test_compact_merges_segments(self, tmp_path):
-        cache = DiskCache(tmp_path, flush_every=1)
+        cache = DiskCache(tmp_path)
         for k in range(5):
             cache.store(("k", k), make_result(float(k)))
+            cache.flush()
         assert len(list(tmp_path.glob("seg-*.jsonl"))) == 5
         assert cache.compact() == 5
         assert len(list(tmp_path.glob("seg-*.jsonl"))) == 1
@@ -278,8 +385,9 @@ class TestDiskCacheStore:
         target.write_text("not a directory")
         with pytest.raises(DiskCacheError):
             DiskCache(target)
-        with pytest.raises(DiskCacheError):
-            DiskCache(tmp_path, flush_every=0)
+        # The flush size is the module constant, not a setting.
+        with pytest.raises(TypeError):
+            DiskCache(tmp_path, flush_every=1)  # type: ignore[call-arg]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +625,13 @@ class TestConcurrentWriters:
             for k in range(n_keys):
                 assert reader.lookup(("worker", w, k))[0]
 
-    def test_concurrent_threads_on_one_instance(self, tmp_path):
+    def test_concurrent_threads_on_one_instance(self, tmp_path, monkeypatch):
         import threading
 
         root = tmp_path / "shared-store"
         root.mkdir()
-        cache = DiskCache(root, flush_every=4)
+        monkeypatch.setattr(diskcache, "DEFAULT_FLUSH_EVERY", 4)
+        cache = DiskCache(root)
         errors: list[Exception] = []
 
         def hammer(worker: int) -> None:
@@ -564,8 +673,9 @@ class TestFaultedWrites:
         )
         value = make_result(0.0)
         with use_faults(plan):
-            cache = DiskCache(tmp_path, flush_every=1)
+            cache = DiskCache(tmp_path)
             cache.store(("k", 0), value)
+            cache.flush()
         # The writer's own in-memory copy is untouched by the torn disk.
         assert cache.lookup(("k", 0)) == (True, value)
         with pytest.warns(CacheIntegrityWarning, match="corrupt record"):
@@ -584,8 +694,9 @@ class TestFaultedWrites:
             ),
         )
         with use_faults(plan):
-            cache = DiskCache(tmp_path, flush_every=1)
+            cache = DiskCache(tmp_path)
             cache.store(("k", 0), make_result(0.0))
+            cache.flush()
         with pytest.warns(CacheIntegrityWarning):
             quarantining = DiskCache(tmp_path, quarantine=True)
         assert quarantining.lookup(("k", 0)) == (False, None)
@@ -606,10 +717,10 @@ class TestFaultedWrites:
         root = tmp_path_factory.mktemp("faulted-store")
         values = {("k", k): make_result(float(k)) for k in range(4)}
         with use_faults(plan):
-            cache = DiskCache(root, flush_every=1)
+            cache = DiskCache(root)
             for key, value in values.items():
                 cache.store(key, value)
-            cache.flush()
+                cache.flush()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CacheIntegrityWarning)
             fresh = DiskCache(root)

@@ -49,20 +49,12 @@ class TestRenderGoldens:
 
     The reports are the goldens: any change to an answer, a point count
     or a formatting rule shows up here as a diff, in every engine mode.
-    Tier-1 checks the batch kernel under both sweep strategies; the
-    scalar executor passes are slower and run under ``-m slow``.
+    Both sweep strategies run on the batch kernel, the engine's only
+    execution path (``batch=True`` is the one value it accepts).
     """
 
     @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
-    @pytest.mark.parametrize(
-        "mode, batch",
-        [
-            ("full", True),
-            ("adaptive", True),
-            pytest.param("full", False, marks=pytest.mark.slow),
-            pytest.param("adaptive", False, marks=pytest.mark.slow),
-        ],
-    )
+    @pytest.mark.parametrize("mode, batch", [("full", True), ("adaptive", True)])
     def test_render_matches_committed_report(self, mode, batch, exp_id, full_batch):
         if (mode, batch) == ("full", True):
             report = full_batch(exp_id)

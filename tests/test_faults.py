@@ -809,68 +809,25 @@ class TestEveryVerbClassifies:
 # ---------------------------------------------------------------------------
 
 class TestBatchedPlannerFallback:
-    """Armed worker plans force the planner's scalar path (PR 5 contract).
+    """Armed worker plans run the planner's gathers through the kernel.
 
-    The vectorized kernel has no per-task boundary to inject worker
-    faults at, so a ``SubgridExecutor`` under an armed worker plan must
-    resolve point-by-point through the scalar executor — where
-    crash/timeout schedules fire, retries resubmit, and exhaustion raises
-    typed errors — while still producing the clean run's exact answer
-    when every fault recovers.
+    Every miss runs in the batch kernel, armed or not.  Under an armed
+    worker plan each ``SubgridExecutor`` request first passes the
+    crash/timeout schedule row by row, where retries resubmit and
+    exhaustion raises a typed error; a request whose faults all recover
+    produces the clean run's exact answer.  With no plan, or an empty
+    one, the schedule is never consulted.
     """
 
     @staticmethod
     def _crash_plan(**plan_kwargs) -> FaultPlan:
         return plan_for("parallel.worker", FaultKind.WORKER_CRASH, **plan_kwargs)
 
-    def test_armed_cpu_plan_bypasses_batch_kernel(self, ivb, stream,
-                                                  monkeypatch):
-        clean = plan_cpu_sweep(
-            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
-        )
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - contract trip
-            raise AssertionError("batch kernel ran under an armed plan")
-
-        monkeypatch.setattr(
-            "repro.core.parallel.batch_execute_indices", forbidden
-        )
-        plan = self._crash_plan(probability=0.3)
-        with use_faults(plan) as injector, ledger() as report:
-            planned = plan_cpu_sweep(
-                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(batch=True)
-            )
-        assert planned.best == clean.best
-        assert planned.plateau == clean.plateau
-        assert planned.perf_max == clean.perf_max
-        assert injector.events()  # the schedule did fire
-        assert any(e.action == "resubmitted" for e in report.events)
-
-    def test_armed_gpu_plan_bypasses_batch_kernel(self, monkeypatch):
-        from repro.core.planner import plan_gpu_sweep
-        from repro.hardware.platforms import titan_v_card
-        from repro.workloads import gpu_workload
-
-        card = titan_v_card()
-        wl = gpu_workload("minife")
-        clean = plan_gpu_sweep(card, wl, 200.0, engine=SweepEngine())
-        monkeypatch.setattr(
-            "repro.core.parallel.batch_execute_indices",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("batched")),
-        )
-        with use_faults(self._crash_plan(probability=0.3)):
-            planned = plan_gpu_sweep(
-                card, wl, 200.0, engine=SweepEngine(batch=True)
-            )
-        assert planned.best == clean.best
-        assert planned.plateau == clean.plateau
-
-    def test_disarmed_engine_keeps_batch_kernel(self, ivb, stream,
-                                                monkeypatch):
-        """Sanity inverse: without an armed plan the kernel does run."""
+    @staticmethod
+    def _count_kernel_calls(monkeypatch) -> list[int]:
         from repro.core import parallel as parallel_mod
 
-        calls = []
+        calls: list[int] = []
         original = parallel_mod.batch_execute_indices
 
         def counting(kernel, rows):
@@ -880,11 +837,57 @@ class TestBatchedPlannerFallback:
         monkeypatch.setattr(
             "repro.core.parallel.batch_execute_indices", counting
         )
-        plan_cpu_sweep(
-            ivb.cpu, ivb.dram, stream, 176.0,
-            engine=SweepEngine(batch=True),
+        return calls
+
+    def test_armed_cpu_plan_runs_batch_kernel(self, ivb, stream, monkeypatch):
+        clean = plan_cpu_sweep(
+            ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
         )
-        assert calls  # at least the probe stage went through the kernel
+        kernel_calls = self._count_kernel_calls(monkeypatch)
+        plan = self._crash_plan(probability=0.3)
+        engine = SweepEngine()
+        with use_faults(plan) as injector, ledger() as report:
+            planned = plan_cpu_sweep(ivb.cpu, ivb.dram, stream, 176.0, engine=engine)
+        assert planned.best == clean.best
+        assert planned.plateau == clean.plateau
+        assert planned.perf_max == clean.perf_max
+        assert injector.events()  # the schedule did fire
+        assert any(e.action == "resubmitted" for e in report.events)
+        # One check per attempt at each executed row, then its gather.
+        assert injector.calls("parallel.worker") == (
+            engine.stats.misses + len(injector.events())
+        )
+        assert sum(kernel_calls) == engine.stats.misses
+
+    def test_armed_gpu_plan_runs_batch_kernel(self, monkeypatch):
+        from repro.core.planner import plan_gpu_sweep
+        from repro.hardware.platforms import titan_v_card
+        from repro.workloads import gpu_workload
+
+        card = titan_v_card()
+        wl = gpu_workload("minife")
+        clean = plan_gpu_sweep(card, wl, 200.0, engine=SweepEngine())
+        kernel_calls = self._count_kernel_calls(monkeypatch)
+        with use_faults(self._crash_plan(probability=0.3)) as injector:
+            planned = plan_gpu_sweep(card, wl, 200.0, engine=SweepEngine())
+        assert planned.best == clean.best
+        assert planned.plateau == clean.plateau
+        assert injector.calls("parallel.worker") > 0
+        assert kernel_calls
+
+    def test_disarmed_engine_keeps_batch_kernel(self, ivb, stream,
+                                                monkeypatch):
+        """Without a plan, or under an empty one, nothing consults the schedule."""
+        kernel_calls = self._count_kernel_calls(monkeypatch)
+        plan_cpu_sweep(ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine())
+        assert kernel_calls  # at least the probe stage went through the kernel
+        kernel_calls.clear()
+        with use_faults(FaultPlan.empty()) as injector:
+            plan_cpu_sweep(
+                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
+            )
+        assert kernel_calls
+        assert injector.calls("parallel.worker") == 0
 
     def test_exhaustion_on_batched_planner_is_typed(self, ivb, stream):
         plan = plan_for(
@@ -892,7 +895,7 @@ class TestBatchedPlannerFallback:
         )
         with use_faults(plan), pytest.raises(WorkerRetryExhaustedError):
             plan_cpu_sweep(
-                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine(batch=True)
+                ivb.cpu, ivb.dram, stream, 176.0, engine=SweepEngine()
             )
 
 

@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError, SchedulerError
 from repro.faults.contract import _run_check
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.hardware.platforms import haswell_node, ivybridge_node
+from repro.perfmodel.executor import execute_on_host
 from repro.sched import (
     BudgetResplit,
     Cluster,
@@ -666,15 +667,14 @@ class TestFleetGolden:
         sim = FleetSimulator(trace, n_nodes=1, global_bound_w=500.0,
                              profiles=(profile,), engine=SweepEngine())
         node = PLATFORMS[profile]()
-        oracle = SweepEngine(batch=False)
         for name in names:
             workload = cpu_workload(name)
             spec = sim._spec(profile, name)
             critical = profile_cpu_workload(node.cpu, node.dram, workload)
             allocations = [coord_cpu(critical, w).allocation
                            for w in spec.lattice_w]
-            want = oracle.map_host(node.cpu, node.dram, workload.phases,
-                                   allocations)
+            want = [execute_on_host(node.cpu, node.dram, workload.phases,
+                                    a.proc_w, a.mem_w) for a in allocations]
             assert spec.elapsed_s == [r.elapsed_s for r in want], name
             assert spec.energy_j == [r.energy_j for r in want], name
 

@@ -174,8 +174,21 @@ class TestSelfCheck:
             "repro.perfmodel.batch.HostBatchKernel.execute_indices",
             "repro.perfmodel.batch.execute_gpu_batch",
             "repro.perfmodel.batch.execute_host_batch",
+            "repro.perfmodel.executor.execute_on_gpu",
+            "repro.perfmodel.executor.execute_on_host",
         )
         assert LintConfig().purity_entries == DEFAULT_PURITY_ENTRIES
+        # The scalar oracle stays under RPL001 although the engine no
+        # longer calls it: its entries reach its helpers.
+        from repro.lint.callgraph import CallGraph
+        from repro.lint.engine import load_project
+
+        graph = CallGraph.build(
+            load_project([SRC_REPRO]), extra_entries=DEFAULT_PURITY_ENTRIES
+        )
+        reachable = graph.reachable()
+        for helper in ("_host_phase", "_gpu_phase", "cpu_candidate_table"):
+            assert f"repro.perfmodel.executor.{helper}" in reachable
 
     def test_batch_kernel_is_rooted_and_traversed_in_the_real_tree(self):
         # The purity contract must cover the vectorized kernels both as

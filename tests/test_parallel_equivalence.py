@@ -100,16 +100,20 @@ class TestProperties:
             assert by_alloc[(alloc.proc_w, alloc.mem_w)] == result
 
     def test_duplicate_allocations_execute_once(self, ivb, stream):
-        # The scalar path dedups too (the batch path is pinned in
-        # tests/test_batch_equivalence.py).
-        engine = SweepEngine(batch=False)
+        # A request that repeats its rows executes each once, and every
+        # copy is the oracle's result.
+        engine = SweepEngine()
         allocations = list(allocation_grid(208.0, mem_min_w=16.0,
                                            proc_min_w=8.0, step_w=8.0))
         results = engine.map_host(
             ivb.cpu, ivb.dram, stream.phases, allocations * 3
         )
         assert engine.stats.misses == len(allocations)
-        assert results[: len(allocations)] * 3 == results
+        oracle = [
+            execute_on_host(ivb.cpu, ivb.dram, stream.phases, a.proc_w, a.mem_w)
+            for a in allocations
+        ]
+        assert results == oracle * 3
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,7 @@ class TestEnginePlumbing:
         widths = [
             holder.cols.p * r
             for holder in engine._tables._data.values()
-            for memo in (holder.cols._stacks, holder.cols._first_tm)
-            for r in memo
+            for r in holder.cols._stacks
         ]
         assert widths and max(widths) <= _SHARED_STACK_ROWS
 
@@ -384,16 +387,22 @@ class TestEnginePlumbing:
         assert untouched.disk_hit_ratio == 0.0
 
     def test_engine_respects_shared_cache(self, tmp_path, ivb, sra):
-        # Engines share results through a common cache_dir: what a batch
-        # engine stored fully serves a scalar engine, with no miss.
+        # Engines share results through a common cache_dir: what one
+        # engine stored fully serves a second, with no miss, and every
+        # served point is the oracle's.
         first = SweepEngine(cache_dir=tmp_path)
         warmed = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=first)
         first.flush()
-        second = SweepEngine(cache_dir=tmp_path, batch=False)
+        second = SweepEngine(cache_dir=tmp_path)
         served = sweep_cpu_allocations(ivb.cpu, ivb.dram, sra, 176.0, engine=second)
         assert second.stats.misses == 0  # second engine fully served
         assert second.stats.disk_hits == len(warmed.points)
         assert served.points == warmed.points
+        for point in served.points:
+            alloc = point.allocation
+            assert point.result == execute_on_host(
+                ivb.cpu, ivb.dram, sra.phases, alloc.proc_w, alloc.mem_w
+            )
 
     def test_memoized_single_point_matches_direct(self, ivb, minife, sgemm):
         engine = SweepEngine()

@@ -1,15 +1,14 @@
-"""Stage-level differential battery: batched planner stages vs scalar.
+"""Stage-level differential battery: batched planner stages vs the oracle.
 
 The planner resolves every stage's point subset — the probe grid, the
 certify/escalation set, each lockstep bracket-walk frontier, the plateau
 middle — through one :class:`~repro.core.parallel.SubgridExecutor` per
-plan.  With the vectorized kernel enabled each subset is one gathered
-kernel pass; with ``batch=False`` the very same subsets resolve through
-the scalar per-point executor.  These tests trace the stage-by-stage
-fetch sequence on both paths and assert they cannot drift: identical
-batches in identical order, identical executed-point sets, bit-for-bit
-identical results and cache accounting — across both full workload
-registries and hypothesis-fuzzed synthetic domains.
+plan, and each subset is one gathered kernel pass.  These tests trace
+the stage-by-stage fetch sequence and check every traced row against
+the scalar oracle (``execute_on_host``/``execute_on_gpu``) at that axis
+row: bit-for-bit identical results, each row executed once in the cache
+accounting — across both full workload registries and
+hypothesis-fuzzed synthetic domains.
 """
 
 from __future__ import annotations
@@ -21,7 +20,12 @@ from hypothesis import given
 import numpy as np
 
 from repro.core.allocation import allocation_grid
-from repro.core.parallel import PlannerStats, SubgridExecutor, SweepEngine
+from repro.core.parallel import (
+    PlannerStats,
+    SubgridExecutor,
+    SweepEngine,
+    fingerprint,
+)
 from repro.core.planner import (
     _default_stride,
     _probe_indices,
@@ -38,6 +42,7 @@ from repro.hardware.platforms import (
     titan_v_card,
     titan_xp_card,
 )
+from repro.perfmodel.executor import execute_on_gpu, execute_on_host
 from repro.workloads import (
     cpu_workload,
     gpu_workload,
@@ -46,10 +51,6 @@ from repro.workloads import (
 )
 
 from tests.conftest import planner_cpu_cases, property_settings
-from tests.test_planner_equivalence import (
-    assert_points_identical,
-    oracle_engine,
-)
 
 import pytest
 
@@ -58,16 +59,21 @@ import pytest
 def subgrid_trace():
     """Record every ``SubgridExecutor.run`` call: one entry per stage batch.
 
-    Each entry is ``(indices, results)`` with the indices exactly as the
-    planner requested them and the results exactly as the engine returned
-    them, so two traces compare bit-for-bit via ``==``.
+    Each entry is ``(indices, results, keys)`` with the indices exactly as
+    the planner requested them, the results exactly as the engine
+    returned them, and each requested row's cache key, which names the
+    row's axis values and, by fingerprint, the models it ran on.
     """
-    log: list[tuple[tuple[int, ...], tuple]] = []
+    log: list[tuple[tuple[int, ...], tuple, tuple]] = []
     original = SubgridExecutor.run
 
     def wrapped(self, indices):
         out = original(self, indices)
-        log.append((tuple(int(i) for i in indices), tuple(out)))
+        log.append((
+            tuple(int(i) for i in indices),
+            tuple(out),
+            tuple(self._keys[i] for i in indices),
+        ))
         return out
 
     SubgridExecutor.run = wrapped
@@ -77,8 +83,8 @@ def subgrid_trace():
         SubgridExecutor.run = original
 
 
-def traced_cpu_plan(node, wl, budget, *, step_w=4.0, batch=True, engine=None):
-    engine = engine or SweepEngine(batch=batch)
+def traced_cpu_plan(node, wl, budget, *, step_w=4.0, engine=None):
+    engine = engine or SweepEngine()
     with subgrid_trace() as log:
         planned = plan_cpu_sweep(
             node.cpu, node.dram, wl, budget, step_w=step_w, engine=engine
@@ -86,25 +92,52 @@ def traced_cpu_plan(node, wl, budget, *, step_w=4.0, batch=True, engine=None):
     return planned, log, engine
 
 
-def traced_gpu_plan(card, wl, cap, *, batch=True, engine=None):
-    engine = engine or SweepEngine(batch=batch)
+def traced_gpu_plan(card, wl, cap, *, engine=None):
+    engine = engine or SweepEngine()
     with subgrid_trace() as log:
         planned = plan_gpu_sweep(card, wl, cap, freq_stride=1, engine=engine)
     return planned, log, engine
 
 
-def assert_traces_identical(batched, scalar) -> None:
-    """Same stage batches, same order, same points, same result bits."""
-    assert len(batched) == len(scalar)
-    for stage, ((b_idx, b_res), (s_idx, s_res)) in enumerate(
-        zip(batched, scalar)
-    ):
-        assert b_idx == s_idx, f"stage {stage} fetched different indices"
-        assert b_res == s_res, f"stage {stage} returned different results"
+#: The registered platforms and workloads, by content fingerprint.
+_MODELS = {
+    fingerprint(model): model
+    for model in (
+        *(part for node in (ivybridge_node(), haswell_node())
+          for part in (node.cpu, node.dram)),
+        titan_xp_card(),
+        titan_v_card(),
+        *(tuple(cpu_workload(name).phases) for name in list_cpu_workloads()),
+        *(tuple(gpu_workload(name).phases) for name in list_gpu_workloads()),
+    )
+}
+
+
+def assert_trace_matches_oracle(log, *models) -> None:
+    """Every traced row is bit-for-bit the scalar oracle's at that row.
+
+    ``models`` adds the CPU, DRAM, card or phase tuples a trace ran on
+    beyond the registered ones.
+    """
+    by_fp = {**_MODELS, **{fingerprint(m): m for m in models}}
+    for stage, (indices, results, keys) in enumerate(log):
+        assert len(results) == len(keys) == len(indices)
+        for key, result in zip(keys, results):
+            if key[0] == "host":
+                cpu, dram, phases = (by_fp[fp] for fp in key[1:4])
+                want = execute_on_host(cpu, dram, phases, *key[4:])
+            else:
+                card, phases = (by_fp[fp] for fp in key[1:3])
+                want = execute_on_gpu(card, phases, *key[3:])
+            assert result == want, f"stage {stage} row {key[-2:]}"
+
+
+def executed_keys(log) -> set[tuple]:
+    return {key for _, _, keys in log for key in keys}
 
 
 def executed_set(log) -> set[int]:
-    return {i for indices, _ in log for i in indices}
+    return {i for indices, *_ in log for i in indices}
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +161,8 @@ class TestProbeStage:
 
     @pytest.mark.parametrize("budget", (176.0, 208.0))
     def test_probe_batch_identical_across_paths(self, ivb, dgemm, budget):
-        _, batched, _ = traced_cpu_plan(ivb, dgemm, budget, batch=True)
-        _, scalar, _ = traced_cpu_plan(ivb, dgemm, budget, batch=False)
-        assert batched[0][0] == scalar[0][0]
-        assert batched[0][1] == scalar[0][1]
+        _, batched, _ = traced_cpu_plan(ivb, dgemm, budget)
+        assert_trace_matches_oracle(batched[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +182,12 @@ class TestCertifyStage:
         assert planned.stats.executed_points == planned.stats.native_points
 
     def test_fallback_is_identical_across_paths(self, ivb, sra):
-        b_planned, b_log, b_eng = traced_cpu_plan(
-            ivb, sra, 120.0, step_w=6.0, batch=True
-        )
-        s_planned, s_log, s_eng = traced_cpu_plan(
-            ivb, sra, 120.0, step_w=6.0, batch=False
-        )
-        assert b_planned.stats == s_planned.stats
-        assert_traces_identical(b_log, s_log)
-        assert_points_identical(b_planned.best, s_planned.best)
-        assert b_eng.cache.stats.misses == s_eng.cache.stats.misses
-        assert b_eng.cache.stats.hits == s_eng.cache.stats.hits
+        planned, log, engine = traced_cpu_plan(ivb, sra, 120.0, step_w=6.0)
+        assert planned.stats.fallback
+        assert_trace_matches_oracle(log)
+        # The probe rows are hits for the full sweep that takes over.
+        assert engine.cache.stats.misses == len(executed_keys(log))
+        assert engine.cache.stats.hits == len(log[0][0])
 
     def test_certify_pass_adds_no_extra_batch(self, has, dgemm):
         # Certification consumes probe results without fetching: on a
@@ -170,7 +196,7 @@ class TestCertifyStage:
         planned, log, _ = traced_cpu_plan(has, dgemm, 208.0)
         assert not planned.stats.fallback
         probe_size = len(log[0][0])
-        assert all(len(idx) < probe_size for idx, _ in log[1:])
+        assert all(len(idx) < probe_size for idx, *_ in log[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +211,20 @@ class TestWalkStage:
         assert not planned.stats.fallback
         # Each lockstep round fetches at most two frontier neighbors and
         # two momentum points; the plateau middle adds a singleton.
-        assert all(len(idx) <= 4 for idx, _ in log[1:])
+        assert all(len(idx) <= 4 for idx, *_ in log[1:])
 
     def test_walk_rounds_identical_across_paths(self, ivb, dgemm):
-        b_eng = SweepEngine(batch=True)
-        s_eng = SweepEngine(batch=False)
+        engine = SweepEngine()
         for budget in (176.0, 208.0, 240.0):
-            b_planned, b_log, _ = traced_cpu_plan(
-                ivb, dgemm, budget, engine=b_eng
-            )
-            s_planned, s_log, _ = traced_cpu_plan(
-                ivb, dgemm, budget, engine=s_eng
-            )
-            assert_traces_identical(b_log, s_log)
-            assert executed_set(b_log) == executed_set(s_log)
-            assert_points_identical(b_planned.best, s_planned.best)
-            assert b_planned.plateau == s_planned.plateau
+            planned, log, _ = traced_cpu_plan(ivb, dgemm, budget, engine=engine)
+            assert_trace_matches_oracle(log)
+            assert planned.best_index in executed_set(log)
 
     def test_walk_fetches_are_disjoint_from_probes(self, ivb, dgemm):
         planned, log, _ = traced_cpu_plan(ivb, dgemm, 208.0)
         assert not planned.stats.fallback
         probe_set = set(log[0][0])
-        walked = {i for idx, _ in log[1:] for i in idx}
+        walked = {i for idx, *_ in log[1:] for i in idx}
         assert not (walked & probe_set)
 
 
@@ -223,11 +241,9 @@ class TestSelectStage:
         assert planned.best_index == (lo + hi) // 2
 
     def test_selected_point_identical_across_paths(self, tv, minife):
-        b_planned, b_log, _ = traced_gpu_plan(tv, minife, 190.0, batch=True)
-        s_planned, s_log, _ = traced_gpu_plan(tv, minife, 190.0, batch=False)
-        assert_traces_identical(b_log, s_log)
-        assert b_planned.best_index == s_planned.best_index
-        assert_points_identical(b_planned.best, s_planned.best)
+        planned, log, _ = traced_gpu_plan(tv, minife, 190.0)
+        assert_trace_matches_oracle(log)
+        assert planned.best_index in executed_set(log)
 
 
 # ---------------------------------------------------------------------------
@@ -240,36 +256,28 @@ class TestRegistryStageDifferential:
     def test_cpu_registry(self, request, platform_fixture, name):
         node = request.getfixturevalue(platform_fixture)
         wl = cpu_workload(name)
-        b_eng = SweepEngine(batch=True)
-        s_eng = SweepEngine(batch=False)
+        engine = SweepEngine()
+        executed: set[tuple] = set()
         for budget in (176.0, 240.0):
-            b_planned, b_log, _ = traced_cpu_plan(
-                node, wl, budget, engine=b_eng
-            )
-            s_planned, s_log, _ = traced_cpu_plan(
-                node, wl, budget, engine=s_eng
-            )
-            assert_traces_identical(b_log, s_log)
-            assert b_planned.stats == s_planned.stats
-            assert_points_identical(b_planned.best, s_planned.best)
-        assert b_eng.cache.stats.misses == s_eng.cache.stats.misses
-        assert b_eng.cache.stats.hits == s_eng.cache.stats.hits
+            planned, log, _ = traced_cpu_plan(node, wl, budget, engine=engine)
+            assert_trace_matches_oracle(log)
+            assert planned.stats.executed_points == len(executed_keys(log))
+            executed |= executed_keys(log)
+        assert engine.cache.stats.misses == len(executed)
 
     @pytest.mark.parametrize("name", list_gpu_workloads())
     @pytest.mark.parametrize("platform_fixture", ["xp", "tv"])
     def test_gpu_registry(self, request, platform_fixture, name):
         card = request.getfixturevalue(platform_fixture)
         wl = gpu_workload(name)
-        b_eng = SweepEngine(batch=True)
-        s_eng = SweepEngine(batch=False)
+        engine = SweepEngine()
+        executed: set[tuple] = set()
         for cap in (150.0, 250.0):
-            b_planned, b_log, _ = traced_gpu_plan(card, wl, cap, engine=b_eng)
-            s_planned, s_log, _ = traced_gpu_plan(card, wl, cap, engine=s_eng)
-            assert_traces_identical(b_log, s_log)
-            assert b_planned.stats == s_planned.stats
-            assert_points_identical(b_planned.best, s_planned.best)
-        assert b_eng.cache.stats.misses == s_eng.cache.stats.misses
-        assert b_eng.cache.stats.hits == s_eng.cache.stats.hits
+            planned, log, _ = traced_gpu_plan(card, wl, cap, engine=engine)
+            assert_trace_matches_oracle(log)
+            assert planned.stats.executed_points == len(executed_keys(log))
+            executed |= executed_keys(log)
+        assert engine.cache.stats.misses == len(executed)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +343,7 @@ class TestGoldenPointCounts:
     @pytest.mark.parametrize("fig", sorted(_GOLDEN))
     def test_executed_point_pins(self, fig):
         run, pinned, cache_hits, cache_misses = _GOLDEN[fig]
-        engine = SweepEngine(batch=True)
+        engine = SweepEngine()
         run(engine)
         assert engine.planner.stats == pinned
         assert engine.cache.stats.hits == cache_hits
@@ -347,14 +355,18 @@ class TestGoldenPointCounts:
 
     @pytest.mark.parametrize("fig", sorted(_GOLDEN))
     def test_cache_counters_match_scalar_planner(self, fig):
-        run, _, _, _ = _GOLDEN[fig]
-        batched = SweepEngine(batch=True)
-        run(batched)
-        scalar = SweepEngine(batch=False)
-        run(scalar)
-        assert batched.planner.stats == scalar.planner.stats
-        assert batched.cache.stats.hits == scalar.cache.stats.hits
-        assert batched.cache.stats.misses == scalar.cache.stats.misses
+        run, pinned, cache_hits, cache_misses = _GOLDEN[fig]
+        engine = SweepEngine()
+        with subgrid_trace() as log:
+            run(engine)
+        assert_trace_matches_oracle(log)
+        # Every oracle-checked row was executed once, and every other
+        # traced lookup was a hit.
+        assert len(executed_keys(log)) == cache_misses
+        assert sum(len(set(keys)) for _, _, keys in log) == (
+            cache_hits + cache_misses
+        )
+        assert engine.planner.stats == pinned
 
     def test_savings_hold_the_papers_multiplier(self):
         # The planner's reason to exist: every figure-scale run executes
@@ -376,17 +388,8 @@ class TestFuzzedStageDifferential:
             k: case[k]
             for k in ("budget_w", "step_w", "mem_min_w", "proc_min_w")
         }
-        with subgrid_trace() as b_log:
-            b_planned = plan_cpu_sweep(
-                cpu, dram, wl,
-                engine=SweepEngine(batch=True), **kwargs,
-            )
-        with subgrid_trace() as s_log:
-            s_planned = plan_cpu_sweep(
-                cpu, dram, wl,
-                engine=SweepEngine(batch=False), **kwargs,
-            )
-        assert_traces_identical(b_log, s_log)
-        assert b_planned.stats == s_planned.stats
-        assert b_planned.plateau == s_planned.plateau
-        assert_points_identical(b_planned.best, s_planned.best)
+        with subgrid_trace() as log:
+            planned = plan_cpu_sweep(cpu, dram, wl, engine=SweepEngine(), **kwargs)
+        assert_trace_matches_oracle(log, cpu, dram, tuple(wl.phases))
+        assert planned.stats.executed_points == len(executed_keys(log))
+        assert planned.best_index in executed_set(log)

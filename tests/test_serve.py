@@ -726,7 +726,9 @@ class TestArmedAgreesInEveryLayer:
 
     Under a non-empty plan armed through ``use_faults``, each layer takes
     its fault-aware path; under an armed empty plan, each keeps its clean
-    fast path.  A layer that decided "armed" on its own could put a
+    fast path.  The engine runs the kernel either way: armed, each miss
+    first passes the worker-fault schedule, which is otherwise never
+    consulted.  A layer that decided "armed" on its own could put a
     served ``coord`` on the armed branch with no fault schedule behind
     it, which answers clean while claiming per-request isolation.
     """
@@ -758,6 +760,7 @@ class TestArmedAgreesInEveryLayer:
                 node.cpu, node.dram, dgemm.phases, [100.0, 120.0], [40.0, 48.0]
             ).run([0, 1])
             subgrid_kernel_calls = len(kernel_calls)
+            worker_calls = injector.calls("parallel.worker")
             # planner: the replay stash (read back below, disarmed)
             plan_cpu_sweep(node.cpu, node.dram, dgemm, 176.0, engine=planned_engine)
             # service and batcher: a flush of duplicate coord queries
@@ -771,8 +774,9 @@ class TestArmedAgreesInEveryLayer:
             node.cpu, node.dram, dgemm, 176.0, engine=planned_engine
         )
         profile_memo = service.stats_snapshot()["profiles"]
+        assert subgrid_kernel_calls == 1
         if is_armed:
-            assert subgrid_kernel_calls == 0
+            assert worker_calls == 2  # one check per missed row
             assert replayed.stats.executed_points > 0  # no stash was written
             assert calls_after > calls_before
             assert profile_memo["hits"] + profile_memo["misses"] == 0
@@ -780,7 +784,7 @@ class TestArmedAgreesInEveryLayer:
             assert {served.n_unique for _, served in outs} == {3}
             assert all(not resolution.ok for resolution, _ in outs)
         else:
-            assert subgrid_kernel_calls == 1
+            assert worker_calls == 0
             assert replayed.stats.executed_points == 0  # replayed from the stash
             assert profile_memo["misses"] == 1
             assert stats.deduped == 2
