@@ -104,14 +104,16 @@ fleet-smoke:
 # CI smoke: the perf benchmark at its quick size, exiting non-zero on
 # any failed check: fleet-pressure (128 nodes, 5,000 jobs; its FleetStats
 # golden), sweeps-full (~3 s; the golden digests of the fig2, fig6 and
-# fig9 answers, so CI checks them on every Python it runs) and
+# fig9 answers, so CI checks them on every Python it runs),
 # sweeps-adaptive (~4 s; the same digests of the planned answers and of
 # their re-plan from the disk tier, which reuse the engine's shared
-# kernel tables the most).
+# kernel tables the most) and serve-mixed (~10 s; every reply of a live
+# `repro serve` checked against the direct library call).
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload fleet-pressure
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload sweeps-full
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload sweeps-adaptive
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --quick --workload serve-mixed
 
 # A/B of the perf benchmark: REF (checked out into a temporary git
 # worktree under $$TMPDIR) against the working tree, PAIRS alternating

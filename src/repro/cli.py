@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the coordination server (micro-batched, warm engine)",
         description=(
             "Long-lived allocation daemon: newline-delimited JSON over TCP, "
-            "concurrent queries coalesced into micro-batched kernel passes "
+            "concurrent queries coalesced into micro-batched flushes "
             "against one warm engine.  See docs/serving.md."
         ),
     )
@@ -190,15 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="start, drive a concurrent TCP burst, assert clean shutdown",
     )
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="sweep workers; only 1 is accepted (sweeps run in the calling thread)",
+    )
     _add_engine_arguments(p)
     return parser
 
 
 def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="sweep workers; only 1 is accepted (sweeps run in the calling thread)",
-    )
     p.add_argument(
         "--sweep-mode", choices=SWEEP_MODES, default=None,
         help="sweep strategy: 'full' grids or the adaptive planner "
@@ -215,7 +215,7 @@ def _make_engine(args: argparse.Namespace) -> SweepEngine | None:
     given = {
         name: value
         for name, value in (
-            ("n_jobs", args.jobs),
+            ("n_jobs", getattr(args, "jobs", None)),  # `serve` only
             ("mode", args.sweep_mode),
             ("cache_dir", args.cache_dir),
         )

@@ -18,8 +18,8 @@ caps)`` — so two orthogonal speedups apply:
   results.
 
 Every request — a whole grid from :meth:`SweepEngine.map_host` /
-:meth:`SweepEngine.map_gpu`, or a planner stage, fleet grant lattice or
-server prefetch from :meth:`SweepEngine.host_subgrid` /
+:meth:`SweepEngine.map_gpu`, or a planner stage or fleet grant lattice
+from :meth:`SweepEngine.host_subgrid` /
 :meth:`SweepEngine.gpu_subgrid` — resolves through one loop,
 :meth:`SubgridExecutor.run`, in the calling thread.  There is no worker
 pool: every pool fan-out measured slower than the in-thread batch kernel
@@ -512,9 +512,9 @@ class SubgridExecutor:
 
     Every engine request resolves here.  :meth:`SweepEngine.map_host` /
     :meth:`SweepEngine.map_gpu` run a whole axis once, and so does the
-    fleet for each grant lattice; the adaptive planner and the server's
-    prefetch touch one axis many times in small bites — probe strides,
-    certify neighborhoods, per-iteration walk frontiers.  Keys are built
+    fleet for each grant lattice; the adaptive planner touches one axis
+    many times in small bites — probe strides, certify neighborhoods,
+    per-iteration walk frontiers.  Keys are built
     once at construction and the gather kernel lazily on the first miss,
     so each :meth:`run` call costs only cache lookups and gathered kernel
     rows.

@@ -164,9 +164,9 @@ def armed() -> Optional[FaultInjector]:
 
     The one test of "armed" for every gate that trades a clean fast path
     for the fault schedule: the engine's batch kernel and plan replay,
-    the profilers' majority vote, the service's profile memo and
-    prefetch, and the batcher's coalescing.  An empty plan fires
-    nothing, so it keeps every clean path.
+    the profilers' majority vote, the service's profile memo, and the
+    batcher's dedup.  An empty plan fires nothing, so it keeps every
+    clean path.
     """
     injector = active()
     if injector is None or injector.plan.is_empty:

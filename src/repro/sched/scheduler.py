@@ -110,6 +110,8 @@ class PowerBoundedScheduler:
         self.order = order
         self.records: dict[int, JobRecord] = {}
         self._engine = engine if engine is not None else default_engine()
+        # Profiles keyed by the phases' fingerprint, like PredictKey: a
+        # same-named workload with other phases gets its own profile.
         self._profile_cache: dict[str, CpuCriticalPowers] = {}
         # Thread-safe typed-key map so parallel callers never race on dict
         # writes; the model runs behind it memoize into the shared engine.
@@ -158,13 +160,13 @@ class PowerBoundedScheduler:
     # admission
     # ------------------------------------------------------------------
     def _critical(self, record: JobRecord) -> CpuCriticalPowers:
-        name = record.job.workload.name
-        if name not in self._profile_cache:
+        key = fingerprint(record.job.workload.phases)
+        if key not in self._profile_cache:
             slot = self.cluster.slots[0]
-            self._profile_cache[name] = profile_cpu_workload(
+            self._profile_cache[key] = profile_cpu_workload(
                 slot.node.cpu, slot.node.dram, record.job.workload
             )
-        return self._profile_cache[name]
+        return self._profile_cache[key]
 
     def _predict_elapsed_s(self, record: JobRecord) -> float:
         """Model-predicted runtime at the job's requested per-node budget."""

@@ -10,11 +10,9 @@ number of concurrent clients.
 The throughput story is the **micro-batching coalescer**
 (:mod:`repro.serve.batching`): concurrent queries are admitted to a
 queue that drains on a depth/latency trigger, identical in-flight
-queries are deduplicated, and each flush's grid work is unioned into
-single batch-kernel passes (:mod:`repro.serve.service`).  Served
-answers stay bit-identical to direct library calls — the kernel pass
-only primes the shared cache; the library call still produces the
-reply.
+queries are deduplicated, and each unique query is answered by its own
+library call against the warm engine (:mod:`repro.serve.service`), so
+served answers are bit-identical to direct library calls.
 
 See ``docs/serving.md`` for the protocol, the batching knobs, and the
 latency-SLO methodology.

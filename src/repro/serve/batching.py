@@ -4,30 +4,23 @@ Incoming query frames do not go straight to the engine: they join an
 admission queue that drains as one **flush** whenever the queue reaches
 ``max_batch`` depth or the oldest queued request has waited
 ``max_wait_us`` — whichever comes first.  A flush is resolved off the
-event loop in one executor job that
+event loop in one executor job that deduplicates its requests by
+:func:`~repro.serve.protocol.canonical_key` (identical in-flight queries
+resolve once and share the answer) and then answers each unique query
+with :meth:`~repro.serve.service.CoordinationService.resolve`, the
+query's own library call.
 
-1. deduplicates requests by :func:`~repro.serve.protocol.canonical_key`
-   (identical in-flight queries resolve once and share the answer),
-2. primes the shared engine with the flush's coalesced kernel passes
-   (:meth:`~repro.serve.service.CoordinationService.prefetch` — the
-   union of every query's allocation grid runs as one
-   ``host_subgrid`` pass per platform/workload partition), and
-3. answers each unique query through the unchanged library calls,
-   which now assemble from pure cache hits.
+The two knobs bound the trade-off: ``max_wait_us`` bounds the queueing
+delay added to any request, and ``max_batch`` bounds how many requests
+one flush can dedup and hand to the resolver in one job.
+``max_batch=1`` serves one request per flush, with no dedup.
 
-Latency/throughput trade-off is exactly the two knobs: ``max_wait_us``
-bounds the queueing delay added to any request (an SLO floor), and
-``max_batch`` bounds how much amortization a single flush can capture.
-``max_batch=1`` degenerates to classic one-request-per-kernel-pass
-serving — the baseline the benchmark compares against.
-
-With a fault plan armed, coalescing is disabled for the whole flush:
+With a fault plan armed, dedup is disabled for the whole flush:
 requests are keyed by position instead of by fingerprint, so they
 resolve individually, in admission order, each consuming its own slice
 of the deterministic fault schedule and owning its own degradation
-classification.  Identical queries are *not* deduplicated in that mode —
-two clients may legitimately receive different degradation outcomes for
-the same query.
+classification.  Two clients may legitimately receive different
+degradation outcomes for the same query.
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ class BatchStats:
     flushes_depth: int = 0
     flushes_timeout: int = 0
     flushes_drain: int = 0
-    prefetch_passes: int = 0
     max_depth_seen: int = 0
     _occupancy_sum: int = field(default=0, repr=False)
 
@@ -79,7 +71,8 @@ class BatchStats:
             "flushes_depth": self.flushes_depth,
             "flushes_timeout": self.flushes_timeout,
             "flushes_drain": self.flushes_drain,
-            "prefetch_passes": self.prefetch_passes,
+            # Always 0; kept only for the benchmark's reader (ROADMAP item 1).
+            "prefetch_passes": 0,
             "mean_occupancy": self.mean_occupancy,
             "max_depth_seen": self.max_depth_seen,
         }
@@ -183,7 +176,7 @@ class MicroBatcher:
         for key, (request, _) in zip(keys, batch):
             unique.setdefault(key, request)
         try:
-            resolved, passes = await loop.run_in_executor(
+            resolved = await loop.run_in_executor(
                 self._executor, self._resolve_unique, list(unique.values())
             )
         except Exception as exc:  # pragma: no cover - resolver crash guard
@@ -191,7 +184,6 @@ class MicroBatcher:
                 if not future.done():
                     future.set_exception(exc)
             return
-        self.stats.prefetch_passes += passes
         by_key = dict(zip(unique, resolved))
         seen: set[str | int] = set()
         for key, (_, future) in zip(keys, batch):
@@ -209,17 +201,9 @@ class MicroBatcher:
             if not future.done():
                 future.set_result((by_key[key], info))
 
-    def _resolve_unique(
-        self, requests: list[Request]
-    ) -> tuple[list[Resolution], int]:
-        """Executor-side: coalesced prime, then per-query resolution.
-
-        A singleton flush (``max_batch=1``, or a drain straggler) skips
-        the union prime: the library call already resolves its own grid
-        in one kernel pass, so priming would just run that pass twice.
-        """
-        passes = self.service.prefetch(requests) if len(requests) > 1 else 0
-        return [self.service.resolve(r) for r in requests], passes
+    def _resolve_unique(self, requests: list[Request]) -> list[Resolution]:
+        """Executor-side: each unique query through its own library call."""
+        return [self.service.resolve(r) for r in requests]
 
     # ------------------------------------------------------------------
     # lifecycle

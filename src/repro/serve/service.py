@@ -1,41 +1,32 @@
 """The engine session: query resolution against a shared, warm stack.
 
 One :class:`CoordinationService` owns (or borrows) a
-:class:`~repro.core.parallel.SweepEngine` and answers the protocol's
-query ops by calling the exact same library entry points a direct user
-would — ``sweep_cpu_allocations`` (``plan_cpu_sweep`` on an adaptive
-engine), ``cpu_budget_curve``, ``profile_*_workload`` — so served
-answers are bit-identical to library answers *by construction*, not by
-re-implementation.
+:class:`~repro.core.parallel.SweepEngine` and answers each protocol
+query with the exact library call a direct user would make —
+``sweep_cpu_allocations`` (``plan_cpu_sweep`` on an adaptive engine),
+``cpu_budget_curve``, ``profile_*_workload`` — passing only the
+parameters the request carries, so the library's signature defaults
+are the only defaults.  Served answers are bit-identical to library
+answers *by construction*, not by re-implementation.  Work shared
+between queries is shared where a direct user would share it: in the
+engine's memo (and disk) cache, plus a profile memo here, since
+profiling does not route through the engine.
 
-The micro-batching win lives in :meth:`CoordinationService.prefetch`:
-given one flush's worth of coalesced sweep-family queries, it unions
-their allocation axes per ``(platform, workload, step)`` partition and
-resolves each union in **one**
-:meth:`~repro.core.parallel.SweepEngine.host_subgrid` kernel pass.  The
-pass primes the engine's memo cache; the per-query library calls that
-follow then assemble their answers from pure cache hits.  Equivalence is
-inherited from PR 6's sub-grid contract (a gathered kernel pass is
-bit-for-bit the scalar oracle, and it fills the cache point-by-point),
-so the served reply *is* the library reply — the kernel just ran once
-for the whole flush instead of once per query.
-
-Resilience: with a fault plan armed, prefetch and the profile memo are
-bypassed — each query resolves individually through the profilers'
-majority vote and the engine's worker-fault schedule, inside its own
-degradation :func:`~repro.faults.report.ledger`, and the outcome (the
-ledger's events or a typed ``FaultError``) is attached to that query's
-envelope alone.  A flush never shares one query's fault with its
-neighbours, and the server never dies on one.
+Resilience: with a fault plan armed, the profile memo is bypassed —
+each query resolves individually through the profilers' majority vote
+and the engine's worker-fault schedule, inside its own degradation
+:func:`~repro.faults.report.ledger`, and the outcome (the ledger's
+events or a typed ``FaultError``) is attached to that query's envelope
+alone.  A flush never shares one query's fault with its neighbours, and
+the server never dies on one.
 """
 # shared-state
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Mapping
+from typing import Any
 
-from repro.core.allocation import allocation_axis
 from repro.core.coord import CoordDecision, coord_cpu
 from repro.core.coord_gpu import coord_gpu
 from repro.core.critical import CpuCriticalPowers, GpuCriticalPowers
@@ -52,7 +43,7 @@ from repro.core.sweep import (
     sweep_cpu_allocations,
     sweep_gpu_allocations,
 )
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 from repro.faults.injector import armed
 from repro.faults.report import ledger
 from repro.hardware.gpu import GpuCard
@@ -63,12 +54,6 @@ from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
 __all__ = ["CoordinationService", "Resolution"]
-
-#: Default host-sweep grid knobs — must match ``sweep_cpu_allocations``'s
-#: signature defaults or prefetched axes would drift from served grids.
-_DEFAULT_STEP_W = 4.0
-_DEFAULT_MEM_MIN_W = 16.0
-_DEFAULT_PROC_MIN_W = 8.0
 
 #: Platform/workload objects resolved by name, shared by every service in
 #: the process: resolution is pure (registry lookups construct
@@ -130,14 +115,38 @@ def _resolve_pair(workload_name: str, platform_name: str | None) -> tuple[Worklo
     return pair
 
 
-def _float_param(request: Request, name: str, default: float | None = None) -> float:
-    value = request.require(name) if default is None else request.param(name, default)
+def _float_param(request: Request, name: str) -> float:
+    value = request.require(name)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(
             f"parameter {name!r} of op {request.op!r} must be a number, "
             f"got {type(value).__name__}"
         )
     return float(value)
+
+
+def _int_param(request: Request, name: str) -> int:
+    value = request.require(name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            f"parameter {name!r} of op {request.op!r} must be an integer, "
+            f"got {type(value).__name__}"
+        )
+    return int(value)
+
+
+def _grid_knobs(request: Request, workload: Workload) -> dict[str, Any]:
+    """The sweep-grid keyword the request sets, if it sets one.
+
+    ``step_w`` on a host, ``freq_stride`` on a card.  A request without
+    it passes nothing, so the library call's own default applies.
+    """
+    if workload.device == "cpu":
+        if "step_w" in request.params:
+            return {"step_w": _float_param(request, "step_w")}
+    elif "freq_stride" in request.params:
+        return {"freq_stride": _int_param(request, "freq_stride")}
+    return {}
 
 
 def _budget_list(request: Request) -> list[float]:
@@ -157,12 +166,11 @@ def _budget_list(request: Request) -> list[float]:
 class CoordinationService:
     """Query resolution against one shared engine stack.
 
-    Thread-safety: :meth:`resolve` and :meth:`prefetch` are called from
-    the server's resolver executor threads; everything they touch is
-    either immutable (platforms, workloads), internally locked (the
-    engine's :class:`~repro.core.parallel.MemoCache`, the module-level
-    resolution memo), or a :class:`MemoCache` instance (the profile
-    memo).
+    Thread-safety: :meth:`resolve` is called from the server's resolver
+    executor threads; everything it touches is either immutable
+    (platforms, workloads), internally locked (the engine's
+    :class:`~repro.core.parallel.MemoCache`, the module-level resolution
+    memo), or a :class:`MemoCache` instance (the profile memo).
     """
 
     def __init__(self, engine: SweepEngine | None = None) -> None:
@@ -182,99 +190,16 @@ class CoordinationService:
     def faults_armed(self) -> bool:
         """True when a non-empty fault plan is armed (:func:`armed`).
 
-        The batcher consults this per flush: under an armed plan,
-        request coalescing (prefetch *and* dedup) is disabled so each
-        query consumes its own slice of the deterministic fault schedule
-        and owns its own degradation classification.
+        The batcher consults this per flush: under an armed plan, its
+        dedup is disabled so each query consumes its own slice of the
+        deterministic fault schedule and owns its own degradation
+        classification.
         """
         return armed() is not None
 
-    # ------------------------------------------------------------------
-    # micro-batch prefetch (the coalesced kernel pass)
-    # ------------------------------------------------------------------
+    # Inert; kept only for the benchmark's traced server (ROADMAP item 1).
     def prefetch(self, requests: list[Request]) -> int:
-        """Prime the engine cache for one flush in coalesced kernel passes.
-
-        Unions the host allocation axes of every CPU ``sweep_best`` /
-        ``budget_curve`` query in ``requests`` per ``(platform,
-        workload, step)`` partition and resolves each union through one
-        :meth:`~repro.core.parallel.SweepEngine.host_subgrid` pass.
-        Returns the number of partitions passed through the kernel.
-
-        Skipped entirely (returns 0) when a fault plan is armed — the
-        deterministic fault schedule belongs to the per-query resolution
-        path — or when the engine runs in ``adaptive`` mode, where the
-        planner's own point selection (with warm-start hints) is the
-        cheaper way to resolve each query.  Resolution errors here are
-        deliberately swallowed: the per-query path reproduces them with
-        proper per-reply classification.
-        """
-        if self.faults_armed() or self.engine.mode == "adaptive":
-            return 0
-        groups: dict[tuple[str, str, float], dict[str, Any]] = {}
-        for request in requests:
-            if request.op not in ("sweep_best", "budget_curve"):
-                continue
-            try:
-                workload, platform = _resolve_pair(
-                    str(request.require("workload")), request.param("platform")
-                )
-                if workload.device != "cpu":
-                    continue
-                step_w = _float_param(request, "step_w", _DEFAULT_STEP_W)
-                budgets = (
-                    [_float_param(request, "budget_w")]
-                    if request.op == "sweep_best"
-                    else _budget_list(request)
-                )
-            except ReproError:
-                continue  # the per-query resolution classifies this one
-            group_key = (platform.name, workload.name, step_w)
-            group = groups.setdefault(
-                group_key,
-                {
-                    "platform": platform,
-                    "workload": workload,
-                    "step_w": step_w,
-                    "proc": [],
-                    "mem": [],
-                    "seen": set(),
-                },
-            )
-            for budget in budgets:
-                if budget in group["seen"]:
-                    continue
-                group["seen"].add(budget)
-                try:
-                    proc_w, mem_w = allocation_axis(
-                        budget,
-                        mem_min_w=_DEFAULT_MEM_MIN_W,
-                        proc_min_w=_DEFAULT_PROC_MIN_W,
-                        step_w=step_w,
-                    )
-                except ReproError:
-                    continue
-                group["proc"].extend(proc_w)
-                group["mem"].extend(mem_w)
-        passes = 0
-        for group in groups.values():
-            if not group["proc"]:
-                continue
-            platform = group["platform"]
-            workload = group["workload"]
-            try:
-                executor = self.engine.host_subgrid(
-                    platform.cpu,
-                    platform.dram,
-                    workload.phases,
-                    group["proc"],
-                    group["mem"],
-                )
-                executor.run(range(len(executor)))
-                passes += 1
-            except ReproError:
-                continue
-        return passes
+        return 0
 
     # ------------------------------------------------------------------
     # per-query resolution
@@ -369,23 +294,20 @@ class CoordinationService:
         # An adaptive engine plans the sweep instead of running its whole
         # grid; the planned best point and index are the full sweep's.
         adaptive = self.engine.mode == "adaptive"
+        knobs = _grid_knobs(request, workload)
         sweep: PlannedSweep | AllocationSweep | GpuSweep
         if workload.device == "cpu":
-            step_w = _float_param(request, "step_w", _DEFAULT_STEP_W)
             host = (platform.cpu, platform.dram, workload, budget_w)
             if adaptive:
-                sweep = plan_cpu_sweep(*host, step_w=step_w, engine=self.engine)
+                sweep = plan_cpu_sweep(*host, **knobs, engine=self.engine)
             else:
-                sweep = sweep_cpu_allocations(*host, step_w=step_w, engine=self.engine)
+                sweep = sweep_cpu_allocations(*host, **knobs, engine=self.engine)
         else:
-            stride = int(request.param("freq_stride", 1))
             card = (platform, workload, budget_w)
             if adaptive:
-                sweep = plan_gpu_sweep(*card, freq_stride=stride, engine=self.engine)
+                sweep = plan_gpu_sweep(*card, **knobs, engine=self.engine)
             else:
-                sweep = sweep_gpu_allocations(
-                    *card, freq_stride=stride, engine=self.engine
-                )
+                sweep = sweep_gpu_allocations(*card, **knobs, engine=self.engine)
         best = sweep.best
         result: dict[str, Any] = {  # repro-lint: disable=RPL004 -- wire snapshot of the sweep's already-validated best allocation
             "workload": workload.name,
@@ -409,7 +331,7 @@ class CoordinationService:
             )
         elif isinstance(sweep, PlannedSweep) and workload.device == "gpu":
             result["mem_freq_mhz"] = float(
-                gpu_freq_axis(platform, stride)[sweep.best_index]
+                gpu_freq_axis(platform, **knobs)[sweep.best_index]
             )
         return result
 
@@ -418,21 +340,16 @@ class CoordinationService:
         self, request: Request, workload: Workload, platform: Any
     ) -> dict[str, Any]:
         budgets = _budget_list(request)
+        knobs = _grid_knobs(request, workload)
         curve: BudgetCurve
         if workload.device == "cpu":
-            step_w = _float_param(request, "step_w", _DEFAULT_STEP_W)
             curve = cpu_budget_curve(
-                platform.cpu,
-                platform.dram,
-                workload,
-                budgets,
-                step_w=step_w,
-                engine=self.engine,
+                platform.cpu, platform.dram, workload, budgets,
+                **knobs, engine=self.engine,
             )
         else:
-            stride = int(request.param("freq_stride", 1))
             curve = gpu_budget_curve(
-                platform, workload, budgets, freq_stride=stride, engine=self.engine
+                platform, workload, budgets, **knobs, engine=self.engine
             )
         return {
             "workload": workload.name,

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _make_engine, build_parser, main
+from repro.core.parallel import SweepEngine
 
 
 class TestList:
@@ -69,16 +70,6 @@ class TestSweep:
         assert main(["sweep", "gpu-stream", "150"]) == 0
         assert "mem clk (MHz)" in capsys.readouterr().out
 
-    def test_single_job_is_the_default_sweep(self, capsys):
-        assert main(["sweep", "dgemm", "200"]) == 0
-        default = capsys.readouterr().out
-        assert main(["sweep", "dgemm", "200", "--jobs", "1"]) == 0
-        assert capsys.readouterr().out == default
-
-    def test_more_jobs_is_a_typed_error(self, capsys):
-        assert main(["sweep", "dgemm", "200", "--jobs", "4"]) == 2
-        assert "error: sweeps resolve in the calling thread" in capsys.readouterr().err
-
 
 class TestExperiment:
     def test_single_artifact(self, capsys):
@@ -101,3 +92,19 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "dgemm", "200"], ["experiment", "fig3"], ["fleet"]],
+        ids=["sweep", "experiment", "fleet"],
+    )
+    def test_jobs_is_a_serve_flag_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+
+    def test_serve_takes_one_job(self):
+        args = build_parser().parse_args(["serve", "--jobs", "1"])
+        assert args.jobs == 1
+        assert isinstance(_make_engine(args), SweepEngine)

@@ -72,7 +72,7 @@ class TestRebalancing:
             sched.submit(job)
         sched.run()
         for record in sched.records.values():
-            critical = sched._profile_cache[record.job.workload.name]
+            critical = sched._critical(record)
             assert record.granted_budget_w <= critical.max_demand_w + 1e-6
 
     def test_stats_type_and_fields(self):

@@ -1,9 +1,12 @@
 """Power-bounded batch scheduler."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.parallel import fingerprint
 from repro.errors import ConfigurationError, SchedulerError
 from repro.hardware.platforms import ivybridge_node
 from repro.sched import (
@@ -180,7 +183,24 @@ class TestScheduling:
         for i in range(3):
             sched.submit(Job(i, cpu_workload("stream"), 220.0))
         sched.run()
-        assert set(sched._profile_cache) == {"stream"}
+        assert set(sched._profile_cache) == {
+            fingerprint(cpu_workload("stream").phases)
+        }
+
+    def test_same_named_workloads_get_their_own_profiles(self):
+        # Job 1 is named "dgemm" but runs stream's phases: it must run at
+        # stream's COORD split, not at the split of the dgemm profiled
+        # first under the same name.
+        sched = PowerBoundedScheduler(make_cluster(bound=400.0))
+        sched.submit(Job(0, cpu_workload("dgemm"), 200.0))
+        sched.submit(Job(1, replace(cpu_workload("stream"), name="dgemm"), 200.0))
+        sched.run()
+        splits = [
+            (sched.records[i].allocation.proc_w, sched.records[i].allocation.mem_w)
+            for i in (0, 1)
+        ]
+        assert splits == [(148.6875, 51.3125), (84.0, 116.0)]
+        assert len(sched._profile_cache) == 2
 
     def test_stats_wait_and_turnaround(self):
         sched = PowerBoundedScheduler(make_cluster(n_nodes=1, bound=300.0))

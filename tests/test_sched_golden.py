@@ -30,6 +30,7 @@ import json
 import random
 from pathlib import Path
 
+from repro.core.parallel import fingerprint
 from repro.core.profiler import profile_cpu_workload
 from repro.hardware.platforms import haswell_node, ivybridge_node
 from repro.sched import Cluster, Job, PowerBoundedScheduler, RebalancingScheduler
@@ -53,12 +54,14 @@ _PROFILES: dict[str, dict] = {}
 
 
 def profiles(platform: str) -> dict:
-    """Every CPU workload's profile on ``platform``, computed once."""
+    """Every CPU workload's profile on ``platform``, computed once and
+    keyed by its phases' fingerprint, as a scheduler keys its own."""
     if platform not in _PROFILES:
         node = PLATFORMS[platform]()
+        workloads = [cpu_workload(name) for name in SCHED_WORKLOAD_NAMES]
         _PROFILES[platform] = {
-            name: profile_cpu_workload(node.cpu, node.dram, cpu_workload(name))
-            for name in SCHED_WORKLOAD_NAMES
+            fingerprint(w.phases): profile_cpu_workload(node.cpu, node.dram, w)
+            for w in workloads
         }
     return _PROFILES[platform]
 

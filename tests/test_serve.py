@@ -28,7 +28,7 @@ from repro.core.sweep import (
     sweep_cpu_allocations,
     sweep_gpu_allocations,
 )
-from repro.errors import ProtocolError, ReproError, ServeError
+from repro.errors import ProtocolError, ReproError, ServeError, SweepError
 from repro.faults.injector import use_faults
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.hardware.platforms import get_platform
@@ -175,7 +175,7 @@ class TestServeConfig:
 
 
 # ---------------------------------------------------------------------------
-# the coalescer: flush triggers, dedup, prefetch
+# the coalescer: flush triggers, dedup, per-query resolution
 # ---------------------------------------------------------------------------
 
 class TestMicroBatcher:
@@ -229,18 +229,17 @@ class TestMicroBatcher:
         assert {served.n_unique for _, served in outs} == {2}
         assert stats.deduped == 0
 
-    def test_coalesced_flush_prefetches_one_union_pass(self):
-        # Two budgets of one workload on one step grid: one partition,
-        # one host_subgrid kernel pass priming both queries.
+    def test_coalesced_sweep_flush_matches_the_library(self):
+        # Two budgets of one workload on one step grid in one flush: each
+        # answer is its own library call's.
         requests = [
             q("sweep_best", 0, workload="dgemm", budget_w=120.0, step_w=STEP_W),
             q("sweep_best", 1, workload="dgemm", budget_w=140.0, step_w=STEP_W),
         ]
-        engine = SweepEngine(mode="full")
-        outs, stats = run_batched(
-            requests, max_batch=2, max_wait_us=10**7, engine=engine
+        outs, _ = run_batched(
+            requests, max_batch=2, max_wait_us=10**7,
+            engine=SweepEngine(mode="full"),
         )
-        assert stats.prefetch_passes == 1
         node = get_platform("ivybridge")
         workload = get_workload("dgemm")
         for (resolution, _), budget in zip(outs, (120.0, 140.0)):
@@ -252,33 +251,39 @@ class TestMicroBatcher:
             assert resolution.result["mem_w"] == sweep.best.allocation.mem_w
             assert resolution.result["performance"] == sweep.best.performance
 
-    def test_singleton_flush_skips_the_union_pass(self):
-        requests = [q("sweep_best", 0, workload="dgemm", budget_w=120.0,
-                      step_w=STEP_W)]
-        outs, stats = run_batched(
-            requests, max_batch=1, max_wait_us=10**7,
+    def test_omitted_step_w_is_the_library_default(self):
+        # A request without step_w passes none, so the library call's own
+        # default grid answers it, in the same flush as a stepped twin.
+        requests = [
+            q("sweep_best", 0, workload="dgemm", budget_w=150.0),
+            q("sweep_best", 1, workload="dgemm", budget_w=150.0, step_w=STEP_W),
+            q("budget_curve", 2, workload="stream", budgets_w=[120.0, 160.0]),
+        ]
+        outs, _ = run_batched(
+            requests, max_batch=3, max_wait_us=10**7,
             engine=SweepEngine(mode="full"),
         )
-        assert outs[0][0].ok
-        assert stats.prefetch_passes == 0
-
-    def test_prefetch_is_skipped_in_adaptive_mode(self):
-        service = CoordinationService(SweepEngine(mode="adaptive"))
-        requests = [
-            q("sweep_best", 0, workload="dgemm", budget_w=120.0, step_w=STEP_W),
-            q("sweep_best", 1, workload="dgemm", budget_w=140.0, step_w=STEP_W),
+        node = get_platform("ivybridge")
+        dgemm, stream = get_workload("dgemm"), get_workload("stream")
+        default = sweep_cpu_allocations(node.cpu, node.dram, dgemm, 150.0)
+        stepped = sweep_cpu_allocations(
+            node.cpu, node.dram, dgemm, 150.0, step_w=STEP_W
+        )
+        assert len(default.points) != len(stepped.points)
+        curve = cpu_budget_curve(node.cpu, node.dram, stream, [120.0, 160.0])
+        (best, _), (best_stepped, _), (served, _) = outs
+        for resolution, sweep in ((best, default), (best_stepped, stepped)):
+            assert resolution.ok
+            assert resolution.result["n_points"] == len(sweep.points)
+            assert resolution.result["proc_w"] == sweep.best.allocation.proc_w
+            assert resolution.result["mem_w"] == sweep.best.allocation.mem_w
+            assert resolution.result["performance"] == sweep.best.performance
+        assert served.ok
+        assert served.result["perf_max"] == [float(p) for p in curve.perf_max]
+        assert served.result["optimal_mem_w"] == [
+            float(m) for m in curve.optimal_mem_w
         ]
-        assert service.prefetch(requests) == 0
-
-    def test_prefetch_is_skipped_while_faults_are_armed(self):
-        service = CoordinationService(SweepEngine(mode="full"))
-        requests = [
-            q("sweep_best", 0, workload="dgemm", budget_w=120.0, step_w=STEP_W),
-            q("sweep_best", 1, workload="dgemm", budget_w=140.0, step_w=STEP_W),
-        ]
-        with use_faults(CHAOS_PLAN):
-            assert service.faults_armed()
-            assert service.prefetch(requests) == 0
+        assert served.result["saturation_budget_w"] == curve.saturation_budget_w
 
     def test_use_faults_context_arms_an_engineless_service(self):
         service = CoordinationService()
@@ -286,6 +291,48 @@ class TestMicroBatcher:
         with use_faults(CHAOS_PLAN):
             assert service.faults_armed()
         assert not service.faults_armed()
+
+
+# ---------------------------------------------------------------------------
+# query parameters
+# ---------------------------------------------------------------------------
+
+GPU_QUERIES = {
+    "sweep_best": {"workload": "gpu-stream", "budget_w": 200.0},
+    "budget_curve": {"workload": "gpu-stream", "budgets_w": [200.0]},
+}
+
+
+class TestQueryParams:
+    @pytest.mark.parametrize("op", sorted(GPU_QUERIES))
+    @pytest.mark.parametrize("stride", ["abc", None, [2], True, 1.7])
+    def test_freq_stride_must_be_an_integer(self, op, stride):
+        resolution = CoordinationService().resolve(
+            q(op, **GPU_QUERIES[op], freq_stride=stride)
+        )
+        assert isinstance(resolution.error, ProtocolError), resolution.error
+        assert resolution.error_dict()["family"] == "repro"
+        assert "freq_stride" in str(resolution.error)
+
+    @pytest.mark.parametrize("op", sorted(GPU_QUERIES))
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_freq_stride_is_a_sweep_error(self, op, stride):
+        resolution = CoordinationService().resolve(
+            q(op, **GPU_QUERIES[op], freq_stride=stride)
+        )
+        assert isinstance(resolution.error, SweepError), resolution.error
+
+    def test_integer_freq_stride_is_the_library_call(self):
+        card = get_platform("titan-xp")
+        sweep = sweep_gpu_allocations(
+            card, get_workload("gpu-stream"), 200.0, freq_stride=2
+        )
+        resolution = CoordinationService().resolve(
+            q("sweep_best", **GPU_QUERIES["sweep_best"], freq_stride=2)
+        )
+        assert resolution.ok
+        assert resolution.result["n_points"] == len(sweep.points)
+        assert resolution.result["performance"] == sweep.best.performance
 
 
 # ---------------------------------------------------------------------------
